@@ -14,11 +14,9 @@ over many free-precession periods. Modules:
 """
 
 from .ensemble import (
-    BlochVector,
     DetectionConfig,
     EmptySampleError,
     EnsembleState,
-    IonRecord,
     MeasurementResult,
     excited_population,
     free_precession,
@@ -28,8 +26,7 @@ from .ensemble import (
     rotate,
 )
 from .oscillator import (
-    MASER_SPEC,
-    NOISY_LO_SPEC,
+    PRESETS,
     LocalOscillatorState,
     NoiseSpec,
     advance,
@@ -45,7 +42,6 @@ from .sequences import (
     RamseyConfig,
     SaturationWarning,
     estimate_frequency,
-    estimate_frequency_angular,
     estimate_phase,
     fit_decoherence,
     predicted_projected_fraction,
@@ -74,7 +70,6 @@ from .stability import (
     limit_apl_repetition,
     limit_technical,
     qpn_snr,
-    quality_factor,
 )
 from .config import ConfigError, RunConfig, config_hash, parse_config_file, resolve
 from .rng import substream

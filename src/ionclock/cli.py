@@ -8,13 +8,17 @@ all floats are printed with a fixed %.12g format, so re-running a
 command with the same config and seed reproduces every file byte for
 byte.
 
-Exit codes: 0 success, 2 configuration problem (bad flag, bad config
-file, unknown key), 3 runtime or data problem (fit failure, empty
-sample, malformed input series). Results are built fully in memory
-before anything is written, so a failing run leaves no partial bundle.
+Exit codes: 0 success; 2 configuration problem (bad flag, unreadable
+or malformed config file, unknown key, a value its typed config
+rejects), raised before any simulation runs; 3 runtime or data problem
+(fit failure, empty sample, malformed input series, unwritable output
+directory). Results are built fully in memory before anything is
+written, so a run that fails before writing writes nothing. Files an
+earlier run left in the output directory are not removed.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -70,28 +74,41 @@ def _csv(h, seed, header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _allan_csv(h, seed, points):
+    rows = [(p.tau, p.adev, p.n_pairs) for p in points]
+    return _csv(h, seed, ("tau_s", "adev", "n_pairs"), rows)
+
+
 def _json_doc(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _meta(command, cfg: RunConfig, h, outputs):
-    plain = {}
-    for k in sorted(cfg.values):
-        v = cfg.values[k]
-        if isinstance(v, np.integer):
-            v = int(v)
-        plain[k] = v
     return _json_doc(
         {
             "command": command,
             "config_hash": h,
             "seed": int(cfg["run.seed"]),
-            "config": plain,
+            "config": cfg.values,
             "outputs": sorted(outputs),
         }
     )
 
 
+def _builds_config(build):
+    """Report the ValueError of a typed config's own checks as a ConfigError."""
+
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return checked
+
+
+@_builds_config
 def _detection(cfg) -> DetectionConfig:
     return DetectionConfig(
         mode=cfg["det.mode"],
@@ -101,12 +118,13 @@ def _detection(cfg) -> DetectionConfig:
     )
 
 
-def _noise_spec(cfg) -> NoiseSpec:
-    return NoiseSpec(
-        h0=cfg["lo.h0"], h_minus1=cfg["lo.h_minus1"], h_minus2=cfg["lo.h_minus2"]
-    )
+@_builds_config
+def _local_oscillator(cfg, rng):
+    spec = NoiseSpec(h0=cfg["lo.h0"], h_minus1=cfg["lo.h_minus1"], h_minus2=cfg["lo.h_minus2"])
+    return make_local_oscillator(cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], spec, rng)
 
 
+@_builds_config
 def _stab_params(cfg) -> StabilityParams:
     return StabilityParams(
         q=cfg["stab.q"],
@@ -119,17 +137,21 @@ def _stab_params(cfg) -> StabilityParams:
     )
 
 
+@_builds_config
+def _diffusion_config(cfg) -> diff_mod.DiffusionConfig:
+    return diff_mod.DiffusionConfig(
+        temperature=cfg["diff.temperature_k"],
+        mobility=cfg["diff.mobility"],
+        d_override=cfg["diff.d_override"],
+        dt=cfg["diff.dt_s"],
+        cloud_length=cfg["ens.cloud_length_m"],
+        beam_interval=(cfg["diff.beam_lo_m"], cfg["diff.beam_hi_m"]),
+    )
+
+
+@_builds_config
 def _ramsey_config(cfg, n_cycles) -> RamseyConfig:
-    dcfg = None
-    if cfg["det.mode"] == "beam_overlap":
-        dcfg = diff_mod.DiffusionConfig(
-            temperature=cfg["diff.temperature_k"],
-            mobility=cfg["diff.mobility"],
-            d_override=cfg["diff.d_override"],
-            dt=cfg["diff.dt_s"],
-            cloud_length=cfg["ens.cloud_length_m"],
-            beam_interval=(cfg["diff.beam_lo_m"], cfg["diff.beam_hi_m"]),
-        )
+    beam = cfg["det.mode"] == "beam_overlap"
     return RamseyConfig(
         t_fp=cfg["seq.t_fp_s"],
         pi2_duration=cfg["seq.pi2_duration_s"],
@@ -137,8 +159,31 @@ def _ramsey_config(cfg, n_cycles) -> RamseyConfig:
         detection=_detection(cfg),
         n_cycles=n_cycles,
         dead_time=cfg["seq.dead_time_s"],
-        diffusion=dcfg,
+        diffusion=_diffusion_config(cfg) if beam else None,
     )
+
+
+def _tracking_blocks(cfg, rcfg: RamseyConfig, lo, n_blocks):
+    """Yield the records of n_blocks consecutive tracking blocks.
+
+    Every block starts from a fresh ensemble; the LO runs on across
+    blocks.
+    """
+    for b in range(n_blocks):
+        ens = initialize_ensemble(
+            cfg["ens.n_ions"], cfg["ens.cloud_length_m"], substream(cfg["run.seed"], "apl-ens", b)
+        )
+        yield run_apl_block(ens, lo, rcfg, t0=b * rcfg.block_time)
+
+
+def _fit_doc(fit):
+    return {
+        "p": fit.model.p,
+        "amplitude": fit.model.amplitude,
+        "p_stderr": fit.p_stderr,
+        "p_ci95": list(fit.p_ci95),
+        "residual_norm": fit.residual_norm,
+    }
 
 
 def _limit_rows(params: StabilityParams, taus):
@@ -191,7 +236,6 @@ def cmd_rabi(cfg: RunConfig, h):
         # beam selection needs positions the probe-only bundle does not track
         det = replace(det, mode="fixed_fraction")
     trials = cfg["run.n_trials"]
-    spec = _noise_spec(cfg)
 
     rows = []
     curves = {}
@@ -201,14 +245,11 @@ def cmd_rabi(cfg: RunConfig, h):
     ):
         est = np.empty((reps, n_steps + 1))
         for r in range(reps):
+            lo = _local_oscillator(cfg, substream(seed, f"rabi-lo-{mode}", r))
             ens = initialize_ensemble(
                 cfg["ens.n_ions"],
                 cfg["ens.cloud_length_m"],
                 substream(seed, f"rabi-{mode}", r),
-            )
-            lo = make_local_oscillator(
-                cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], spec,
-                substream(seed, f"rabi-lo-{mode}", r),
             )
             recs = run_rabi_ppm(ens, lo, step, n_steps, reinit, det)
             est[r] = [rec.estimate for rec in recs]
@@ -237,29 +278,24 @@ def cmd_rabi(cfg: RunConfig, h):
     return files
 
 
-def _apl_bundle(cfg: RunConfig, h, include_allan=True):
+def cmd_apl(cfg: RunConfig, h):
     seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
     n_blocks = cfg["run.n_trials"] or max(1, cfg["seq.n_cycles"] // n_cp)
     rcfg = _ramsey_config(cfg, n_cycles=n_blocks * n_cp)
-    spec = _noise_spec(cfg)
+    params = _stab_params(cfg)
     f0 = cfg["lo.f0_hz"]
 
     # same substream for both oscillators: the two protocols see the
     # identical noise realization, so the comparison is apples to apples
-    lo_apl = make_local_oscillator(f0, cfg["lo.delta_f0_hz"], spec, substream(seed, "lo"))
-    lo_std = make_local_oscillator(f0, cfg["lo.delta_f0_hz"], spec, substream(seed, "lo"))
+    lo_apl = _local_oscillator(cfg, substream(seed, "lo"))
+    lo_std = _local_oscillator(cfg, substream(seed, "lo"))
 
-    block_span = rcfg.pi2_duration + n_cp * rcfg.cycle_time
     apl_rows = []
     per_n = {n: [] for n in range(1, n_cp + 1)}
     proj_by_n = {n: [] for n in range(1, n_cp + 1)}
     block_y = []
-    for b in range(n_blocks):
-        ens = initialize_ensemble(
-            cfg["ens.n_ions"], cfg["ens.cloud_length_m"], substream(seed, "apl-ens", b)
-        )
-        recs = run_apl_block(ens, lo_apl, rcfg, t0=b * block_span)
+    for b, recs in enumerate(_tracking_blocks(cfg, rcfg, lo_apl, n_blocks)):
         for rec in recs:
             apl_rows.append(
                 (b, rec.n, rec.timestamp, rec.measurement.estimate, rec.phi_n, rec.delta_f_hz)
@@ -294,64 +330,31 @@ def _apl_bundle(cfg: RunConfig, h, include_allan=True):
     mean_proj = np.array([np.mean(proj_by_n[n]) for n in ns])
     fit_doc = {"mean_projected_by_n": [float(v) for v in mean_proj]}
     if n_cp >= 3:
-        fit = fit_decoherence(ns, mean_proj)
-        fit_doc.update(
-            {
-                "p": fit.model.p,
-                "amplitude": fit.model.amplitude,
-                "p_stderr": fit.p_stderr,
-                "p_ci95": list(fit.p_ci95),
-                "residual_norm": fit.residual_norm,
-            }
-        )
+        fit_doc.update(_fit_doc(fit_decoherence(ns, mean_proj)))
     files["decoherence_fit.json"] = _json_doc(fit_doc)
 
-    if include_allan:
-        mode = cfg["allan.mode"]
-        ppd = cfg["allan.points_per_decade"]
-        std_tau0 = (
-            rcfg.dead_time
-            + rcfg.t_fp
-            + 2.0 * rcfg.pi2_duration
-            + rcfg.detection.measurement_duration
-        )
-        std_series = FractionalFrequencySeries(
-            np.array([rec.delta_f_hz for rec in std_recs]) / f0, std_tau0
-        )
-        allan_header = ("tau_s", "adev", "n_pairs")
-        pts = allan_deviation(std_series, default_taus(std_series, ppd), mode)
-        files["allan_standard.csv"] = _csv(
-            h, seed, allan_header, [(p.tau, p.adev, p.n_pairs) for p in pts]
-        )
-        apl_pts = []
-        if len(block_y) >= 2:
-            apl_series = FractionalFrequencySeries(np.array(block_y), block_span)
-            apl_pts = allan_deviation(apl_series, default_taus(apl_series, ppd), mode)
-        files["allan_apl.csv"] = _csv(
-            h, seed, allan_header, [(p.tau, p.adev, p.n_pairs) for p in apl_pts]
-        )
-        params = _stab_params(cfg)
-        taus = np.logspace(
-            math.log10(std_tau0), math.log10(max(n_blocks, 2) * block_span), 25
-        )
-        files["limits.csv"] = _csv(h, seed, _LIMIT_HEADER, _limit_rows(params, taus))
+    mode = cfg["allan.mode"]
+    ppd = cfg["allan.points_per_decade"]
+    std_series = FractionalFrequencySeries(
+        np.array([rec.delta_f_hz for rec in std_recs]) / f0, rcfg.standard_cycle_time
+    )
+    pts = allan_deviation(std_series, default_taus(std_series, ppd), mode)
+    files["allan_standard.csv"] = _allan_csv(h, seed, pts)
+    apl_pts = []
+    if len(block_y) >= 2:
+        apl_series = FractionalFrequencySeries(np.array(block_y), rcfg.block_time)
+        apl_pts = allan_deviation(apl_series, default_taus(apl_series, ppd), mode)
+    files["allan_apl.csv"] = _allan_csv(h, seed, apl_pts)
+    taus = np.logspace(
+        math.log10(rcfg.standard_cycle_time), math.log10(max(n_blocks, 2) * rcfg.block_time), 25
+    )
+    files["limits.csv"] = _csv(h, seed, _LIMIT_HEADER, _limit_rows(params, taus))
     return files
-
-
-def cmd_apl(cfg: RunConfig, h):
-    return _apl_bundle(cfg, h, include_allan=True)
 
 
 def cmd_diffusion(cfg: RunConfig, h):
     seed = cfg["run.seed"]
-    dcfg = diff_mod.DiffusionConfig(
-        temperature=cfg["diff.temperature_k"],
-        mobility=cfg["diff.mobility"],
-        d_override=cfg["diff.d_override"],
-        dt=cfg["diff.dt_s"],
-        cloud_length=cfg["ens.cloud_length_m"],
-        beam_interval=(cfg["diff.beam_lo_m"], cfg["diff.beam_hi_m"]),
-    )
+    dcfg = _diffusion_config(cfg)
     n_walkers = cfg["diff.n_walkers"]
     d_eff = dcfg.effective_d()
 
@@ -426,14 +429,12 @@ def _read_series(path):
 
 def cmd_allan(cfg: RunConfig, h, input_path):
     seed = cfg["run.seed"]
+    params = _stab_params(cfg)
     series = _read_series(input_path)
     taus = default_taus(series, cfg["allan.points_per_decade"])
     pts = allan_deviation(series, taus, cfg["allan.mode"])
-    params = _stab_params(cfg)
     return {
-        "allan.csv": _csv(
-            h, seed, ("tau_s", "adev", "n_pairs"), [(p.tau, p.adev, p.n_pairs) for p in pts]
-        ),
+        "allan.csv": _allan_csv(h, seed, pts),
         "limits.csv": _csv(h, seed, _LIMIT_HEADER, _limit_rows(params, [p.tau for p in pts])),
     }
 
@@ -441,19 +442,17 @@ def cmd_allan(cfg: RunConfig, h, input_path):
 def _projection_bundle(cfg: RunConfig, h):
     seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
+    if n_cp < 3:
+        raise ConfigError(f"the projected-fraction fit needs seq.n_cp >= 3, got {n_cp}")
     n_blocks = cfg["run.n_trials"] or 32
     rcfg = _ramsey_config(cfg, n_cycles=n_blocks * n_cp)
-    lo = make_local_oscillator(
-        cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], _noise_spec(cfg), substream(seed, "lo")
+    lo = _local_oscillator(cfg, substream(seed, "lo"))
+    proj = np.array(
+        [
+            [rec.projected_before for rec in recs]
+            for recs in _tracking_blocks(cfg, rcfg, lo, n_blocks)
+        ]
     )
-    block_span = rcfg.pi2_duration + n_cp * rcfg.cycle_time
-    proj = np.empty((n_blocks, n_cp))
-    for b in range(n_blocks):
-        ens = initialize_ensemble(
-            cfg["ens.n_ions"], cfg["ens.cloud_length_m"], substream(seed, "apl-ens", b)
-        )
-        recs = run_apl_block(ens, lo, rcfg, t0=b * block_span)
-        proj[b] = [rec.projected_before for rec in recs]
 
     ns = np.arange(1, n_cp + 1)
     mean = proj.mean(axis=0)
@@ -466,39 +465,31 @@ def _projection_bundle(cfg: RunConfig, h):
     ]
     return {
         "fig5_projection.csv": _csv(h, seed, ("n", "mean_projected", "sd", "predicted"), rows),
-        "decoherence_fit.json": _json_doc(
-            {
-                "p": fit.model.p,
-                "amplitude": fit.model.amplitude,
-                "p_stderr": fit.p_stderr,
-                "p_ci95": list(fit.p_ci95),
-                "residual_norm": fit.residual_norm,
-            }
-        ),
+        "decoherence_fit.json": _json_doc(_fit_doc(fit)),
     }
 
 
-_REPRODUCE_PRESETS = {
+# command -> bundle(cfg, h); allan also takes its input path
+_COMMANDS = {"rabi": cmd_rabi, "apl": cmd_apl, "diffusion": cmd_diffusion, "allan": cmd_allan}
+
+# reproduce target -> (bundle, config preset); config-file values win
+# over the preset, command-line flags over both
+_REPRODUCE = {
     # probe-curve comparison: re-initialized vs accumulated back-action
-    "fig4": {"seq.rabi_step_rad": math.pi / 6.0, "seq.rabi_n_steps": 12},
+    "fig4": (cmd_rabi, {"seq.rabi_step_rad": math.pi / 6.0, "seq.rabi_n_steps": 12}),
     # projected-fraction growth over an 8-cycle block
-    "fig5": {"seq.n_cp": 8, "run.n_trials": 32},
+    "fig5": (_projection_bundle, {"seq.n_cp": 8, "run.n_trials": 32}),
     # stability comparison: tracked blocks vs independent cycles
-    "fig6": {
-        "seq.n_cp": 3,
-        "run.n_trials": 800,
-        "seq.n_cycles": 2400,
-        "lo.preset": "maser",
-    },
+    "fig6": (
+        cmd_apl,
+        {
+            "seq.n_cp": 3,
+            "run.n_trials": 800,
+            "seq.n_cycles": 2400,
+            "lo.preset": "maser",
+        },
+    ),
 }
-
-
-def cmd_reproduce(cfg: RunConfig, h, target):
-    if target == "fig4":
-        return cmd_rabi(cfg, h)
-    if target == "fig5":
-        return _projection_bundle(cfg, h)
-    return _apl_bundle(cfg, h, include_allan=True)
 
 
 def _build_parser():
@@ -521,44 +512,36 @@ def _build_parser():
     p_allan.add_argument("input", help="CSV/whitespace file of time, fractional frequency")
     common(p_allan)
     p_rep = sub.add_parser("reproduce", help="canned demonstration bundles")
-    p_rep.add_argument("target", choices=sorted(_REPRODUCE_PRESETS))
+    p_rep.add_argument("target", choices=sorted(_REPRODUCE))
     common(p_rep)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "reproduce":
+        bundle, preset = _REPRODUCE[args.target]
+    else:
+        bundle, preset = _COMMANDS[args.command], {}
+    if args.command == "allan":
+        bundle = functools.partial(bundle, input_path=args.input)
     try:
         raw = parse_config_file(args.config) if args.config else {}
-        if args.command == "reproduce":
-            for key, val in _REPRODUCE_PRESETS[args.target].items():
-                raw.setdefault(key, val)
+        for key, val in preset.items():
+            raw.setdefault(key, val)
+        for key, val in (
+            ("run.seed", args.seed),
+            ("run.output_dir", args.out),
+            ("run.n_trials", args.trials),
+        ):
+            if val is not None:
+                raw[key] = val
         cfg = resolve(raw)
-        overrides = {}
-        if args.seed is not None:
-            overrides["run.seed"] = args.seed
-        if args.out is not None:
-            overrides["run.output_dir"] = args.out
-        if args.trials is not None:
-            overrides["run.n_trials"] = args.trials
-        if overrides:
-            cfg = cfg.with_overrides(overrides)
-    except (ConfigError, OSError) as exc:
+        h = config_hash(cfg)
+        files = bundle(cfg, h)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    h = config_hash(cfg)
-    try:
-        if args.command == "rabi":
-            files = cmd_rabi(cfg, h)
-        elif args.command == "apl":
-            files = cmd_apl(cfg, h)
-        elif args.command == "diffusion":
-            files = cmd_diffusion(cfg, h)
-        elif args.command == "allan":
-            files = cmd_allan(cfg, h, args.input)
-        else:
-            files = cmd_reproduce(cfg, h, args.target)
     except (EmptySampleError, FitFailureError, DataError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

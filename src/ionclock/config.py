@@ -11,11 +11,18 @@ budget, stab.t_c_s from the cycle timing, stab.n_atom from the
 ensemble size. Resolution happens once, in resolve(); the hash covers
 the resolved values plus the seed so identical hashes imply identical
 runs.
+
+resolve() checks each value's type and that counts are at least 1;
+other domains are checked by the typed config (DetectionConfig,
+RamseyConfig, ...) that a command builds from the value.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass
+
+from .oscillator import PRESETS
+from .sequences import cycle_duration
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_file", "config_hash", "DEFAULTS", "describe_keys"]
 
@@ -68,7 +75,7 @@ _REGISTRY = {
     "lo.h0": (_as_float, 0.0, "white frequency noise level"),
     "lo.h_minus1": (_as_float, 0.0, "flicker frequency noise level"),
     "lo.h_minus2": (_as_float, 0.0, "random-walk frequency noise level"),
-    "lo.preset": (_as_choice("none", "maser", "noisy"), "none", "named noise level set; overrides the h, coefficients"),
+    "lo.preset": (_as_choice("none", *PRESETS), "none", "named noise level set; overrides the h, coefficients"),
     "det.mode": (_as_choice("fixed_fraction", "beam_overlap"), "fixed_fraction", "how the sampled subset is chosen"),
     "det.p": (_as_float, 0.18, "sampling fraction per measurement"),
     "det.sigma_tech": (_as_float, 0.1, "technical noise sd added to the population estimate"),
@@ -120,27 +127,6 @@ class RunConfig:
         except KeyError as exc:
             raise ConfigError(f"unknown config key: {key!r}") from exc
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def with_overrides(self, overrides):
-        merged = dict(self.values)
-        for key, raw in overrides.items():
-            if key not in _REGISTRY:
-                raise ConfigError(f"unknown config key: {key!r}")
-            merged[key] = _REGISTRY[key][0](raw)
-        return RunConfig(values=merged)
-
-
-def _preset_levels(name):
-    # calibration choices: "maser" keeps 0.1 s phase wander ~ 2e-3 rad,
-    # "noisy" pushes it past a radian so single-shot tracking breaks
-    if name == "maser":
-        return 1e-26, 8e-31, 1e-36
-    if name == "noisy":
-        return 2e-20, 1e-21, 1e-23
-    raise ConfigError(f"unknown lo.preset: {name!r}")
-
 
 def resolve(values: dict) -> RunConfig:
     """Fill derived defaults and return the frozen config."""
@@ -151,8 +137,9 @@ def resolve(values: dict) -> RunConfig:
         merged[key] = _REGISTRY[key][0](raw)
 
     if merged["lo.preset"] != "none":
-        merged["lo.h0"], merged["lo.h_minus1"], merged["lo.h_minus2"] = _preset_levels(
-            merged["lo.preset"]
+        spec = PRESETS[merged["lo.preset"]]
+        merged["lo.h0"], merged["lo.h_minus1"], merged["lo.h_minus2"] = (
+            spec.h0, spec.h_minus1, spec.h_minus2
         )
 
     if merged["stab.q"] == 0.0:
@@ -163,11 +150,11 @@ def resolve(values: dict) -> RunConfig:
         var = merged["det.sigma_tech"] ** 2 + 0.25 / max(p * n, 1.0)
         merged["stab.snr"] = 0.5 / math.sqrt(var)
     if merged["stab.t_c_s"] == 0.0:
-        merged["stab.t_c_s"] = (
-            merged["seq.dead_time_s"]
-            + merged["seq.t_fp_s"]
-            + 4.0 * merged["seq.pi2_duration_s"]
-            + merged["det.measurement_duration_s"]
+        merged["stab.t_c_s"] = cycle_duration(
+            merged["seq.t_fp_s"],
+            merged["seq.pi2_duration_s"],
+            merged["det.measurement_duration_s"],
+            merged["seq.dead_time_s"],
         )
     if merged["stab.n_atom"] == 0:
         merged["stab.n_atom"] = merged["ens.n_ions"]
@@ -175,15 +162,17 @@ def resolve(values: dict) -> RunConfig:
     for key in ("ens.n_ions", "seq.n_cp", "seq.n_cycles", "diff.n_walkers"):
         if merged[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {merged[key]}")
-    if merged["diff.beam_lo_m"] >= merged["diff.beam_hi_m"]:
-        raise ConfigError("diff.beam_lo_m must be below diff.beam_hi_m")
     return RunConfig(values=merged)
 
 
 def parse_config_file(path) -> dict:
     """Read raw key=value pairs; no defaults applied here."""
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

@@ -24,8 +24,6 @@ import numpy as np
 from .rng import as_generator
 
 __all__ = [
-    "BlochVector",
-    "IonRecord",
     "EnsembleState",
     "DetectionConfig",
     "MeasurementResult",
@@ -45,28 +43,6 @@ class EmptySampleError(RuntimeError):
     """Raised when a projection samples zero ions; the estimate is undefined."""
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    x: float
-    y: float
-    z: float
-
-    def norm(self):
-        return float(np.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2))
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class IonRecord:
-    """Snapshot of one ion: pure-state direction plus axial position."""
-
-    bloch: BlochVector
-    z_pos: float
-    ever_projected: bool = False
-
-
 @dataclass(eq=False)
 class EnsembleState:
     """Ordered ion collection stored as arrays for vectorized evolution.
@@ -84,22 +60,6 @@ class EnsembleState:
 
     def __len__(self):
         return self.bloch.shape[0]
-
-    @property
-    def n_ions(self):
-        return self.bloch.shape[0]
-
-    def ion(self, i) -> IonRecord:
-        x, y, z = self.bloch[i]
-        return IonRecord(
-            bloch=BlochVector(float(x), float(y), float(z)),
-            z_pos=float(self.z_pos[i]),
-            ever_projected=bool(self.ever_projected[i]),
-        )
-
-    @property
-    def ions(self):
-        return tuple(self.ion(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ __all__ = [
     "make_local_oscillator",
     "generate_y_series",
     "advance",
-    "MASER_SPEC",
-    "NOISY_LO_SPEC",
+    "PRESETS",
 ]
 
 # Corner band for the relaxator bank inside a stateful LO. Wide enough
@@ -48,21 +47,19 @@ class NoiseSpec:
         if self.h0 < 0 or self.h_minus1 < 0 or self.h_minus2 < 0:
             raise ValueError("noise levels must be non-negative")
 
-    @property
-    def is_quiet(self):
-        return self.h0 == 0 and self.h_minus1 == 0 and self.h_minus2 == 0
 
-
-# Tuned so the accumulated phase error over 0.1 s stays below 0.02 rad
-# in well over 99% of trials at f0 = 12.6 GHz (white part alone leaves
-# an 11 sigma margin). Levels are calibration choices for a hydrogen
-# maser class reference, not measured values.
-MASER_SPEC = NoiseSpec(h0=1e-26, h_minus1=8e-31, h_minus2=1e-36)
-
-# A deliberately poor quartz-like LO whose 0.1 s phase wander is of
-# order radians, for exploring the regime where a single Ramsey cycle
-# can no longer track the phase.
-NOISY_LO_SPEC = NoiseSpec(h0=2e-20, h_minus1=1e-21, h_minus2=1e-23)
+# Named level sets for the ``lo.preset`` config key. Levels are
+# calibration choices, not measured values.
+PRESETS = {
+    # Hydrogen-maser class reference, tuned so the accumulated phase
+    # error over 0.1 s stays below 0.02 rad in well over 99% of trials
+    # at f0 = 12.6 GHz (white part alone leaves an 11 sigma margin).
+    "maser": NoiseSpec(h0=1e-26, h_minus1=8e-31, h_minus2=1e-36),
+    # A deliberately poor quartz-like LO whose 0.1 s phase wander is of
+    # order radians, for exploring the regime where a single Ramsey
+    # cycle can no longer track the phase.
+    "noisy": NoiseSpec(h0=2e-20, h_minus1=1e-21, h_minus2=1e-23),
+}
 
 
 def _octave_corners(f_lo, f_hi, max_corners=60):

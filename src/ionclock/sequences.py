@@ -20,15 +20,11 @@ readout, estimate = (1 + sin phi)/2. Pulses and readout windows are
 treated as instantaneous for the spin dynamics (ideal rotations, no
 detuning during the pulse); their wall-clock durations only enter the
 cycle timestamps.
-
-The frequency equivalent of a phase slope is exposed in two
-conventions: ``estimate_frequency`` returns Hz and divides by 2 pi n T;
-``estimate_frequency_angular`` returns the bare phase rate phi/(n T).
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize, stats
@@ -59,9 +55,9 @@ __all__ = [
     "run_rabi_ppm",
     "estimate_phase",
     "estimate_frequency",
-    "estimate_frequency_angular",
     "predicted_projected_fraction",
     "fit_decoherence",
+    "cycle_duration",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -73,6 +69,16 @@ class SaturationWarning(UserWarning):
 
 class FitFailureError(RuntimeError):
     """Least-squares fit did not converge; carries solver diagnostics."""
+
+
+def cycle_duration(t_fp, pi2_duration, measurement_duration, dead_time, pi2_pulses=4):
+    """Wall-clock length of one cycle.
+
+    Dead time, free precession, ``pi2_pulses`` pi/2-pulse durations and
+    the readout window. A tracking cycle spends 4 (the pi/2 readout
+    pulse and the 3 pi/2 revert), a standard Ramsey cycle 2.
+    """
+    return dead_time + t_fp + pi2_pulses * pi2_duration + measurement_duration
 
 
 @dataclass(frozen=True)
@@ -104,12 +110,25 @@ class RamseyConfig:
     @property
     def cycle_time(self):
         """Wall-clock length of one phase-tracking cycle."""
-        return (
-            self.dead_time
-            + self.t_fp
-            + 4.0 * self.pi2_duration
-            + self.detection.measurement_duration
+        return cycle_duration(
+            self.t_fp, self.pi2_duration, self.detection.measurement_duration, self.dead_time
         )
+
+    @property
+    def standard_cycle_time(self):
+        """Wall-clock length of one standard (two-pulse) Ramsey cycle."""
+        return cycle_duration(
+            self.t_fp,
+            self.pi2_duration,
+            self.detection.measurement_duration,
+            self.dead_time,
+            pi2_pulses=2,
+        )
+
+    @property
+    def block_time(self):
+        """Wall-clock length of one tracking block: opening pi/2 and n_cp cycles."""
+        return self.pi2_duration + self.n_cp * self.cycle_time
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +155,11 @@ class RabiRecord:
     estimate: float
     population: float
     n_sampled: int = 0
+
+
+def _growth(n, p, amplitude):
+    """Projected-fraction growth amplitude * (1 - (1-p)^(n-1))."""
+    return amplitude * (1.0 - (1.0 - p) ** (n - 1.0))
 
 
 @dataclass(frozen=True)
@@ -185,16 +209,6 @@ def estimate_frequency(phi_n, n, t_fp) -> float:
     return float(phi_n / (2.0 * math.pi * n * t_fp))
 
 
-def estimate_frequency_angular(phi_n, n, t_fp) -> float:
-    """Same slope in angular form, phi/(n t_fp), rad/s."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if t_fp <= 0:
-        raise ValueError("t_fp must be positive")
-    return float(phi_n / (n * t_fp))
-
-
 def _transport(state, cfg, duration):
     """Move ion positions by Brownian transport when a model is attached."""
     if cfg.diffusion is None or duration <= 0:
@@ -210,8 +224,6 @@ def _transport(state, cfg, duration):
             state.rng_stream,
             half_length=half,
         )
-    from dataclasses import replace
-
     return replace(state, z_pos=z)
 
 
@@ -224,8 +236,6 @@ def _measure(state, cfg):
         z, struck = _diffusion.struck_during(
             state.z_pos, cfg.diffusion, det.measurement_duration, state.rng_stream
         )
-        from dataclasses import replace
-
         state = replace(state, z_pos=z)
         return partial_projection(state, det, sampled=np.flatnonzero(struck))
     return partial_projection(state, det)
@@ -279,9 +289,7 @@ def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: 
     estimate. The whole ensemble is projected (sampling fraction 1);
     technical noise follows cfg.detection.sigma_tech.
     """
-    from dataclasses import replace as _dc_replace
-
-    det_full = _dc_replace(cfg.detection, mode="fixed_fraction", p=1.0)
+    det_full = replace(cfg.detection, mode="fixed_fraction", p=1.0)
     state = ensemble
     t = 0.0
     records = []
@@ -377,7 +385,7 @@ def predicted_projected_fraction(model: DecoherenceModel, n):
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
         raise ValueError("cycle index must be at least 1")
-    out = model.amplitude * (1.0 - (1.0 - model.p) ** (n_arr - 1))
+    out = _growth(n_arr, model.p, model.amplitude)
     if np.isscalar(n) or n_arr.ndim == 0:
         return float(out)
     return out
@@ -409,13 +417,9 @@ def fit_decoherence(cycles, deviations) -> DecoherenceFit:
             p_ci95=(0.0, 0.0),
             residual_norm=0.0,
         )
-
-    def shape(nn, p, a):
-        return a * (1.0 - (1.0 - p) ** (nn - 1.0))
-
     try:
         popt, pcov = optimize.curve_fit(
-            shape,
+            _growth,
             n,
             d,
             p0=(0.2, max(d.max(), 1e-6)),
@@ -426,7 +430,7 @@ def fit_decoherence(cycles, deviations) -> DecoherenceFit:
         raise FitFailureError(f"decoherence fit did not converge: {exc}") from exc
 
     p_hat, a_hat = popt
-    resid = d - shape(n, p_hat, a_hat)
+    resid = d - _growth(n, p_hat, a_hat)
     dof = max(int(n.size) - 2, 1)
     p_var = float(pcov[0, 0])
     stderr = math.sqrt(p_var) if np.isfinite(p_var) and p_var >= 0 else math.inf

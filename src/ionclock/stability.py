@@ -35,7 +35,6 @@ __all__ = [
     "limit_apl",
     "limit_apl_repetition",
     "qpn_snr",
-    "quality_factor",
 ]
 
 
@@ -68,10 +67,6 @@ class FractionalFrequencySeries:
 
     def __len__(self):
         return self.y.size
-
-    @property
-    def duration(self):
-        return self.tau0 * self.y.size
 
 
 @dataclass(frozen=True)
@@ -240,9 +235,3 @@ def qpn_snr(n_atom):
         raise ValueError("n_atom must be at least 1")
     return math.sqrt(n_atom)
 
-
-def quality_factor(f0, t_fp):
-    """Line quality factor of a Ramsey fringe: f0 * 2 * t_fp."""
-    if f0 <= 0 or t_fp <= 0:
-        raise ValueError("f0 and t_fp must be positive")
-    return f0 * 2.0 * t_fp

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from ionclock import cli, diffusion
 from ionclock.config import ConfigError, config_hash, parse_config_file, resolve
+from ionclock.oscillator import PRESETS
 
 
 def run_cli(*args, cwd=None):
@@ -76,6 +78,12 @@ class TestResolve:
         assert cfg["lo.h0"] == 1e-26
         assert cfg["lo.h_minus1"] == 8e-31
         assert cfg["lo.h_minus2"] == 1e-36
+        for name, spec in PRESETS.items():
+            cfg = resolve({"lo.preset": name, "lo.h0": "5"})
+            assert (cfg["lo.h0"], cfg["lo.h_minus1"], cfg["lo.h_minus2"]) == (
+                spec.h0, spec.h_minus1, spec.h_minus2
+            )
+        assert set(PRESETS) == {"maser", "noisy"}
 
     def test_d_override_none_spelling(self):
         cfg = resolve({"diff.d_override": "none"})
@@ -106,6 +114,32 @@ class TestCli:
         r = run_cli("apl", "--config", cfg)
         assert r.returncode == 2
         assert "unknown config key" in r.stderr
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("apl", "det.p", "1.5"),
+            ("rabi", "det.p", "1.5"),
+            ("apl", "seq.t_fp_s", "0"),
+            ("apl", "stab.k", "0"),
+            ("diffusion", "diff.beam_lo_m", "-0.01"),
+            ("reproduce fig5", "seq.n_cp", "2"),
+        ],
+    )
+    def test_bad_value_exits_2_before_simulating(
+        self, tmp_path, monkeypatch, capsys, command, key, value
+    ):
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulation ran before the config was checked")
+
+        monkeypatch.setattr(cli, "initialize_ensemble", simulated)
+        monkeypatch.setattr(diffusion, "step_brownian", simulated)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_missing_allan_input_exits_3(self, tmp_path):
         r = run_cli("allan", tmp_path / "nope.csv", "--out", tmp_path / "o")

@@ -45,10 +45,9 @@ class TestInitialization:
 
     def test_len_and_ion_view(self):
         e = make(n=7)
-        assert len(e) == 7 and e.n_ions == 7
-        ion = e.ion(3)
-        assert ion.bloch.z == -1.0
-        assert ion.ever_projected is False
+        assert len(e) == 7
+        assert e.bloch[3].tolist() == [0.0, 0.0, -1.0]
+        assert not e.ever_projected[3]
 
 
 class TestRotate:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ionclock.oscillator import (
-    MASER_SPEC,
-    NOISY_LO_SPEC,
+    PRESETS,
     NoiseSpec,
     advance,
     flicker_psd,
@@ -23,8 +22,6 @@ def test_spec_validation():
         NoiseSpec(h0=-1e-20)
     with pytest.raises(ValueError):
         NoiseSpec(h_minus1=-1.0)
-    assert NoiseSpec().is_quiet
-    assert not MASER_SPEC.is_quiet
 
 
 def test_quiet_lo_is_deterministic():
@@ -95,7 +92,7 @@ def test_flicker_bank_psd_tracks_one_over_f():
 def test_maser_preset_phase_wander_small():
     # 0.1 s of free precession against a maser-grade reference stays
     # well below the invertible readout range
-    lo = make_local_oscillator(12.6e9, 0.0, MASER_SPEC, substream(9, "lo"))
+    lo = make_local_oscillator(12.6e9, 0.0, PRESETS["maser"], substream(9, "lo"))
     incs = np.array([advance(lo, 0.1) for _ in range(2000)])
     sd = incs.std()
     assert 5e-4 < sd < 5e-3
@@ -103,7 +100,7 @@ def test_maser_preset_phase_wander_small():
 
 
 def test_noisy_preset_breaks_single_cycle_tracking():
-    lo = make_local_oscillator(12.6e9, 0.0, NOISY_LO_SPEC, substream(9, "lo2"))
+    lo = make_local_oscillator(12.6e9, 0.0, PRESETS["noisy"], substream(9, "lo2"))
     incs = np.array([advance(lo, 0.1) for _ in range(500)])
     assert incs.std() > 1.0
 

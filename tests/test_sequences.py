@@ -15,7 +15,6 @@ from ionclock.sequences import (
     RamseyConfig,
     SaturationWarning,
     estimate_frequency,
-    estimate_frequency_angular,
     estimate_phase,
     fit_decoherence,
     predicted_projected_fraction,
@@ -67,12 +66,6 @@ class TestEstimators:
         f1 = estimate_frequency(phi, 3, 0.1)
         f2 = estimate_frequency(phi, 6, 0.1)
         assert f2 == pytest.approx(f1 / 2, rel=1e-12)
-
-    def test_angular_form(self):
-        phi = 0.7
-        assert estimate_frequency_angular(phi, 2, 0.1) == pytest.approx(
-            TWO_PI * estimate_frequency(phi, 2, 0.1), rel=1e-12
-        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -165,11 +158,14 @@ class TestStandardRamsey:
 
     def test_timestamps_increase_uniformly(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=5)
-        ens = initialize_ensemble(200, 3e-3, substream(34, "ens"))
-        recs = run_standard_ramsey(ens, quiet_lo(seed=34), cfg)
-        gaps = np.diff([r.timestamp for r in recs])
-        assert np.allclose(gaps, gaps[0], rtol=1e-9)
+        for dead_time in (0.0, 0.01):
+            cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=5, dead_time=dead_time)
+            ens = initialize_ensemble(200, 3e-3, substream(34, "ens"))
+            recs = run_standard_ramsey(ens, quiet_lo(seed=34), cfg)
+            gaps = np.diff([r.timestamp for r in recs])
+            # the spacing is the tau0 of the standard series in allan_standard.csv
+            assert cfg.standard_cycle_time == pytest.approx(0.1 + dead_time + 2 * 7.5e-4 + 1e-3)
+            assert np.allclose(gaps, cfg.standard_cycle_time, rtol=1e-9)
 
 
 class TestRabi:

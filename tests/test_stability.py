@@ -20,7 +20,6 @@ from ionclock.stability import (
     limit_apl_repetition,
     limit_technical,
     qpn_snr,
-    quality_factor,
 )
 
 
@@ -162,9 +161,3 @@ def test_qpn_snr():
     assert qpn_snr(10_000) == pytest.approx(100.0)
     with pytest.raises(ValueError):
         qpn_snr(0)
-
-
-def test_quality_factor_frozen_value():
-    assert quality_factor(12.6e9, 0.1) == pytest.approx(2.52e9, rel=1e-15)
-    with pytest.raises(ValueError):
-        quality_factor(0.0, 0.1)
