@@ -389,28 +389,27 @@ def _read_series(path):
     ts, ys, linenos = [], [], []
     header_allowed = True
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.split("#", 1)[0].strip()
-            if not s:
-                continue
-            parts = [p for p in re.split(r"[,\s]+", s) if p]
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            try:
-                t, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                if header_allowed:
-                    header_allowed = False
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                s = line.split("#", 1)[0].strip()
+                if not s:
                     continue
-                raise DataError(f"{path}:{lineno}: non-numeric sample {s!r}") from None
-            header_allowed = False
-            ts.append(t)
-            ys.append(y)
-            linenos.append(lineno)
+                parts = [p for p in re.split(r"[,\s]+", s) if p]
+                if len(parts) != 2:
+                    raise DataError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+                try:
+                    t, y = float(parts[0]), float(parts[1])
+                except ValueError:
+                    if header_allowed:
+                        header_allowed = False
+                        continue
+                    raise DataError(f"{path}:{lineno}: non-numeric sample {s!r}") from None
+                header_allowed = False
+                ts.append(t)
+                ys.append(y)
+                linenos.append(lineno)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if len(ts) < 2:
         raise DataError(f"{path}: need at least 2 samples, got {len(ts)}")
     t_arr = np.asarray(ts)

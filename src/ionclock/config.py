@@ -12,9 +12,10 @@ ensemble size. Resolution happens once, in resolve(); the hash covers
 the resolved values plus the seed so identical hashes imply identical
 runs.
 
-resolve() checks each value's type and that counts are at least 1;
-other domains are checked by the typed config (DetectionConfig,
-RamseyConfig, ...) that a command builds from the value.
+resolve() checks each value's type and the bounds its registry entry
+declares (counts at least 1, lengths positive, ...); other domains are
+checked by the typed config (DetectionConfig, RamseyConfig, ...) that a
+command builds from the value.
 """
 
 import hashlib
@@ -53,6 +54,22 @@ def _as_float_or_none(raw):
     return _as_float(raw)
 
 
+def _at_least(conv, low, strict=False):
+    """Converter ``conv`` that also rejects values below ``low`` (or at it, if strict)."""
+
+    def check(raw):
+        val = conv(raw)
+        if not (val > low if strict else val >= low):
+            raise ConfigError(f"expected a value {'>' if strict else '>='} {low}, got {val!r}")
+        return val
+
+    return check
+
+
+_count = _at_least(_as_int, 1)
+_positive = _at_least(_as_float, 0.0, strict=True)
+
+
 def _as_choice(*options):
     def conv(raw):
         val = str(raw).strip()
@@ -66,10 +83,10 @@ def _as_choice(*options):
 # key -> (converter, default, help)
 _REGISTRY = {
     "run.seed": (_as_int, 12345, "master seed for every derived stream"),
-    "run.n_trials": (_as_int, 0, "trial count override; 0 keeps the per-command default"),
+    "run.n_trials": (_at_least(_as_int, 0), 0, "trial count override; 0 keeps the per-command default"),
     "run.output_dir": (str, "runs", "directory for emitted CSV/JSON"),
-    "ens.n_ions": (_as_int, 2000, "ions in the ensemble"),
-    "ens.cloud_length_m": (_as_float, 3e-3, "axial cloud extent"),
+    "ens.n_ions": (_count, 2000, "ions in the ensemble"),
+    "ens.cloud_length_m": (_positive, 3e-3, "axial cloud extent"),
     "lo.f0_hz": (_as_float, 12.6e9, "nominal transition frequency"),
     "lo.delta_f0_hz": (_as_float, 0.0, "static LO detuning"),
     "lo.h0": (_as_float, 0.0, "white frequency noise level"),
@@ -82,21 +99,21 @@ _REGISTRY = {
     "det.measurement_duration_s": (_as_float, 1e-3, "readout window length"),
     "seq.t_fp_s": (_as_float, 0.1, "free precession time per cycle"),
     "seq.pi2_duration_s": (_as_float, 7.5e-4, "pi/2 pulse length"),
-    "seq.n_cp": (_as_int, 3, "cycles per tracking block"),
-    "seq.n_cycles": (_as_int, 300, "total cycle budget per run"),
+    "seq.n_cp": (_count, 3, "cycles per tracking block"),
+    "seq.n_cycles": (_count, 300, "total cycle budget per run"),
     "seq.dead_time_s": (_as_float, 0.0, "extra free evolution per cycle"),
-    "seq.rabi_step_rad": (_as_float, math.pi / 6.0, "rotation per Rabi step"),
-    "seq.rabi_n_steps": (_as_int, 12, "Rabi steps after the baseline point"),
-    "seq.rabi_repeats_standard": (_as_int, 10, "re-initialized Rabi repeats"),
-    "seq.rabi_repeats_ppm": (_as_int, 8, "partial-projection Rabi repeats"),
+    "seq.rabi_step_rad": (_positive, math.pi / 6.0, "rotation per Rabi step"),
+    "seq.rabi_n_steps": (_count, 12, "Rabi steps after the baseline point"),
+    "seq.rabi_repeats_standard": (_count, 10, "re-initialized Rabi repeats"),
+    "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
     "diff.temperature_k": (_as_float, 0.05, "ion temperature"),
     "diff.mobility": (_as_float, 8.62e18, "ion mobility for the Einstein relation"),
     "diff.d_override": (_as_float_or_none, 3.5e-6, "diffusion constant override; 'none' derives from T and mobility"),
-    "diff.dt_s": (_as_float, 1e-5, "Brownian sub-step"),
-    "diff.n_walkers": (_as_int, 20000, "walkers for diffusion statistics"),
+    "diff.dt_s": (_as_float, 1e-5, "largest Brownian sub-step in a readout window and the diffusion MSD step"),
+    "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
     "diff.beam_lo_m": (_as_float, -1.935e-4, "detection beam lower edge"),
     "diff.beam_hi_m": (_as_float, 1.935e-4, "detection beam upper edge"),
-    "diff.duration_max_s": (_as_float, 2e-3, "longest struck-fraction window"),
+    "diff.duration_max_s": (_at_least(_as_float, 0.0), 2e-3, "longest struck-fraction window"),
     "diff.n_durations": (_as_int, 11, "points on the struck-fraction duration grid"),
     "stab.k": (_as_float, 1.0, "limit-line prefactor"),
     "stab.q": (_as_float, 0.0, "line quality factor; 0 derives f0 * 2 * t_fp"),
@@ -134,7 +151,10 @@ def resolve(values: dict) -> RunConfig:
     for key, raw in values.items():
         if key not in _REGISTRY:
             raise ConfigError(f"unknown config key: {key!r}")
-        merged[key] = _REGISTRY[key][0](raw)
+        try:
+            merged[key] = _REGISTRY[key][0](raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
 
     if merged["lo.preset"] != "none":
         spec = PRESETS[merged["lo.preset"]]
@@ -159,9 +179,6 @@ def resolve(values: dict) -> RunConfig:
     if merged["stab.n_atom"] == 0:
         merged["stab.n_atom"] = merged["ens.n_ions"]
 
-    for key in ("ens.n_ions", "seq.n_cp", "seq.n_cycles", "diff.n_walkers"):
-        if merged[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {merged[key]}")
     return RunConfig(values=merged)
 
 
@@ -169,24 +186,25 @@ def parse_config_file(path) -> dict:
     """Read raw key=value pairs; no defaults applied here."""
     raw = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.split("#", 1)[0].strip()
+                if not stripped:
+                    continue
+                if "=" not in stripped:
+                    raise ConfigError(
+                        f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}"
+                    )
+                key, _, value = stripped.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if key not in _REGISTRY:
+                    raise ConfigError(f"{path}:{lineno}: unknown config key: {key!r}")
+                if key in raw:
+                    raise ConfigError(f"{path}:{lineno}: duplicate key: {key!r}")
+                raw[key] = value
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _REGISTRY:
-                raise ConfigError(f"{path}:{lineno}: unknown config key: {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key: {key!r}")
-            raw[key] = value
     return raw
 
 

@@ -42,7 +42,10 @@ class DiffusionConfig:
     """Transport parameters; ``d_override = None`` falls back to Einstein.
 
     ``beam_interval`` must lie inside [-cloud_length/2, +cloud_length/2].
-    ``dt`` is the largest sub-step the transport integrator may take.
+    ``dt`` is the largest sub-step ``struck_during`` takes inside a
+    readout window, and the step of the ``diffusion`` bundle's MSD
+    curve. Free precession needs no sub-steps: one folded step of the
+    whole duration is already exact (see ``_reflect``).
     """
 
     temperature: float = 0.05

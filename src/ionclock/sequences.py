@@ -210,20 +210,23 @@ def estimate_frequency(phi_n, n, t_fp) -> float:
 
 
 def _transport(state, cfg, duration):
-    """Move ion positions by Brownian transport when a model is attached."""
+    """Move ion positions by Brownian transport when a model is attached.
+
+    One folded Gaussian step over the whole duration is exact: folding
+    onto the cloud sums the free propagator over the wall images, which
+    is the transition law of Brownian motion reflected at both ends.
+    Only the endpoint is needed, since nothing reads the path before the
+    readout.
+    """
     if cfg.diffusion is None or duration <= 0:
         return state
-    half = state.cloud_length / 2.0
-    n_sub = max(1, int(math.ceil(duration / cfg.diffusion.dt)))
-    z = state.z_pos
-    for _ in range(n_sub):
-        z = _diffusion.step_brownian(
-            z,
-            cfg.diffusion.effective_d(),
-            duration / n_sub,
-            state.rng_stream,
-            half_length=half,
-        )
+    z = _diffusion.step_brownian(
+        state.z_pos,
+        cfg.diffusion.effective_d(),
+        duration,
+        state.rng_stream,
+        half_length=state.cloud_length / 2.0,
+    )
     return replace(state, z_pos=z)
 
 

@@ -124,6 +124,12 @@ class TestCli:
             ("apl", "stab.k", "0"),
             ("diffusion", "diff.beam_lo_m", "-0.01"),
             ("reproduce fig5", "seq.n_cp", "2"),
+            ("rabi", "ens.cloud_length_m", "0"),
+            ("rabi", "seq.rabi_step_rad", "0"),
+            ("rabi", "seq.rabi_n_steps", "0"),
+            ("rabi", "seq.rabi_repeats_ppm", "0"),
+            ("diffusion", "diff.duration_max_s", "-0.001"),
+            ("apl", "run.n_trials", "-1"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -139,6 +145,22 @@ class TestCli:
         out = tmp_path / "o"
         assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xferun.seed = 1\n")
+        out = tmp_path / "o"
+        assert cli.main(["apl", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read")
+        assert not out.exists()
+
+    def test_non_utf8_allan_input_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "series.csv"
+        bad.write_bytes(b"\xff\xfe0.0,0.1\n1.0,0.2\n")
+        out = tmp_path / "o"
+        assert cli.main(["allan", str(bad), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot read")
         assert not out.exists()
 
     def test_missing_allan_input_exits_3(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from ionclock.diffusion import (
     BEAM_HALF_WIDTH,
@@ -69,6 +69,28 @@ def test_walls_confine_walkers():
     for _ in range(300):
         z = step_brownian(z, 3.5e-6, 1e-5, rng, half_length=half)
         assert np.all(np.abs(z) <= half + 1e-18)
+
+
+def _reflected_cdf(z, z0, sigma, half, n_images=5):
+    # Brownian motion reflected at +-half, started at z0: a free Gaussian
+    # from every image source z0 + 4kh and 2h - z0 + 4kh, cut to the cloud
+    k = np.arange(-n_images, n_images + 1)[:, None]
+    sources = np.concatenate([z0 + 4 * k * half, 2 * half - z0 + 4 * k * half])
+    upper = special.ndtr((np.asarray(z)[None, :] - sources) / sigma)
+    lower = special.ndtr((-half - sources) / sigma)
+    return np.sum(upper - lower, axis=0)
+
+
+@pytest.mark.parametrize("duration", [0.1, 1.0])
+def test_one_folded_step_is_reflected_brownian_motion(duration):
+    # one step of the whole duration, sigma comparable to (0.1 s) or
+    # larger than (1 s, several wall crossings) the cloud half-length
+    d, half, z0, n = 3.5e-6, 1.5e-3, 1.2e-3, 100_000
+    sigma = math.sqrt(2 * d * duration)
+    z = step_brownian(np.full(n, z0), d, duration, substream(13, "image"), half_length=half)
+    ks = stats.kstest(z, lambda x: _reflected_cdf(x, z0, sigma, half)).statistic
+    # sqrt(n) * KS exceeds 2 with probability ~7e-4 under the exact law
+    assert ks < 2 / math.sqrt(n)
 
 
 def test_reflected_spread_saturates_at_uniform():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ionclock import diffusion
 from ionclock.ensemble import DetectionConfig, MeasurementResult, initialize_ensemble
 from ionclock.oscillator import NoiseSpec, make_local_oscillator
 from ionclock.rng import substream
@@ -114,6 +115,42 @@ class TestAplBlock:
         first = 5.0 + 7.5e-4 + 0.11 + 7.5e-4 + 1e-3
         assert recs[0].timestamp == pytest.approx(first, rel=1e-12)
         assert recs[1].timestamp == pytest.approx(first + cfg.cycle_time, rel=1e-12)
+
+    def test_beam_overlap_block(self, monkeypatch):
+        dcfg = diffusion.DiffusionConfig()
+        det = DetectionConfig(mode="beam_overlap", sigma_tech=0.0)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=3, diffusion=dcfg)
+        readout_starts = []
+        struck_during = diffusion.struck_during
+
+        def spy(positions, *args):
+            readout_starts.append(np.array(positions))
+            return struck_during(positions, *args)
+
+        monkeypatch.setattr(diffusion, "struck_during", spy)
+        n_ions, n_blocks = 400, 2
+        second, moved = [], []
+        for b in range(n_blocks):
+            ens = initialize_ensemble(n_ions, dcfg.cloud_length, substream(26, "ens", b))
+            recs = run_apl_block(ens, quiet_lo(seed=26), cfg)
+            assert recs[0].projected_before == 0.0
+            second.append(recs[1].projected_before)
+            moved.append(readout_starts[-cfg.n_cp] - ens.z_pos)
+        assert len(readout_starts) == n_blocks * cfg.n_cp
+        for z in readout_starts:
+            assert np.all(np.abs(z) <= dcfg.cloud_length / 2)
+        # n = 2 has seen one 1 ms readout: the calibrated 17% struck fraction
+        sd = math.sqrt(0.17 * 0.83 / (n_ions * n_blocks))
+        assert np.mean(second) == pytest.approx(0.17, abs=0.02 + 4 * sd)
+        # first free precession from a uniform start, reflected at both ends:
+        # MSD(t) = L^2/6 - (16 L^2 / pi^4) sum_{odd k} exp(-D k^2 pi^2 t / L^2) / k^4
+        length, d_eff = dcfg.cloud_length, dcfg.effective_d()
+        k = np.arange(1, 40, 2)
+        msd = length**2 / 6 - 16 * length**2 / math.pi**4 * np.sum(
+            np.exp(-d_eff * k**2 * math.pi**2 * cfg.t_fp / length**2) / k**4
+        )
+        sq = np.concatenate(moved) ** 2
+        assert sq.mean() == pytest.approx(msd, abs=4 * sq.std() / math.sqrt(sq.size))
 
     def test_same_seed_reproduces_block(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.1)
