@@ -114,14 +114,14 @@ _REGISTRY = {
     "diff.beam_lo_m": (_as_float, -1.935e-4, "detection beam lower edge"),
     "diff.beam_hi_m": (_as_float, 1.935e-4, "detection beam upper edge"),
     "diff.duration_max_s": (_at_least(_as_float, 0.0), 2e-3, "longest struck-fraction window"),
-    "diff.n_durations": (_as_int, 11, "points on the struck-fraction duration grid"),
+    "diff.n_durations": (_count, 11, "points on the struck-fraction duration grid"),
     "stab.k": (_as_float, 1.0, "limit-line prefactor"),
     "stab.q": (_as_float, 0.0, "line quality factor; 0 derives f0 * 2 * t_fp"),
     "stab.snr": (_as_float, 0.0, "single-cycle SNR; 0 derives from the detection noise budget"),
     "stab.t_c_s": (_as_float, 0.0, "cycle time; 0 derives from the sequence timing"),
     "stab.n_atom": (_as_int, 0, "atom number for the information bound; 0 uses ens.n_ions"),
     "allan.mode": (_as_choice("overlapping", "non_overlapping"), "overlapping", "Allan estimator variant"),
-    "allan.points_per_decade": (_as_int, 4, "tau grid density"),
+    "allan.points_per_decade": (_count, 4, "tau grid density"),
 }
 
 DEFAULTS = {k: v[1] for k, v in _REGISTRY.items()}

@@ -292,7 +292,7 @@ def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: 
     estimate. The whole ensemble is projected (sampling fraction 1);
     technical noise follows cfg.detection.sigma_tech.
     """
-    det_full = replace(cfg.detection, mode="fixed_fraction", p=1.0)
+    everyone = np.arange(len(ensemble))
     state = ensemble
     t = 0.0
     records = []
@@ -304,7 +304,7 @@ def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: 
         t += cfg.pi2_duration + dt_free
         state = rotate(state, _HALF_PI, _HALF_PI)
         t += cfg.pi2_duration
-        state, m = partial_projection(state, det_full)
+        state, m = partial_projection(state, cfg.detection, sampled=everyone)
         t += cfg.detection.measurement_duration
         phi = estimate_phase(m)
         records.append(

@@ -130,6 +130,9 @@ class TestCli:
             ("rabi", "seq.rabi_repeats_ppm", "0"),
             ("diffusion", "diff.duration_max_s", "-0.001"),
             ("apl", "run.n_trials", "-1"),
+            ("diffusion", "diff.n_durations", "-1"),
+            ("diffusion", "diff.n_durations", "0"),
+            ("apl", "allan.points_per_decade", "0"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
