@@ -19,10 +19,10 @@ earlier run left in the output directory are not removed.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import replace
 
@@ -36,6 +36,7 @@ from .rng import substream
 from .sequences import (
     FitFailureError,
     RamseyConfig,
+    _argmin_1d,
     fit_decoherence,
     predicted_projected_fraction,
     run_apl_block,
@@ -181,7 +182,7 @@ def _fit_doc(fit):
         "p": fit.model.p,
         "amplitude": fit.model.amplitude,
         "p_stderr": fit.p_stderr,
-        "p_ci95": list(fit.p_ci95),
+        "p_ci95": None if fit.p_ci95 is None else list(fit.p_ci95),
         "residual_norm": fit.residual_norm,
     }
 
@@ -205,24 +206,28 @@ _LIMIT_HEADER = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition"
 
 
 def _rabi_fit(angles, means):
-    # contrast/offset/step fit of the probe response c + a (1 - cos(k w)) / 2
-    from scipy.optimize import curve_fit
-
+    # contrast/offset/step fit of the probe response c + a (1 - cos(k w)) / 2;
+    # linear in (c, a) for fixed w, which is searched around the nominal step
     ks = np.arange(len(means), dtype=float)
-    step0 = angles[1] if len(angles) > 1 else 1.0
+    step0 = angles[1]
 
-    def model(k, c, a, w):
-        return c + a * (1.0 - np.cos(k * w)) / 2.0
+    def solve(w):
+        basis = np.column_stack([np.ones_like(ks), (1.0 - np.cos(ks * w)) / 2.0])
+        coef = np.linalg.lstsq(basis, means, rcond=None)[0]
+        return coef, means - basis @ coef
 
-    try:
-        popt, _ = curve_fit(model, ks, means, p0=(0.0, 1.0, step0), maxfev=20000)
-    except RuntimeError as exc:
-        raise FitFailureError(f"probe-curve fit did not converge: {exc}") from exc
-    resid = means - model(ks, *popt)
+    def cost(w):
+        resid = solve(w)[1]
+        return float(resid @ resid)
+
+    step = _argmin_1d(cost, 0.5 * step0, 1.5 * step0)
+    (offset, amplitude), resid = solve(step)
+    if not np.all(np.isfinite(resid)):
+        raise FitFailureError(f"probe-curve fit gave a non-finite result (c={offset}, a={amplitude})")
     return {
-        "offset": float(popt[0]),
-        "amplitude": float(popt[1]),
-        "step_rad": float(popt[2]),
+        "offset": float(offset),
+        "amplitude": float(amplitude),
+        "step_rad": step,
         "residual_norm": float(np.linalg.norm(resid)),
     }
 
@@ -230,6 +235,8 @@ def _rabi_fit(angles, means):
 def cmd_rabi(cfg: RunConfig, h):
     seed = cfg["run.seed"]
     n_steps = cfg["seq.rabi_n_steps"]
+    if n_steps < 2:
+        raise ConfigError(f"the probe-curve fit needs seq.rabi_n_steps >= 2, got {n_steps}")
     step = cfg["seq.rabi_step_rad"]
     det = _detection(cfg)
     if det.mode != "fixed_fraction":
@@ -385,45 +392,79 @@ def cmd_diffusion(cfg: RunConfig, h):
     }
 
 
-def _read_series(path):
-    ts, ys, linenos = [], [], []
-    header_allowed = True
+def _data_lines(fh, skip=0):
+    """Yield (line number, text) of each line past `skip` that holds data."""
+    for lineno, line in enumerate(fh, start=1):
+        text = line.split("#", 1)[0].strip()
+        if lineno > skip and text:
+            yield lineno, text
+
+
+def _numeric(fields):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                s = line.split("#", 1)[0].strip()
-                if not s:
-                    continue
-                parts = [p for p in re.split(r"[,\s]+", s) if p]
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-                try:
-                    t, y = float(parts[0]), float(parts[1])
-                except ValueError:
-                    if header_allowed:
-                        header_allowed = False
-                        continue
-                    raise DataError(f"{path}:{lineno}: non-numeric sample {s!r}") from None
-                header_allowed = False
-                ts.append(t)
-                ys.append(y)
-                linenos.append(lineno)
+        for f in fields:
+            float(f)
+    except ValueError:
+        return False
+    return True
+
+
+def _sniff(path, fh):
+    """Lines to skip (through an optional header) and the column delimiter.
+
+    A first line that is not all numbers is a header. The first data
+    line picks the delimiter: a comma if it has one, otherwise
+    whitespace (None).
+    """
+    skip = 0
+    for lineno, text in _data_lines(fh):
+        if skip or _numeric(text.replace(",", " ").split()):
+            return skip, ("," if "," in text else None)
+        skip = lineno
+    raise DataError(f"{path}: need at least 2 samples, got 0")
+
+
+def _bad_line(path, skip, delimiter, why):
+    """A DataError naming the first file line that is not two numbers."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, text in _data_lines(fh, skip):
+            fields = text.split(delimiter)
+            if len(fields) != 2:
+                return DataError(f"{path}:{lineno}: expected two columns, got {len(fields)}")
+            if not _numeric(fields):
+                return DataError(f"{path}:{lineno}: non-numeric sample {text!r}")
+    return DataError(f"{path}: {why}")
+
+
+def _read_series(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            skip, delimiter = _sniff(path, fh)
+        try:
+            data = np.loadtxt(
+                path, delimiter=delimiter, comments="#", skiprows=skip, ndmin=2, encoding="utf-8"
+            )
+        except ValueError as exc:  # numpy names the data row, not the file line
+            raise _bad_line(path, skip, delimiter, exc) from None
+        if data.shape[1] != 2:
+            raise _bad_line(path, skip, delimiter, f"expected two columns, got {data.shape[1]}")
+        if len(data) < 2:
+            raise DataError(f"{path}: need at least 2 samples, got {len(data)}")
+        gaps = np.diff(data[:, 0])
+        tau0 = float(np.median(gaps))
+        if tau0 <= 0:
+            raise DataError(f"{path}: timestamps must be strictly increasing")
+        bad = np.flatnonzero(np.abs(gaps - tau0) > 1e-6 * tau0)
+        if bad.size:
+            with open(path, encoding="utf-8") as fh:
+                lineno = next(itertools.islice(_data_lines(fh, skip), bad[0] + 1, None))[0]
+            raise DataError(
+                f"{path}:{lineno}: non-uniform sample spacing "
+                f"(gap {gaps[bad[0]]:.12g}, expected {tau0:.12g})"
+            )
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(ts) < 2:
-        raise DataError(f"{path}: need at least 2 samples, got {len(ts)}")
-    t_arr = np.asarray(ts)
-    gaps = np.diff(t_arr)
-    tau0 = float(np.median(gaps))
-    if tau0 <= 0:
-        raise DataError(f"{path}: timestamps must be strictly increasing")
-    bad = np.flatnonzero(np.abs(gaps - tau0) > 1e-6 * tau0)
-    if bad.size:
-        raise DataError(
-            f"{path}:{linenos[bad[0] + 1]}: non-uniform sample spacing "
-            f"(gap {gaps[bad[0]]:.12g}, expected {tau0:.12g})"
-        )
-    return FractionalFrequencySeries(np.asarray(ys), tau0)
+    return FractionalFrequencySeries(data[:, 1], tau0)
 
 
 def cmd_allan(cfg: RunConfig, h, input_path):

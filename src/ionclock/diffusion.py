@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import Boltzmann as K_BOLTZMANN  # 1.380649e-23 J/K
 
 from .rng import as_generator
 
@@ -35,6 +34,8 @@ __all__ = [
 # strikes 17% of a uniform 3 mm cloud. Of the same order as, but not
 # derived from, the nominal 200 um beam waist crossing the cloud.
 BEAM_HALF_WIDTH = 1.935e-4
+
+K_BOLTZMANN = 1.380649e-23  # J/K, exact by the 2019 SI definition
 
 
 @dataclass(frozen=True)

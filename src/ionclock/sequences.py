@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, stats
 
 from . import diffusion as _diffusion
 from .ensemble import (
@@ -176,9 +175,11 @@ class DecoherenceModel:
 
 @dataclass(frozen=True)
 class DecoherenceFit:
+    """A decoherence fit; p_stderr and p_ci95 are None when no residual dof is left."""
+
     model: DecoherenceModel
-    p_stderr: float
-    p_ci95: tuple
+    p_stderr: "float | None"
+    p_ci95: "tuple | None"
     residual_norm: float
 
 
@@ -394,6 +395,61 @@ def predicted_projected_fraction(model: DecoherenceModel, n):
     return out
 
 
+def _argmin_1d(f, lo, hi, n_grid=101, tol=1e-13):
+    """Minimize the scalar function f on [lo, hi].
+
+    The best point of a uniform grid brackets the minimum between its
+    two neighbours; golden-section search narrows that bracket to tol.
+    """
+    grid = np.linspace(lo, hi, n_grid)
+    i = int(np.argmin([f(x) for x in grid]))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = f(d)
+    return float(0.5 * (a + b))
+
+
+def _t_quantile(q, nu):
+    """Quantile q > 1/2 of Student's t with integer nu degrees of freedom.
+
+    Bisects theta = atan(t / sqrt(nu)) on the closed-form two-sided
+    probability A(t | nu) = 2 F(t) - 1 (Abramowitz & Stegun 26.7.3-4).
+    """
+    target = 2.0 * q - 1.0
+
+    def two_sided(theta):
+        c2 = math.cos(theta) ** 2
+        j = nu % 2
+        term, total = (math.cos(theta) if j else 1.0), 0.0
+        while j <= nu - 2:
+            total += term
+            term *= (j + 1.0) / (j + 2.0) * c2
+            j += 2
+        if nu % 2:
+            return 2.0 / math.pi * (theta + math.sin(theta) * total)
+        return math.sin(theta) * total
+
+    lo, hi = 0.0, _HALF_PI
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return math.sqrt(nu) * math.tan(mid)
+        if two_sided(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def fit_decoherence(cycles, deviations) -> DecoherenceFit:
     """Least-squares fit of amplitude * (1 - (1-p)^(n-1)).
 
@@ -402,10 +458,16 @@ def fit_decoherence(cycles, deviations) -> DecoherenceFit:
     cycles : array-like of cycle indices (n >= 1)
     deviations : array-like of per-cycle deviations to fit
 
-    Returns the fitted model with the standard error and 95% confidence
-    interval on p (t quantile, dof = points - 2) and the residual norm.
-    An all-zero series short-circuits to p = 0. Non-convergence raises
-    FitFailureError with the solver message.
+    The model is linear in the amplitude, so for each p the amplitude
+    is the least-squares projection max(g.d / g.g, 0) of the data on
+    g = 1 - (1-p)^(n-1), and p itself is a bounded 1-D search on [0, 1]
+    (variable projection). Returns the fitted model with the standard
+    error of p from s^2 (J^T J)^-1 and its 95% confidence interval (t
+    quantile), and the residual norm. The n = 1 point is 0 for every
+    model, so the residual dof is the number of n > 1 points minus 2;
+    with no dof left (3 cycles) p_stderr and p_ci95 are None. An
+    all-zero series short-circuits to p = 0. A non-finite result raises
+    FitFailureError.
     """
     n = np.asarray(cycles, dtype=float)
     d = np.asarray(deviations, dtype=float)
@@ -420,27 +482,42 @@ def fit_decoherence(cycles, deviations) -> DecoherenceFit:
             p_ci95=(0.0, 0.0),
             residual_norm=0.0,
         )
-    try:
-        popt, pcov = optimize.curve_fit(
-            _growth,
-            n,
-            d,
-            p0=(0.2, max(d.max(), 1e-6)),
-            bounds=([0.0, 0.0], [1.0, np.inf]),
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise FitFailureError(f"decoherence fit did not converge: {exc}") from exc
 
-    p_hat, a_hat = popt
+    def amplitude(p):
+        g = _growth(n, p, 1.0)
+        gg = float(g @ g)
+        return max(float(g @ d) / gg, 0.0) if gg > 0 else 0.0
+
+    def cost(p):
+        resid = d - _growth(n, p, amplitude(p))
+        return float(resid @ resid)
+
+    p_hat = _argmin_1d(cost, 0.0, 1.0)
+    a_hat = amplitude(p_hat)
     resid = d - _growth(n, p_hat, a_hat)
-    dof = max(int(n.size) - 2, 1)
-    p_var = float(pcov[0, 0])
-    stderr = math.sqrt(p_var) if np.isfinite(p_var) and p_var >= 0 else math.inf
-    tq = float(stats.t.ppf(0.975, dof))
+    if not np.all(np.isfinite(resid)):
+        raise FitFailureError(f"decoherence fit gave a non-finite result (p={p_hat}, a={a_hat})")
+
+    stderr = ci = None
+    dof = int(np.count_nonzero(n > 1)) - 2
+    if dof >= 1:
+        # Jacobian columns d/dp and d/da of the model at the optimum; the
+        # exponent is clipped at 0 where the factor n - 1 is 0 anyway
+        jac = np.column_stack(
+            [
+                a_hat * (n - 1.0) * (1.0 - p_hat) ** np.maximum(n - 2.0, 0.0),
+                _growth(n, p_hat, 1.0),
+            ]
+        )
+        jtj = jac.T @ jac
+        det = jtj[0, 0] * jtj[1, 1] - jtj[0, 1] ** 2
+        p_var = float(resid @ resid) / dof * jtj[1, 1] / det if det > 0 else math.inf
+        stderr = math.sqrt(p_var)
+        tq = _t_quantile(0.975, dof)
+        ci = (p_hat - tq * stderr, p_hat + tq * stderr)
     return DecoherenceFit(
-        model=DecoherenceModel(p=float(p_hat), amplitude=float(a_hat)),
+        model=DecoherenceModel(p=p_hat, amplitude=a_hat),
         p_stderr=stderr,
-        p_ci95=(float(p_hat - tq * stderr), float(p_hat + tq * stderr)),
+        p_ci95=ci,
         residual_norm=float(np.linalg.norm(resid)),
     )

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 
 __all__ = [
     "FractionalFrequencySeries",
@@ -179,12 +178,14 @@ def confidence_interval(point: AllanPoint, level=0.68):
     Uses the pair count as the equivalent degrees of freedom; good
     enough for error bars, not a substitute for a noise-identified edf.
     """
+    from scipy import stats  # loaded here only, so no CLI run imports scipy
+
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     edf = max(point.n_pairs, 1)
     alpha = 1.0 - level
-    lo_q = _stats.chi2.ppf(1.0 - alpha / 2.0, edf)
-    hi_q = _stats.chi2.ppf(alpha / 2.0, edf)
+    lo_q = stats.chi2.ppf(1.0 - alpha / 2.0, edf)
+    hi_q = stats.chi2.ppf(alpha / 2.0, edf)
     var = point.adev**2
     return (
         math.sqrt(edf * var / lo_q),

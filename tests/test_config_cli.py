@@ -127,6 +127,7 @@ class TestCli:
             ("rabi", "ens.cloud_length_m", "0"),
             ("rabi", "seq.rabi_step_rad", "0"),
             ("rabi", "seq.rabi_n_steps", "0"),
+            ("rabi", "seq.rabi_n_steps", "1"),
             ("rabi", "seq.rabi_repeats_ppm", "0"),
             ("diffusion", "diff.duration_max_s", "-0.001"),
             ("apl", "run.n_trials", "-1"),
@@ -209,6 +210,54 @@ class TestCli:
         assert np.all(np.abs(adevs[good] / expected[good] - 1) < 0.2)
         assert (out / "limits.csv").exists()
 
+    def test_allan_reader_delimiter_and_header(self, tmp_path):
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_text("# probe\ntime  y\n\n0.0\t1e-12  # first\n0.5 -2e-12\n1.0 3e-12\n")
+        commas = tmp_path / "commas.csv"
+        commas.write_text("0.0, 1e-12\n0.5,-2e-12\n1.0,3e-12\n")
+        a, b = cli._read_series(spaced), cli._read_series(commas)
+        assert a.tau0 == b.tau0 == 0.5
+        assert np.array_equal(a.y, [1e-12, -2e-12, 3e-12])
+        assert np.array_equal(a.y, b.y)
+        # the first data line picks the delimiter for the whole file
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("t,y\n0.0,0.1\n1.0 0.2\n")
+        with pytest.raises(cli.DataError, match=r"mixed.csv:3: expected two columns, got 1"):
+            cli._read_series(mixed)
+        wide = tmp_path / "wide.csv"
+        wide.write_text("0.0 0.1 7\n1.0 0.2 7\n")
+        with pytest.raises(cli.DataError, match=r"wide.csv:1: expected two columns, got 3"):
+            cli._read_series(wide)
+
+    def test_rabi_fit_matches_curve_fit(self, tmp_path):
+        # reference: curve_fit from the nominal step, run to convergence
+        from scipy.optimize import curve_fit
+
+        out = tmp_path / "out"
+        assert cli.main(["reproduce", "fig4", "--out", str(out), "--seed", "3"]) == 0
+        rows = [
+            ln.split(",")
+            for ln in (out / "rabi_curve.csv").read_text().splitlines()[3:]
+        ]
+        for mode in ("standard", "ppm"):
+            angles = np.array([float(r[2]) for r in rows if r[0] == mode])
+            means = np.array([float(r[3]) for r in rows if r[0] == mode])
+            ks = np.arange(len(means), dtype=float)
+
+            def model(k, c, a, w):
+                return c + a * (1.0 - np.cos(k * w)) / 2.0
+
+            (c, a, w), _ = curve_fit(
+                model, ks, means, p0=(0.0, 1.0, angles[1]), ftol=1e-15, xtol=1e-15, gtol=1e-15
+            )
+            fit = cli._rabi_fit(angles, means)
+            assert fit["step_rad"] == pytest.approx(w, rel=1e-7)
+            assert fit["amplitude"] == pytest.approx(a, rel=1e-7)
+            # the offset is judged on the scale of the curve it shifts
+            assert fit["offset"] == pytest.approx(c, abs=1e-7 * a)
+            resid = np.linalg.norm(means - model(ks, c, a, w))
+            assert fit["residual_norm"] == pytest.approx(resid, rel=1e-9)
+
     def test_headers_carry_hash_and_seed(self, tmp_path):
         out = tmp_path / "out"
         r = run_cli("diffusion", "--out", out, "--seed", 77, "--trials", 1)
@@ -254,6 +303,9 @@ class TestCli:
             assert (out / name).exists(), name
         header = (out / "apl_cycles.csv").read_text().splitlines()[2]
         assert header == "block_id,n,timestamp_s,estimate,phi_rad,delta_f_hz"
+        # three cycles fit p and the amplitude exactly: no interval exists
+        fit = json.loads((out / "decoherence_fit.json").read_text())
+        assert fit["p_stderr"] is None and fit["p_ci95"] is None
 
     def test_reproduce_projection_bundle(self, tmp_path):
         out = tmp_path / "out"

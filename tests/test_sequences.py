@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize, stats
 
 from ionclock import diffusion
 from ionclock.ensemble import DetectionConfig, MeasurementResult, initialize_ensemble
@@ -13,6 +14,8 @@ from ionclock.oscillator import NoiseSpec, make_local_oscillator
 from ionclock.rng import substream
 from ionclock.sequences import (
     DecoherenceModel,
+    _growth,
+    _t_quantile,
     RamseyConfig,
     SaturationWarning,
     estimate_frequency,
@@ -302,6 +305,42 @@ class TestDecoherenceModel:
         lo, hi = fit.p_ci95
         assert lo < fit.model.p < hi
         assert fit.p_stderr > 0
+
+    def test_t_quantile_matches_scipy(self):
+        for nu in range(1, 99):
+            assert _t_quantile(0.975, nu) == pytest.approx(stats.t.ppf(0.975, nu), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_matches_curve_fit(self, seed):
+        # reference: curve_fit on the same bounded problem, run to
+        # convergence (its default xtol stops up to 2e-7 short in p)
+        rng = np.random.default_rng(seed)
+        n = np.arange(1, 9)
+        data = 0.95 * (1 - 0.82 ** (n - 1.0)) + rng.normal(0, 0.003, 8)
+        popt, pcov = optimize.curve_fit(
+            _growth, n, data, p0=(0.2, data.max()), bounds=([0.0, 0.0], [1.0, np.inf]),
+            ftol=1e-15, xtol=1e-15, gtol=1e-15,
+        )
+        fit = fit_decoherence(n, data)
+        assert fit.model.p == pytest.approx(popt[0], rel=1e-7)
+        assert fit.model.amplitude == pytest.approx(popt[1], rel=1e-7)
+        # curve_fit divides the residual by 8 - 2 dof; the n = 1 point is
+        # 0 for every model, so the fit here divides by 8 - 3
+        ref_stderr = math.sqrt(pcov[0, 0] * 6.0 / 5.0)
+        assert fit.p_stderr == pytest.approx(ref_stderr, rel=1e-6)
+        tq = stats.t.ppf(0.975, 5)
+        assert fit.p_ci95 == pytest.approx((popt[0] - tq * ref_stderr, popt[0] + tq * ref_stderr))
+
+    @pytest.mark.parametrize("m2, m3", [(0.17, 0.31), (0.5, 0.75), (0.02, 0.039), (0.3, 0.3)])
+    def test_three_cycle_fit_is_exact_without_ci(self, m2, m3):
+        # two informative points, two parameters: m2 = a p and
+        # m3 = a p (2 - p), so p = 2 - m3 / m2 and no residual dof is left
+        fit = fit_decoherence([1, 2, 3], [0.0, m2, m3])
+        p = 2.0 - m3 / m2
+        assert fit.model.p == pytest.approx(p, rel=1e-10)
+        assert fit.model.amplitude == pytest.approx(m2 / p, rel=1e-10)
+        assert fit.residual_norm < 1e-12
+        assert fit.p_stderr is None and fit.p_ci95 is None
 
 
 def test_ramsey_config_validation():
