@@ -235,8 +235,6 @@ def _rabi_fit(angles, means):
 def cmd_rabi(cfg: RunConfig, h):
     seed = cfg["run.seed"]
     n_steps = cfg["seq.rabi_n_steps"]
-    if n_steps < 2:
-        raise ConfigError(f"the probe-curve fit needs seq.rabi_n_steps >= 2, got {n_steps}")
     step = cfg["seq.rabi_step_rad"]
     det = _detection(cfg)
     if det.mode != "fixed_fraction":

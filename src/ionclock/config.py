@@ -103,7 +103,7 @@ _REGISTRY = {
     "seq.n_cycles": (_count, 300, "total cycle budget per run"),
     "seq.dead_time_s": (_as_float, 0.0, "extra free evolution per cycle"),
     "seq.rabi_step_rad": (_positive, math.pi / 6.0, "rotation per Rabi step"),
-    "seq.rabi_n_steps": (_count, 12, "Rabi steps after the baseline point"),
+    "seq.rabi_n_steps": (_at_least(_as_int, 2), 12, "Rabi steps after the baseline point"),
     "seq.rabi_repeats_standard": (_count, 10, "re-initialized Rabi repeats"),
     "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
     "diff.temperature_k": (_as_float, 0.05, "ion temperature"),

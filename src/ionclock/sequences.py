@@ -395,19 +395,20 @@ def predicted_projected_fraction(model: DecoherenceModel, n):
     return out
 
 
-def _argmin_1d(f, lo, hi, n_grid=101, tol=1e-13):
+def _argmin_1d(f, lo, hi):
     """Minimize the scalar function f on [lo, hi].
 
-    The best point of a uniform grid brackets the minimum between its
-    two neighbours; golden-section search narrows that bracket to tol.
+    The best point of a 101-point uniform grid brackets the minimum
+    between its two neighbours; golden-section search narrows that
+    bracket to 1e-13.
     """
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, 101)
     i = int(np.argmin([f(x) for x in grid]))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - shrink * (b - a), a + shrink * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-13:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - shrink * (b - a)
@@ -464,7 +465,8 @@ def fit_decoherence(cycles, deviations) -> DecoherenceFit:
     (variable projection). Returns the fitted model with the standard
     error of p from s^2 (J^T J)^-1 and its 95% confidence interval (t
     quantile), and the residual norm. The n = 1 point is 0 for every
-    model, so the residual dof is the number of n > 1 points minus 2;
+    model, so s^2 and the residual dof count only the n > 1 points
+    (dof = their number minus 2);
     with no dof left (3 cycles) p_stderr and p_ci95 are None. An
     all-zero series short-circuits to p = 0. A non-finite result raises
     FitFailureError.
@@ -511,7 +513,8 @@ def fit_decoherence(cycles, deviations) -> DecoherenceFit:
         )
         jtj = jac.T @ jac
         det = jtj[0, 0] * jtj[1, 1] - jtj[0, 1] ** 2
-        p_var = float(resid @ resid) / dof * jtj[1, 1] / det if det > 0 else math.inf
+        r = resid[n > 1]
+        p_var = float(r @ r) / dof * jtj[1, 1] / det if det > 0 else math.inf
         stderr = math.sqrt(p_var)
         tq = _t_quantile(0.975, dof)
         ci = (p_hat - tq * stderr, p_hat + tq * stderr)

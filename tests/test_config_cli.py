@@ -228,6 +228,13 @@ class TestCli:
         wide.write_text("0.0 0.1 7\n1.0 0.2 7\n")
         with pytest.raises(cli.DataError, match=r"wide.csv:1: expected two columns, got 3"):
             cli._read_series(wide)
+        # every comma separates a field: a trailing or doubled comma
+        # makes a third, empty column
+        for name, row in (("trailing", "0.5,0.2,"), ("doubled", "0.5,,0.2")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"0.0,0.1\n{row}\n1.0,0.3\n")
+            with pytest.raises(cli.DataError, match=rf"{name}.csv:2: expected two columns, got 3"):
+                cli._read_series(path)
 
     def test_rabi_fit_matches_curve_fit(self, tmp_path):
         # reference: curve_fit from the nominal step, run to convergence

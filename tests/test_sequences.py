@@ -313,20 +313,21 @@ class TestDecoherenceModel:
     @pytest.mark.parametrize("seed", range(6))
     def test_fit_matches_curve_fit(self, seed):
         # reference: curve_fit on the same bounded problem, run to
-        # convergence (its default xtol stops up to 2e-7 short in p)
+        # convergence (its default xtol stops up to 2e-7 short in p). The
+        # n = 1 point is 0 for every model, so it moves neither the
+        # optimum nor J^T J; the fit leaves it out of s^2 and the dof, and
+        # so does the reference, which sees only the n > 1 points.
         rng = np.random.default_rng(seed)
         n = np.arange(1, 9)
         data = 0.95 * (1 - 0.82 ** (n - 1.0)) + rng.normal(0, 0.003, 8)
         popt, pcov = optimize.curve_fit(
-            _growth, n, data, p0=(0.2, data.max()), bounds=([0.0, 0.0], [1.0, np.inf]),
+            _growth, n[1:], data[1:], p0=(0.2, data.max()), bounds=([0.0, 0.0], [1.0, np.inf]),
             ftol=1e-15, xtol=1e-15, gtol=1e-15,
         )
         fit = fit_decoherence(n, data)
         assert fit.model.p == pytest.approx(popt[0], rel=1e-7)
         assert fit.model.amplitude == pytest.approx(popt[1], rel=1e-7)
-        # curve_fit divides the residual by 8 - 2 dof; the n = 1 point is
-        # 0 for every model, so the fit here divides by 8 - 3
-        ref_stderr = math.sqrt(pcov[0, 0] * 6.0 / 5.0)
+        ref_stderr = math.sqrt(pcov[0, 0])
         assert fit.p_stderr == pytest.approx(ref_stderr, rel=1e-6)
         tq = stats.t.ppf(0.975, 5)
         assert fit.p_ci95 == pytest.approx((popt[0] - tq * ref_stderr, popt[0] + tq * ref_stderr))
