@@ -34,9 +34,11 @@ class ConfigError(ValueError):
 
 def _as_float(raw):
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {raw!r}") from exc
+        if math.isfinite(val := float(raw)):
+            return val
+    except ValueError:
+        pass
+    raise ConfigError(f"expected a finite number, got {raw!r}")
 
 
 def _as_int(raw):

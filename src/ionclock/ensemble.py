@@ -1,10 +1,14 @@
-"""Ion ensemble as independent semiclassical Bloch vectors.
+"""Ion ensemble as semiclassical Bloch vectors, stored by class.
 
 Each ion is a unit 3-vector (pure state). z = -1 is the ground state and
 z = +1 the excited state. Rotations follow the right-hand rule about the
 equatorial axis (cos phi_mw, sin phi_mw, 0), which reproduces the unitary
 exp(-i theta sigma_phi / 2) acting on the corresponding spinor: a pi
 pulse at phase 0 takes z = -1 to z = +1.
+
+Every operation except projection is global, so ions that share a
+state keep sharing it: ``EnsembleState`` stores one row per distinct
+Bloch vector, and pulses and free precession touch only those rows.
 
 Projection noise emerges from per-ion binomial collapse; aggregate
 detection noise is additive Gaussian on the population estimate. Raw
@@ -37,6 +41,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_GROUND = np.array([[0.0, 0.0, -1.0]])
 
 
 class EmptySampleError(RuntimeError):
@@ -45,21 +50,34 @@ class EmptySampleError(RuntimeError):
 
 @dataclass(eq=False)
 class EnsembleState:
-    """Ordered ion collection stored as arrays for vectorized evolution.
+    """Ordered ion collection: a table of distinct Bloch vectors and a row per ion.
 
-    ``bloch`` has shape (n, 3); ``z_pos`` is the axial position in meters,
-    confined to [-cloud_length/2, +cloud_length/2]. The ion count is
-    constant across all operations (no loss is modeled).
+    Ion i is in state ``classes[label[i]]``. Row 0 is the class not
+    projected since the last reset; each projection appends the collapsed
+    rows (0, 0, +1) and (0, 0, -1), and once the table outgrows the ion
+    count the rows no ion holds are dropped. ``z_pos`` is the axial
+    position in meters, confined to [-cloud_length/2, +cloud_length/2].
+    The ion count is constant across all operations (no loss is modeled).
     """
 
-    bloch: np.ndarray
+    classes: np.ndarray
+    label: np.ndarray
     z_pos: np.ndarray
-    ever_projected: np.ndarray
     cloud_length: float
     rng_stream: np.random.Generator
 
     def __len__(self):
-        return self.bloch.shape[0]
+        return self.label.shape[0]
+
+    @property
+    def bloch(self):
+        """Per-ion Bloch vectors, shape (n, 3), derived from the table."""
+        return self.classes[self.label]
+
+    @property
+    def ever_projected(self):
+        """Per-ion flag: projected at least once since the last reset."""
+        return self.label != 0
 
 
 @dataclass(frozen=True)
@@ -100,13 +118,11 @@ class MeasurementResult:
     """Outcome of one (partial) projection.
 
     ``estimate`` may exit [0, 1] because of the additive technical noise;
-    ``true_fraction`` is the noiseless excited fraction among the sampled
-    ions and ``sampled_indices`` records which ions collapsed.
+    ``sampled_indices`` records which ions collapsed.
     """
 
     estimate: float
     n_sampled: int
-    true_fraction: float
     sampled_indices: np.ndarray
 
     @property
@@ -128,13 +144,11 @@ def initialize_ensemble(n, cloud_length, seed) -> EnsembleState:
     if cloud_length <= 0:
         raise ValueError("cloud_length must be positive")
     rng = as_generator(seed)
-    bloch = np.zeros((n, 3))
-    bloch[:, 2] = -1.0
     half = cloud_length / 2.0
     return EnsembleState(
-        bloch=bloch,
+        classes=_GROUND,
+        label=np.zeros(n, dtype=np.intp),
         z_pos=rng.uniform(-half, half, n),
-        ever_projected=np.zeros(n, dtype=bool),
         cloud_length=float(cloud_length),
         rng_stream=rng,
     )
@@ -142,13 +156,7 @@ def initialize_ensemble(n, cloud_length, seed) -> EnsembleState:
 
 def reset_to_ground(state: EnsembleState) -> EnsembleState:
     """Re-prepare every ion in the ground state; positions are kept."""
-    bloch = np.zeros_like(state.bloch)
-    bloch[:, 2] = -1.0
-    return replace(
-        state,
-        bloch=bloch,
-        ever_projected=np.zeros(len(state), dtype=bool),
-    )
+    return replace(state, classes=_GROUND, label=np.zeros(len(state), dtype=np.intp))
 
 
 def rotate(state: EnsembleState, microwave_phase, angle) -> EnsembleState:
@@ -163,14 +171,14 @@ def rotate(state: EnsembleState, microwave_phase, angle) -> EnsembleState:
     uy = np.sin(microwave_phase)
     c = np.cos(angle)
     s = np.sin(angle)
-    b = state.bloch
+    b = state.classes
     # Rodrigues: v' = v c + (u x v) s + u (u . v)(1 - c) with u = (ux, uy, 0)
     dot = b[:, 0] * ux + b[:, 1] * uy
     out = np.empty_like(b)
     out[:, 0] = b[:, 0] * c + uy * b[:, 2] * s + ux * dot * (1.0 - c)
     out[:, 1] = b[:, 1] * c - ux * b[:, 2] * s + uy * dot * (1.0 - c)
     out[:, 2] = b[:, 2] * c + (ux * b[:, 1] - uy * b[:, 0]) * s
-    return replace(state, bloch=out)
+    return replace(state, classes=out)
 
 
 def free_precession(state: EnsembleState, phase_increment) -> EnsembleState:
@@ -181,12 +189,12 @@ def free_precession(state: EnsembleState, phase_increment) -> EnsembleState:
     """
     c = np.cos(phase_increment)
     s = np.sin(phase_increment)
-    b = state.bloch
+    b = state.classes
     out = np.empty_like(b)
     out[:, 0] = b[:, 0] * c - b[:, 1] * s
     out[:, 1] = b[:, 0] * s + b[:, 1] * c
     out[:, 2] = b[:, 2]
-    return replace(state, bloch=out)
+    return replace(state, classes=out)
 
 
 def partial_projection(state, det: DetectionConfig, sampled=None):
@@ -218,30 +226,24 @@ def partial_projection(state, det: DetectionConfig, sampled=None):
     if idx.size == 0:
         raise EmptySampleError("no ions sampled; population estimate undefined")
 
-    z = state.bloch[idx, 2]
+    z = state.classes[state.label[idx], 2]
     excited = rng.random(idx.size) < (1.0 + z) / 2.0
-    bloch = state.bloch.copy()
-    bloch[idx, 0] = 0.0
-    bloch[idx, 1] = 0.0
-    bloch[idx, 2] = np.where(excited, 1.0, -1.0)
-    flags = state.ever_projected.copy()
-    flags[idx] = True
+    k = len(state.classes)
+    classes = np.concatenate((state.classes, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    label = state.label.copy()
+    label[idx] = np.where(excited, k, k + 1)
+    if len(classes) > len(label):
+        keep = np.union1d([0], label)  # drop the rows no ion holds; row 0 always stays
+        classes, label = classes[keep], np.searchsorted(keep, label)
 
-    true_fraction = float(excited.mean())
-    estimate = true_fraction
+    estimate = float(excited.mean())
     if det.sigma_tech > 0.0:
         estimate += rng.normal(0.0, det.sigma_tech)
 
-    new_state = replace(state, bloch=bloch, ever_projected=flags)
-    result = MeasurementResult(
-        estimate=float(estimate),
-        n_sampled=int(idx.size),
-        true_fraction=true_fraction,
-        sampled_indices=idx,
-    )
-    return new_state, result
+    result = MeasurementResult(estimate=float(estimate), n_sampled=int(idx.size), sampled_indices=idx)
+    return replace(state, classes=classes, label=label), result
 
 
 def excited_population(state: EnsembleState) -> float:
     """Mean excited fraction (1 + z)/2 over the whole ensemble."""
-    return float(np.mean((1.0 + state.bloch[:, 2]) / 2.0))
+    return float(np.mean((1.0 + state.classes[state.label, 2]) / 2.0))

@@ -11,8 +11,8 @@ deviation is within 1% of sqrt(2 ln2 h_minus1) for tau from 1 ms to
 Each relaxator and the level draw endpoint and interval mean from their
 joint Gaussian (Gillespie, Phys. Rev. E 54, 2084, 1996).
 
-``advance`` converts elapsed time into accumulated phase of the LO
-relative to the atomic transition: increment = 2 pi (delta_f0 + y f0) dt.
+``advance`` returns the LO phase accumulated over an interval dt relative
+to the atomic transition: increment = 2 pi (delta_f0 + y f0) dt.
 """
 
 import functools
@@ -104,7 +104,7 @@ def _coefficients(spec, dt):
 
 @dataclass(eq=False)
 class LocalOscillatorState:
-    """Carrier, deterministic offset, noise spec and accumulated phase.
+    """Carrier, deterministic offset, noise spec and noise bank.
 
     ``advance`` mutates this state in place. The noise bank is the
     state vector ``_x`` of its AR(1) processes: the flicker relaxators,
@@ -115,8 +115,6 @@ class LocalOscillatorState:
     f0: float = 12.6e9
     delta_f0: float = 0.0
     spec: NoiseSpec = field(default_factory=NoiseSpec)
-    accumulated_phase: float = 0.0
-    elapsed: float = 0.0
     rng_stream: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0)
     )
@@ -173,10 +171,7 @@ def advance(lo: LocalOscillatorState, dt) -> float:
     additive over consecutive calls.
     """
     y = float(lo._means(dt, 1)[0])
-    increment = 2.0 * np.pi * (lo.delta_f0 + y * lo.f0) * dt
-    lo.accumulated_phase += increment
-    lo.elapsed += dt
-    return float(increment)
+    return float(2.0 * np.pi * (lo.delta_f0 + y * lo.f0) * dt)
 
 
 def generate_y_series(spec: NoiseSpec, dt, n, seed):

@@ -134,6 +134,10 @@ class TestCli:
             ("diffusion", "diff.n_durations", "-1"),
             ("diffusion", "diff.n_durations", "0"),
             ("apl", "allan.points_per_decade", "0"),
+            ("apl", "seq.t_fp_s", "nan"),
+            ("apl", "seq.dead_time_s", "nan"),
+            ("apl", "seq.pi2_duration_s", "inf"),
+            ("apl", "lo.delta_f0_hz", "nan"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(

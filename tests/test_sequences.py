@@ -31,9 +31,7 @@ TWO_PI = 2 * math.pi
 
 
 def _meas(est):
-    return MeasurementResult(
-        estimate=est, n_sampled=100, true_fraction=est, sampled_indices=np.array([0])
-    )
+    return MeasurementResult(estimate=est, n_sampled=100, sampled_indices=np.array([0]))
 
 
 def quiet_lo(delta_f0=0.0, seed=1):
