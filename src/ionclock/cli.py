@@ -303,7 +303,7 @@ def cmd_apl(cfg: RunConfig, h):
     for b, recs in enumerate(_tracking_blocks(cfg, rcfg, lo_apl, n_blocks)):
         for rec in recs:
             apl_rows.append(
-                (b, rec.n, rec.timestamp, rec.measurement.estimate, rec.phi_n, rec.delta_f_hz)
+                (b, rec.n, rec.timestamp, rec.estimate, rec.phi_n, rec.delta_f_hz)
             )
             per_n[rec.n].append(rec.delta_f_hz)
             proj_by_n[rec.n].append(rec.projected_before)
@@ -314,7 +314,7 @@ def cmd_apl(cfg: RunConfig, h):
     )
     std_recs = run_standard_ramsey(std_ens, lo_std, rcfg)
     std_rows = [
-        (i, rec.n, rec.timestamp, rec.measurement.estimate, rec.phi_n, rec.delta_f_hz)
+        (i, rec.n, rec.timestamp, rec.estimate, rec.phi_n, rec.delta_f_hz)
         for i, rec in enumerate(std_recs)
     ]
 

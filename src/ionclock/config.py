@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .oscillator import PRESETS
 from .sequences import cycle_duration
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_file", "config_hash", "DEFAULTS", "describe_keys"]
+__all__ = ["ConfigError", "RunConfig", "parse_config_file", "config_hash", "DEFAULTS"]
 
 
 class ConfigError(ValueError):
@@ -127,11 +127,6 @@ _REGISTRY = {
 }
 
 DEFAULTS = {k: v[1] for k, v in _REGISTRY.items()}
-
-
-def describe_keys():
-    """(key, default, help) rows for docs and --help output."""
-    return [(k, v[1], v[2]) for k, v in sorted(_REGISTRY.items())]
 
 
 @dataclass(frozen=True, eq=False)

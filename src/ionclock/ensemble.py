@@ -9,6 +9,8 @@ pulse at phase 0 takes z = -1 to z = +1.
 Every operation except projection is global, so ions that share a
 state keep sharing it: ``EnsembleState`` stores one row per distinct
 Bloch vector, and pulses and free precession touch only those rows.
+Both are one Rodrigues rotation: a pulse turns the rows about an
+equatorial axis, free precession about z.
 
 Projection noise emerges from per-ion binomial collapse; aggregate
 detection noise is additive Gaussian on the population estimate. Raw
@@ -21,6 +23,7 @@ array fields of existing states as immutable. The random stream handle
 is shared between input and output states so draws stay sequential.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +43,7 @@ __all__ = [
     "excited_population",
 ]
 
-_TWO_PI = 2.0 * np.pi
+_TWO_PI = 2.0 * math.pi
 _GROUND = np.array([[0.0, 0.0, -1.0]])
 
 
@@ -159,6 +162,28 @@ def reset_to_ground(state: EnsembleState) -> EnsembleState:
     return replace(state, classes=_GROUND, label=np.zeros(len(state), dtype=np.intp))
 
 
+def _turn(state: EnsembleState, ux, uy, uz, angle) -> EnsembleState:
+    """Rotate every class row by ``angle`` about the unit axis (ux, uy, uz).
+
+    Rodrigues matrix u u^T + c (I - u u^T) + s [u]x, right-hand rule;
+    the diagonal u_i^2 + c (1 - u_i^2) is exactly 1 on the axis, so a
+    turn about z leaves z untouched.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    t = 1.0 - c
+    r = np.array(
+        [
+            [ux * ux + c * (1.0 - ux * ux), t * ux * uy - s * uz, t * ux * uz + s * uy],
+            [t * uy * ux + s * uz, uy * uy + c * (1.0 - uy * uy), t * uy * uz - s * ux],
+            [t * uz * ux - s * uy, t * uz * uy + s * ux, uz * uz + c * (1.0 - uz * uz)],
+        ]
+    )
+    # elementwise products and a sum, not a matrix product: BLAS may round a
+    # row differently depending on how many rows the array holds, and the
+    # bits of an ion's vector must not depend on the size of the table
+    return replace(state, classes=(state.classes[:, None, :] * r).sum(axis=2))
+
+
 def rotate(state: EnsembleState, microwave_phase, angle) -> EnsembleState:
     """Rotate every ion about the equatorial axis (cos phi, sin phi, 0).
 
@@ -166,19 +191,8 @@ def rotate(state: EnsembleState, microwave_phase, angle) -> EnsembleState:
     fixed so that rotate(phase=0, pi) maps z = -1 to z = +1 and
     rotate(phase=0, pi/2) maps (0, 0, -1) to (0, +1, 0).
     """
-    angle = float(angle) % _TWO_PI
-    ux = np.cos(microwave_phase)
-    uy = np.sin(microwave_phase)
-    c = np.cos(angle)
-    s = np.sin(angle)
-    b = state.classes
-    # Rodrigues: v' = v c + (u x v) s + u (u . v)(1 - c) with u = (ux, uy, 0)
-    dot = b[:, 0] * ux + b[:, 1] * uy
-    out = np.empty_like(b)
-    out[:, 0] = b[:, 0] * c + uy * b[:, 2] * s + ux * dot * (1.0 - c)
-    out[:, 1] = b[:, 1] * c - ux * b[:, 2] * s + uy * dot * (1.0 - c)
-    out[:, 2] = b[:, 2] * c + (ux * b[:, 1] - uy * b[:, 0]) * s
-    return replace(state, classes=out)
+    phi = float(microwave_phase)
+    return _turn(state, math.cos(phi), math.sin(phi), 0.0, float(angle) % _TWO_PI)
 
 
 def free_precession(state: EnsembleState, phase_increment) -> EnsembleState:
@@ -187,23 +201,17 @@ def free_precession(state: EnsembleState, phase_increment) -> EnsembleState:
     z components are untouched; the increment normally comes from
     ``oscillator.advance`` and is common to all ions.
     """
-    c = np.cos(phase_increment)
-    s = np.sin(phase_increment)
-    b = state.classes
-    out = np.empty_like(b)
-    out[:, 0] = b[:, 0] * c - b[:, 1] * s
-    out[:, 1] = b[:, 0] * s + b[:, 1] * c
-    out[:, 2] = b[:, 2]
-    return replace(state, classes=out)
+    return _turn(state, 0.0, 0.0, 1.0, float(phase_increment))
 
 
 def partial_projection(state, det: DetectionConfig, sampled=None):
     """Collapse a subset of ions and read out their excited fraction.
 
     In fixed_fraction mode the subset is drawn here, each ion picked
-    independently with probability ``det.p``. An explicit ``sampled``
-    index list overrides the draw and is mandatory in beam_overlap mode,
-    where it comes from diffusion trajectories.
+    independently with probability ``det.p``; at p = 1 every ion is
+    taken without a draw. An explicit ``sampled`` index list overrides
+    the draw and is mandatory in beam_overlap mode, where it comes from
+    diffusion trajectories.
 
     Each sampled ion collapses to z = +1 with probability (1 + z)/2 and
     to z = -1 otherwise, losing its transverse components. Unsampled
@@ -219,8 +227,10 @@ def partial_projection(state, det: DetectionConfig, sampled=None):
                 "beam_overlap mode needs the struck index set from the "
                 "diffusion model; none was supplied"
             )
-        mask = rng.random(len(state)) < det.p
-        idx = np.flatnonzero(mask)
+        if det.p == 1.0:
+            idx = np.arange(len(state))  # every draw would lie below 1
+        else:
+            idx = np.flatnonzero(rng.random(len(state)) < det.p)
     else:
         idx = np.asarray(sampled, dtype=np.intp)
     if idx.size == 0:

@@ -5,13 +5,13 @@ Three protocols are implemented on top of the ensemble primitives:
 * ``run_rabi_ppm``: Rabi probing, either re-prepared each point
   (standard) or accumulated rotations with a partial projection after
   every step.
-* ``run_standard_ramsey``: re-initialize, pi/2, free precession, pi/2,
-  destructive readout, once per cycle.
-* ``run_apl_block``: the phase-tracking variant. The ensemble is
-  prepared once; each cycle runs free precession, a pi/2 readout pulse
-  at 90 degrees, a partial projection, and a 3 pi/2 pulse that reverts
-  the unprojected ions, so the accumulated phase survives across
-  cycles and the n-th estimate divides its phase by n.
+* ``run_apl_block``: phase tracking. The ensemble is prepared once;
+  each cycle runs free precession, a pi/2 readout pulse at 90 degrees,
+  a partial projection, and a 3 pi/2 pulse that reverts the unprojected
+  ions, so the accumulated phase survives across cycles and the n-th
+  estimate divides its phase by n.
+* ``run_standard_ramsey``: the limiting case, a one-cycle block that
+  reads every ion, re-initialized once per cycle.
 
 Phase convention: the tracked angle is the LO phase relative to the
 atomic transition, so a positive frequency offset gives a positive
@@ -134,25 +134,25 @@ class RamseyConfig:
 class CycleRecord:
     """Per-cycle outcome inside one phase-tracking block.
 
-    ``projected_before`` is the ever-projected fraction of the ensemble
-    just before this cycle's measurement (diagnostic, not emitted in
+    ``estimate`` is the raw readout of this cycle's measurement over its
+    ``n_sampled`` ions; ``projected_before`` is the ever-projected
+    fraction of the ensemble just before it (diagnostic, not emitted in
     the cycle CSV).
     """
 
     n: int
     timestamp: float
-    measurement: MeasurementResult
+    estimate: float
+    n_sampled: int
     phi_n: float
     delta_f_hz: float
-    projected_before: float = 0.0
+    projected_before: float
 
 
 @dataclass(frozen=True)
 class RabiRecord:
     step: int
-    angle: float
     estimate: float
-    population: float
     n_sampled: int = 0
 
 
@@ -251,7 +251,9 @@ def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
     The ensemble must be initialized (all ions ground). Sequence: one
     pi/2 at phase 0, then per cycle free precession over t_fp (plus any
     dead time), pi/2 at 90 degrees, partial projection, 3 pi/2 at 90
-    degrees to revert the unprojected ions.
+    degrees to revert the unprojected ions. The revert after the last
+    cycle is not applied, since nothing reads the state after it, but
+    its duration still counts towards the block time.
 
     Returns the list of CycleRecord, one per cycle; the n-th record's
     delta_f_hz uses the 1/n phase divisor. Empty-sample errors from the
@@ -275,13 +277,15 @@ def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
             CycleRecord(
                 n=n,
                 timestamp=t,
-                measurement=m,
+                estimate=m.estimate,
+                n_sampled=m.n_sampled,
                 phi_n=phi,
                 delta_f_hz=estimate_frequency(phi, n, cfg.t_fp),
                 projected_before=projected_before,
             )
         )
-        state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
+        if n < cfg.n_cp:
+            state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
         t += 3.0 * cfg.pi2_duration
     return records
 
@@ -289,36 +293,17 @@ def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
 def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
     """cfg.n_cycles independent Ramsey cycles with destructive readout.
 
-    The phase is re-initialized every cycle, so each record is an n=1
-    estimate. The whole ensemble is projected (sampling fraction 1);
-    technical noise follows cfg.detection.sigma_tech.
+    Each cycle is a one-cycle block on a re-initialized ensemble that
+    reads every ion (sampling fraction 1, no transport), started every
+    cfg.standard_cycle_time; each record is an n=1 estimate. Technical
+    noise follows cfg.detection.sigma_tech.
     """
-    everyone = np.arange(len(ensemble))
-    state = ensemble
-    t = 0.0
-    records = []
-    for _ in range(cfg.n_cycles):
-        state = reset_to_ground(state)
-        state = rotate(state, 0.0, _HALF_PI)
-        dt_free = cfg.dead_time + cfg.t_fp
-        state = free_precession(state, advance(lo, dt_free))
-        t += cfg.pi2_duration + dt_free
-        state = rotate(state, _HALF_PI, _HALF_PI)
-        t += cfg.pi2_duration
-        state, m = partial_projection(state, cfg.detection, sampled=everyone)
-        t += cfg.detection.measurement_duration
-        phi = estimate_phase(m)
-        records.append(
-            CycleRecord(
-                n=1,
-                timestamp=t,
-                measurement=m,
-                phi_n=phi,
-                delta_f_hz=estimate_frequency(phi, 1, cfg.t_fp),
-                projected_before=0.0,
-            )
-        )
-    return records
+    det = replace(cfg.detection, mode="fixed_fraction", p=1.0)
+    whole = replace(cfg, n_cp=1, detection=det, diffusion=None)
+    return [
+        run_apl_block(reset_to_ground(ensemble), lo, whole, t0=i * cfg.standard_cycle_time)[0]
+        for i in range(cfg.n_cycles)
+    ]
 
 
 def run_rabi_ppm(ensemble, lo, rotation_step, n_steps, reinitialize, det: DetectionConfig):
@@ -350,35 +335,17 @@ def run_rabi_ppm(ensemble, lo, rotation_step, n_steps, reinitialize, det: Detect
             state = reset_to_ground(state)
             if k:
                 state = rotate(state, 0.0, k * rotation_step)
-            pop = excited_population(state)
-            est = pop
+            est = excited_population(state)
             if det.sigma_tech > 0:
                 est += rng.normal(0.0, det.sigma_tech)
-            records.append(
-                RabiRecord(
-                    step=k,
-                    angle=k * rotation_step,
-                    estimate=float(est),
-                    population=pop,
-                    n_sampled=len(state),
-                )
-            )
+            records.append(RabiRecord(step=k, estimate=float(est), n_sampled=len(state)))
         return records
 
     for k in range(n_steps + 1):
         if k:
             state = rotate(state, 0.0, rotation_step)
-        pop = excited_population(state)
         state, m = partial_projection(state, det)
-        records.append(
-            RabiRecord(
-                step=k,
-                angle=k * rotation_step,
-                estimate=m.estimate,
-                population=pop,
-                n_sampled=m.n_sampled,
-            )
-        )
+        records.append(RabiRecord(step=k, estimate=m.estimate, n_sampled=m.n_sampled))
         # LO-atom phase drift across the readout window; zero on resonance
         state = free_precession(state, advance(lo, det.measurement_duration))
     return records

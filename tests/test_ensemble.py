@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.spatial.transform import Rotation
 from ionclock.ensemble import (
     DetectionConfig,
     EmptySampleError,
+    _turn,
     excited_population,
     free_precession,
     initialize_ensemble,
@@ -227,6 +229,19 @@ def test_excited_population_midpoint():
     assert excited_population(e) == pytest.approx(0.5, abs=1e-12)
 
 
+def rodrigues(ux, uy, uz, angle):
+    """The rotation matrix of ``_turn``, entry by entry in the same arithmetic."""
+    c, s = math.cos(angle), math.sin(angle)
+    t = 1.0 - c
+    return np.array(
+        [
+            [ux * ux + c * (1.0 - ux * ux), t * ux * uy - s * uz, t * ux * uz + s * uy],
+            [t * uy * ux + s * uz, uy * uy + c * (1.0 - uy * uy), t * uy * uz - s * ux],
+            [t * uz * ux - s * uy, t * uz * uy + s * ux, uz * uz + c * (1.0 - uz * uz)],
+        ]
+    )
+
+
 class PerIonReference:
     """One (n, 3) Bloch row per ion: the storage the class table replaces."""
 
@@ -236,32 +251,23 @@ class PerIonReference:
         self.flags = np.zeros(n, dtype=bool)
         self.rng = rng
 
+    def _apply(self, r):
+        self.bloch = (self.bloch[:, None, :] * r).sum(axis=2)
+
     def rotate(self, phase, angle):
-        angle = float(angle) % (2.0 * np.pi)
-        ux, uy = np.cos(phase), np.sin(phase)
-        c, s = np.cos(angle), np.sin(angle)
-        b = self.bloch
-        dot = b[:, 0] * ux + b[:, 1] * uy
-        out = np.empty_like(b)
-        out[:, 0] = b[:, 0] * c + uy * b[:, 2] * s + ux * dot * (1.0 - c)
-        out[:, 1] = b[:, 1] * c - ux * b[:, 2] * s + uy * dot * (1.0 - c)
-        out[:, 2] = b[:, 2] * c + (ux * b[:, 1] - uy * b[:, 0]) * s
-        self.bloch = out
+        phase = float(phase)
+        self._apply(rodrigues(math.cos(phase), math.sin(phase), 0.0, float(angle) % (2.0 * np.pi)))
 
     def precess(self, inc):
-        c, s = np.cos(inc), np.sin(inc)
-        b = self.bloch
-        out = np.empty_like(b)
-        out[:, 0] = b[:, 0] * c - b[:, 1] * s
-        out[:, 1] = b[:, 0] * s + b[:, 1] * c
-        out[:, 2] = b[:, 2]
-        self.bloch = out
+        self._apply(rodrigues(0.0, 0.0, 1.0, float(inc)))
 
     def project(self, det, sampled=None):
-        if sampled is None:
-            idx = np.flatnonzero(self.rng.random(len(self.bloch)) < det.p)
-        else:
+        if sampled is not None:
             idx = np.asarray(sampled, dtype=np.intp)
+        elif det.p == 1.0:
+            idx = np.arange(len(self.bloch))
+        else:
+            idx = np.flatnonzero(self.rng.random(len(self.bloch)) < det.p)
         excited = self.rng.random(idx.size) < (1.0 + self.bloch[idx, 2]) / 2.0
         self.bloch = self.bloch.copy()
         self.bloch[idx, :2] = 0.0
@@ -315,3 +321,34 @@ def test_class_table_stays_bounded():
         state = free_precession(rotate(state, 0.3 * k, 1.0), 0.1 * k)
         state, _ = partial_projection(state, det)
         assert len(state.classes) <= len(state) + 2
+
+
+def test_turn_rounds_a_row_the_same_whatever_the_table_size():
+    # a BLAS product may round a row differently in a larger array (a 1-row
+    # table, as after every reset, takes a matrix-vector kernel); the bits of
+    # a class row must not depend on how many rows share the table
+    gen = np.random.default_rng(77)
+    state = make(n=3, seed=16)
+    for _ in range(200):
+        axis = gen.normal(size=3)
+        ux, uy, uz = (axis / np.linalg.norm(axis)).tolist()
+        angle = float(gen.uniform(-7.0, 7.0))
+        k = int(gen.integers(1, 4))
+        rows = gen.normal(size=(k, 3))
+        big = gen.normal(size=(10_007, 3))
+        at = int(gen.integers(0, len(big) - k + 1))
+        big[at : at + k] = rows
+        small = _turn(replace(state, classes=rows), ux, uy, uz, angle).classes
+        inside = _turn(replace(state, classes=big), ux, uy, uz, angle).classes[at : at + k]
+        assert np.array_equal(small, inside)
+
+
+def test_full_projection_makes_no_sampling_draw():
+    state = rotate(make(n=40, seed=17), 0.0, math.pi / 2)
+    twin = copy.deepcopy(state)
+    det = DetectionConfig(p=1.0, sigma_tech=0.1)
+    state, m = partial_projection(state, det)
+    twin, m_explicit = partial_projection(twin, det, sampled=np.arange(40))
+    assert m.n_sampled == 40
+    assert m.estimate == m_explicit.estimate
+    assert state.rng_stream.bit_generator.state == twin.rng_stream.bit_generator.state

@@ -162,7 +162,7 @@ class TestAplBlock:
             return run_apl_block(ens, quiet_lo(delta_f0=0.1, seed=25), cfg)
 
         a, b = run(), run()
-        assert [r.measurement.estimate for r in a] == [r.measurement.estimate for r in b]
+        assert [r.estimate for r in a] == [r.estimate for r in b]
         assert [r.delta_f_hz for r in a] == [r.delta_f_hz for r in b]
 
 
@@ -174,7 +174,7 @@ class TestStandardRamsey:
         recs = run_standard_ramsey(ens, quiet_lo(seed=31), cfg)
         assert len(recs) == 60
         assert all(r.n == 1 for r in recs)
-        ests = np.array([r.measurement.estimate for r in recs])
+        ests = np.array([r.estimate for r in recs])
         # full projection of 2000 ions at the equator: sd ~ 0.011
         assert np.all(np.abs(ests - 0.5) < 6 * 0.0112)
         assert abs(ests.mean() - 0.5) < 5 * 0.0112 / math.sqrt(60)
@@ -184,7 +184,7 @@ class TestStandardRamsey:
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=2)
         ens = initialize_ensemble(300, 3e-3, substream(32, "ens"))
         recs = run_standard_ramsey(ens, quiet_lo(seed=32), cfg)
-        assert all(r.measurement.n_sampled == 300 for r in recs)
+        assert all(r.n_sampled == 300 for r in recs)
 
     def test_recovers_static_offset(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
