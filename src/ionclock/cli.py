@@ -112,7 +112,6 @@ def _builds_config(build):
 @_builds_config
 def _detection(cfg) -> DetectionConfig:
     return DetectionConfig(
-        mode=cfg["det.mode"],
         p=cfg["det.p"],
         sigma_tech=cfg["det.sigma_tech"],
         measurement_duration=cfg["det.measurement_duration_s"],
@@ -188,18 +187,15 @@ def _fit_doc(fit):
 
 
 def _limit_rows(params: StabilityParams, taus):
-    qpn_params = replace(params, snr=qpn_snr(params.n_atom)) if params.n_atom else None
-    rows = []
-    for tau in taus:
-        row = [
-            float(tau),
-            float(limit_technical(params, tau)),
-            float(limit_apl(params, tau)),
-            float(limit_apl_repetition(params, tau)),
-        ]
-        row.append(float(limit_technical(qpn_params, tau)) if qpn_params else math.nan)
-        rows.append(tuple(row))
-    return rows
+    taus = np.asarray(taus, dtype=float)
+    columns = (
+        taus,
+        limit_technical(params, taus),
+        limit_apl(params, taus),
+        limit_apl_repetition(params, taus),
+        limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
+    )
+    return [tuple(float(v) for v in row) for row in zip(*columns)]
 
 
 _LIMIT_HEADER = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
@@ -237,9 +233,6 @@ def cmd_rabi(cfg: RunConfig, h):
     n_steps = cfg["seq.rabi_n_steps"]
     step = cfg["seq.rabi_step_rad"]
     det = _detection(cfg)
-    if det.mode != "fixed_fraction":
-        # beam selection needs positions the probe-only bundle does not track
-        det = replace(det, mode="fixed_fraction")
     trials = cfg["run.n_trials"]
 
     rows = []
@@ -296,18 +289,18 @@ def cmd_apl(cfg: RunConfig, h):
     lo_apl = _local_oscillator(cfg, substream(seed, "lo"))
     lo_std = _local_oscillator(cfg, substream(seed, "lo"))
 
+    # (block, n) tables; reduced one column at a time, so each sum runs
+    # in the same order as over a list of that column
     apl_rows = []
-    per_n = {n: [] for n in range(1, n_cp + 1)}
-    proj_by_n = {n: [] for n in range(1, n_cp + 1)}
-    block_y = []
+    df = np.empty((n_blocks, n_cp))
+    proj = np.empty((n_blocks, n_cp))
     for b, recs in enumerate(_tracking_blocks(cfg, rcfg, lo_apl, n_blocks)):
         for rec in recs:
             apl_rows.append(
                 (b, rec.n, rec.timestamp, rec.estimate, rec.phi_n, rec.delta_f_hz)
             )
-            per_n[rec.n].append(rec.delta_f_hz)
-            proj_by_n[rec.n].append(rec.projected_before)
-        block_y.append(recs[-1].delta_f_hz / f0)
+        df[b] = [rec.delta_f_hz for rec in recs]
+        proj[b] = [rec.projected_before for rec in recs]
 
     std_ens = initialize_ensemble(
         cfg["ens.n_ions"], cfg["ens.cloud_length_m"], substream(seed, "std-ens")
@@ -318,11 +311,10 @@ def cmd_apl(cfg: RunConfig, h):
         for i, rec in enumerate(std_recs)
     ]
 
-    sd_rows = []
-    for n in range(1, n_cp + 1):
-        vals = np.asarray(per_n[n])
-        sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        sd_rows.append((n, sd, vals.size))
+    sd_rows = [
+        (n, float(df[:, n - 1].std(ddof=1)) if n_blocks > 1 else 0.0, n_blocks)
+        for n in range(1, n_cp + 1)
+    ]
 
     cycle_header = ("block_id", "n", "timestamp_s", "estimate", "phi_rad", "delta_f_hz")
     files = {
@@ -332,7 +324,7 @@ def cmd_apl(cfg: RunConfig, h):
     }
 
     ns = np.arange(1, n_cp + 1)
-    mean_proj = np.array([np.mean(proj_by_n[n]) for n in ns])
+    mean_proj = np.array([proj[:, n - 1].mean() for n in ns])
     fit_doc = {"mean_projected_by_n": [float(v) for v in mean_proj]}
     if n_cp >= 3:
         fit_doc.update(_fit_doc(fit_decoherence(ns, mean_proj)))
@@ -346,8 +338,8 @@ def cmd_apl(cfg: RunConfig, h):
     pts = allan_deviation(std_series, default_taus(std_series, ppd), mode)
     files["allan_standard.csv"] = _allan_csv(h, seed, pts)
     apl_pts = []
-    if len(block_y) >= 2:
-        apl_series = FractionalFrequencySeries(np.array(block_y), rcfg.block_time)
+    if n_blocks >= 2:
+        apl_series = FractionalFrequencySeries(df[:, -1] / f0, rcfg.block_time)
         apl_pts = allan_deviation(apl_series, default_taus(apl_series, ppd), mode)
     files["allan_apl.csv"] = _allan_csv(h, seed, apl_pts)
     taus = np.logspace(

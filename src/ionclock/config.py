@@ -22,6 +22,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from .diffusion import BEAM_HALF_WIDTH
 from .oscillator import PRESETS
 from .sequences import cycle_duration
 
@@ -113,8 +114,8 @@ _REGISTRY = {
     "diff.d_override": (_as_float_or_none, 3.5e-6, "diffusion constant override; 'none' derives from T and mobility"),
     "diff.dt_s": (_as_float, 1e-5, "largest Brownian sub-step in a readout window and the diffusion MSD step"),
     "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
-    "diff.beam_lo_m": (_as_float, -1.935e-4, "detection beam lower edge"),
-    "diff.beam_hi_m": (_as_float, 1.935e-4, "detection beam upper edge"),
+    "diff.beam_lo_m": (_as_float, -BEAM_HALF_WIDTH, "detection beam lower edge"),
+    "diff.beam_hi_m": (_as_float, BEAM_HALF_WIDTH, "detection beam upper edge"),
     "diff.duration_max_s": (_at_least(_as_float, 0.0), 2e-3, "longest struck-fraction window"),
     "diff.n_durations": (_count, 11, "points on the struck-fraction duration grid"),
     "stab.k": (_as_float, 1.0, "limit-line prefactor"),

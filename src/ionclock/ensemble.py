@@ -59,14 +59,13 @@ class EnsembleState:
     projected since the last reset; each projection appends the collapsed
     rows (0, 0, +1) and (0, 0, -1), and once the table outgrows the ion
     count the rows no ion holds are dropped. ``z_pos`` is the axial
-    position in meters, confined to [-cloud_length/2, +cloud_length/2].
-    The ion count is constant across all operations (no loss is modeled).
+    position in meters. The ion count is constant across all operations
+    (no loss is modeled).
     """
 
     classes: np.ndarray
     label: np.ndarray
     z_pos: np.ndarray
-    cloud_length: float
     rng_stream: np.random.Generator
 
     def __len__(self):
@@ -87,27 +86,23 @@ class EnsembleState:
 class DetectionConfig:
     """How a population measurement samples the ensemble.
 
-    mode
-        "fixed_fraction": each ion is sampled independently with
-        probability ``p`` per measurement.
-        "beam_overlap": the sampled set is supplied externally from
-        diffusion trajectories through the detection beam.
+    p
+        Probability that each ion is sampled, independently, when no
+        index set is given to ``partial_projection``.
     sigma_tech
         Additive Gaussian noise on the population estimate, in
         population-fraction units. The default 0.1 corresponds to a
         phase readout noise of roughly 0.2 rad at the equator.
     measurement_duration
-        Length of the detection window in seconds (beam_overlap mode).
+        Length of the detection window in seconds; it also sets the
+        cycle timing.
     """
 
-    mode: str = "fixed_fraction"
     p: float = 0.18
     sigma_tech: float = 0.1
     measurement_duration: float = 1e-3
 
     def __post_init__(self):
-        if self.mode not in ("fixed_fraction", "beam_overlap"):
-            raise ValueError(f"unknown detection mode {self.mode!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("sampling fraction p must lie in (0, 1]")
         if self.sigma_tech < 0.0:
@@ -152,7 +147,6 @@ def initialize_ensemble(n, cloud_length, seed) -> EnsembleState:
         classes=_GROUND,
         label=np.zeros(n, dtype=np.intp),
         z_pos=rng.uniform(-half, half, n),
-        cloud_length=float(cloud_length),
         rng_stream=rng,
     )
 
@@ -207,11 +201,10 @@ def free_precession(state: EnsembleState, phase_increment) -> EnsembleState:
 def partial_projection(state, det: DetectionConfig, sampled=None):
     """Collapse a subset of ions and read out their excited fraction.
 
-    In fixed_fraction mode the subset is drawn here, each ion picked
-    independently with probability ``det.p``; at p = 1 every ion is
-    taken without a draw. An explicit ``sampled`` index list overrides
-    the draw and is mandatory in beam_overlap mode, where it comes from
-    diffusion trajectories.
+    The subset is the ``sampled`` index list if one is given (the ions a
+    detection beam struck, say). Otherwise it is drawn here, each ion
+    picked independently with probability ``det.p``; at p = 1 every ion
+    is taken without a draw.
 
     Each sampled ion collapses to z = +1 with probability (1 + z)/2 and
     to z = -1 otherwise, losing its transverse components. Unsampled
@@ -221,18 +214,12 @@ def partial_projection(state, det: DetectionConfig, sampled=None):
     zero ions are sampled; the caller decides the retry policy.
     """
     rng = state.rng_stream
-    if sampled is None:
-        if det.mode == "beam_overlap":
-            raise ValueError(
-                "beam_overlap mode needs the struck index set from the "
-                "diffusion model; none was supplied"
-            )
-        if det.p == 1.0:
-            idx = np.arange(len(state))  # every draw would lie below 1
-        else:
-            idx = np.flatnonzero(rng.random(len(state)) < det.p)
-    else:
+    if sampled is not None:
         idx = np.asarray(sampled, dtype=np.intp)
+    elif det.p == 1.0:
+        idx = np.arange(len(state))  # every draw would lie below 1
+    else:
+        idx = np.flatnonzero(rng.random(len(state)) < det.p)
     if idx.size == 0:
         raise EmptySampleError("no ions sampled; population estimate undefined")
 

@@ -86,8 +86,11 @@ class RamseyConfig:
 
     n_cp is the number of consecutive partial projections executed on
     one preparation before the ensemble is re-initialized; n_cycles is
-    the total cycle budget of a run. dead_time is extra free evolution
-    per cycle (the relative phase keeps accumulating through it).
+    the number of cycles ``run_standard_ramsey`` runs. dead_time is
+    extra free evolution per cycle (the relative phase keeps
+    accumulating through it). A ``diffusion`` model moves the ions
+    between its walls, and each readout then samples the ions that
+    cross its detection beam instead of a fraction ``detection.p``.
     """
 
     t_fp: float = 0.1
@@ -226,23 +229,20 @@ def _transport(state, cfg, duration):
         cfg.diffusion.effective_d(),
         duration,
         state.rng_stream,
-        half_length=state.cloud_length / 2.0,
+        half_length=cfg.diffusion.cloud_length / 2.0,
     )
     return replace(state, z_pos=z)
 
 
 def _measure(state, cfg):
-    """One partial projection, resolving the sampled set per mode."""
+    """One partial projection; with a diffusion model, of the ions the beam strikes."""
     det = cfg.detection
-    if det.mode == "beam_overlap":
-        if cfg.diffusion is None:
-            raise ValueError("beam_overlap detection needs a diffusion config")
-        z, struck = _diffusion.struck_during(
-            state.z_pos, cfg.diffusion, det.measurement_duration, state.rng_stream
-        )
-        state = replace(state, z_pos=z)
-        return partial_projection(state, det, sampled=np.flatnonzero(struck))
-    return partial_projection(state, det)
+    if cfg.diffusion is None:
+        return partial_projection(state, det)
+    z, struck = _diffusion.struck_during(
+        state.z_pos, cfg.diffusion, det.measurement_duration, state.rng_stream
+    )
+    return partial_projection(replace(state, z_pos=z), det, sampled=np.flatnonzero(struck))
 
 
 def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, t0=0.0):
@@ -298,8 +298,7 @@ def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: 
     cfg.standard_cycle_time; each record is an n=1 estimate. Technical
     noise follows cfg.detection.sigma_tech.
     """
-    det = replace(cfg.detection, mode="fixed_fraction", p=1.0)
-    whole = replace(cfg, n_cp=1, detection=det, diffusion=None)
+    whole = replace(cfg, n_cp=1, detection=replace(cfg.detection, p=1.0), diffusion=None)
     return [
         run_apl_block(reset_to_ground(ensemble), lo, whole, t0=i * cfg.standard_cycle_time)[0]
         for i in range(cfg.n_cycles)

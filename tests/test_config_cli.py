@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from ionclock import cli, diffusion
 from ionclock.config import ConfigError, config_hash, parse_config_file, resolve
 from ionclock.oscillator import PRESETS
+from ionclock.stability import limit_apl, limit_apl_repetition, limit_technical, qpn_snr
 
 
 def run_cli(*args, cwd=None):
@@ -317,6 +319,21 @@ class TestCli:
         # three cycles fit p and the amplitude exactly: no interval exists
         fit = json.loads((out / "decoherence_fit.json").read_text())
         assert fit["p_stderr"] is None and fit["p_ci95"] is None
+
+    def test_limit_rows_equal_the_scalar_lines(self):
+        params = cli._stab_params(resolve({}))
+        qpn = replace(params, snr=qpn_snr(params.n_atom))
+        taus = np.logspace(-1, 3, 9)
+        rows = cli._limit_rows(params, taus)
+        assert len(rows) == taus.size
+        for tau, row in zip(taus, rows):
+            assert row == (
+                tau,
+                limit_technical(params, tau),
+                limit_apl(params, tau),
+                limit_apl_repetition(params, tau),
+                limit_technical(qpn, tau),
+            )
 
     def test_reproduce_projection_bundle(self, tmp_path):
         out = tmp_path / "out"

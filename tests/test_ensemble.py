@@ -178,12 +178,6 @@ class TestPartialProjection:
         with pytest.raises(EmptySampleError):
             partial_projection(e, det, sampled=np.array([], dtype=int))
 
-    def test_beam_mode_requires_explicit_sample(self):
-        e = make()
-        det = DetectionConfig(mode="beam_overlap", p=0.18, sigma_tech=0.0)
-        with pytest.raises(ValueError):
-            partial_projection(e, det)
-
     def test_technical_noise_moves_estimate_off_grid(self):
         e = make(n=100, seed=6)
         det = DetectionConfig(p=1.0, sigma_tech=0.1)
@@ -210,8 +204,6 @@ class TestPartialProjection:
             DetectionConfig(p=1.2)
         with pytest.raises(ValueError):
             DetectionConfig(sigma_tech=-0.1)
-        with pytest.raises(ValueError):
-            DetectionConfig(mode="telepathy")
 
 
 def test_reset_to_ground_keeps_positions():

@@ -38,6 +38,20 @@ def quiet_lo(delta_f0=0.0, seed=1):
     return make_local_oscillator(12.6e9, delta_f0, NoiseSpec(), substream(seed, "lo"))
 
 
+@pytest.fixture
+def readout_starts(monkeypatch):
+    """Ion positions at the start of each beam readout, as struck_during sees them."""
+    starts = []
+    struck_during = diffusion.struck_during
+
+    def spy(positions, *args):
+        starts.append(np.array(positions))
+        return struck_during(positions, *args)
+
+    monkeypatch.setattr(diffusion, "struck_during", spy)
+    return starts
+
+
 class TestEstimators:
     def test_phase_at_midpoint_is_zero(self):
         assert estimate_phase(_meas(0.5)) == 0.0
@@ -117,18 +131,10 @@ class TestAplBlock:
         assert recs[0].timestamp == pytest.approx(first, rel=1e-12)
         assert recs[1].timestamp == pytest.approx(first + cfg.cycle_time, rel=1e-12)
 
-    def test_beam_overlap_block(self, monkeypatch):
+    def test_beam_overlap_block(self, readout_starts):
         dcfg = diffusion.DiffusionConfig()
-        det = DetectionConfig(mode="beam_overlap", sigma_tech=0.0)
+        det = DetectionConfig(sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=3, diffusion=dcfg)
-        readout_starts = []
-        struck_during = diffusion.struck_during
-
-        def spy(positions, *args):
-            readout_starts.append(np.array(positions))
-            return struck_during(positions, *args)
-
-        monkeypatch.setattr(diffusion, "struck_during", spy)
         n_ions, n_blocks = 400, 2
         second, moved = [], []
         for b in range(n_blocks):
@@ -152,6 +158,32 @@ class TestAplBlock:
         )
         sq = np.concatenate(moved) ** 2
         assert sq.mean() == pytest.approx(msd, abs=4 * sq.std() / math.sqrt(sq.size))
+
+    def test_diffusion_model_picks_the_sample_at_any_p(self):
+        # p = 1 would read every ion; with a diffusion model the beam decides
+        det = DetectionConfig(p=1.0, sigma_tech=0.0)
+        cfg = RamseyConfig(
+            t_fp=0.1, n_cp=2, detection=det, n_cycles=2, diffusion=diffusion.DiffusionConfig()
+        )
+        n_ions, n_blocks = 400, 2
+        second = []
+        for b in range(n_blocks):
+            ens = initialize_ensemble(n_ions, 3e-3, substream(27, "ens", b))
+            recs = run_apl_block(ens, quiet_lo(seed=27), cfg)
+            assert recs[0].n_sampled < n_ions
+            second.append(recs[1].projected_before)
+        sd = math.sqrt(0.17 * 0.83 / (n_ions * n_blocks))
+        assert np.mean(second) == pytest.approx(0.17, abs=0.02 + 4 * sd)
+
+    def test_transport_walls_come_from_the_diffusion_config(self, readout_starts):
+        dcfg = diffusion.DiffusionConfig(cloud_length=1e-3, beam_interval=(-1e-4, 1e-4))
+        det = DetectionConfig(sigma_tech=0.0)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=3, diffusion=dcfg)
+        ens = initialize_ensemble(400, 3e-3, substream(28, "ens"))
+        run_apl_block(ens, quiet_lo(seed=28), cfg)
+        assert len(readout_starts) == cfg.n_cp
+        for z in readout_starts:
+            assert np.all(np.abs(z) <= 0.5e-3)
 
     def test_same_seed_reproduces_block(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.1)
