@@ -150,14 +150,13 @@ def _diffusion_config(cfg) -> diff_mod.DiffusionConfig:
 
 
 @_builds_config
-def _ramsey_config(cfg, n_cycles) -> RamseyConfig:
+def _ramsey_config(cfg) -> RamseyConfig:
     beam = cfg["det.mode"] == "beam_overlap"
     return RamseyConfig(
         t_fp=cfg["seq.t_fp_s"],
         pi2_duration=cfg["seq.pi2_duration_s"],
         n_cp=cfg["seq.n_cp"],
         detection=_detection(cfg),
-        n_cycles=n_cycles,
         dead_time=cfg["seq.dead_time_s"],
         diffusion=_diffusion_config(cfg) if beam else None,
     )
@@ -201,6 +200,16 @@ def _limit_rows(params: StabilityParams, taus):
 _LIMIT_HEADER = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
 
 
+def _allan_points(cfg, y, tau0):
+    """Allan deviation of y on the configured grid; no points below two samples."""
+    if len(y) < 2:
+        return []
+    series = FractionalFrequencySeries(y, tau0)
+    return allan_deviation(
+        series, default_taus(series, cfg["allan.points_per_decade"]), cfg["allan.mode"]
+    )
+
+
 def _rabi_fit(angles, means):
     # contrast/offset/step fit of the probe response c + a (1 - cos(k w)) / 2;
     # linear in (c, a) for fixed w, which is searched around the nominal step
@@ -233,6 +242,8 @@ def cmd_rabi(cfg: RunConfig, h):
     n_steps = cfg["seq.rabi_n_steps"]
     step = cfg["seq.rabi_step_rad"]
     det = _detection(cfg)
+    if cfg["det.mode"] != "fixed_fraction":
+        raise ConfigError(f"the probe bundle needs det.mode = fixed_fraction, got {cfg['det.mode']}")
     trials = cfg["run.n_trials"]
 
     rows = []
@@ -280,7 +291,7 @@ def cmd_apl(cfg: RunConfig, h):
     seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
     n_blocks = cfg["run.n_trials"] or max(1, cfg["seq.n_cycles"] // n_cp)
-    rcfg = _ramsey_config(cfg, n_cycles=n_blocks * n_cp)
+    rcfg = _ramsey_config(cfg)
     params = _stab_params(cfg)
     f0 = cfg["lo.f0_hz"]
 
@@ -305,7 +316,7 @@ def cmd_apl(cfg: RunConfig, h):
     std_ens = initialize_ensemble(
         cfg["ens.n_ions"], cfg["ens.cloud_length_m"], substream(seed, "std-ens")
     )
-    std_recs = run_standard_ramsey(std_ens, lo_std, rcfg)
+    std_recs = run_standard_ramsey(std_ens, lo_std, rcfg, n_blocks * n_cp)
     std_rows = [
         (i, rec.n, rec.timestamp, rec.estimate, rec.phi_n, rec.delta_f_hz)
         for i, rec in enumerate(std_recs)
@@ -330,17 +341,10 @@ def cmd_apl(cfg: RunConfig, h):
         fit_doc.update(_fit_doc(fit_decoherence(ns, mean_proj)))
     files["decoherence_fit.json"] = _json_doc(fit_doc)
 
-    mode = cfg["allan.mode"]
-    ppd = cfg["allan.points_per_decade"]
-    std_series = FractionalFrequencySeries(
-        np.array([rec.delta_f_hz for rec in std_recs]) / f0, rcfg.standard_cycle_time
-    )
-    pts = allan_deviation(std_series, default_taus(std_series, ppd), mode)
-    files["allan_standard.csv"] = _allan_csv(h, seed, pts)
-    apl_pts = []
-    if n_blocks >= 2:
-        apl_series = FractionalFrequencySeries(df[:, -1] / f0, rcfg.block_time)
-        apl_pts = allan_deviation(apl_series, default_taus(apl_series, ppd), mode)
+    std_y = np.array([rec.delta_f_hz for rec in std_recs]) / f0
+    std_pts = _allan_points(cfg, std_y, rcfg.standard_cycle_time)
+    files["allan_standard.csv"] = _allan_csv(h, seed, std_pts)
+    apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
     files["allan_apl.csv"] = _allan_csv(h, seed, apl_pts)
     taus = np.logspace(
         math.log10(rcfg.standard_cycle_time), math.log10(max(n_blocks, 2) * rcfg.block_time), 25
@@ -461,8 +465,7 @@ def cmd_allan(cfg: RunConfig, h, input_path):
     seed = cfg["run.seed"]
     params = _stab_params(cfg)
     series = _read_series(input_path)
-    taus = default_taus(series, cfg["allan.points_per_decade"])
-    pts = allan_deviation(series, taus, cfg["allan.mode"])
+    pts = _allan_points(cfg, series.y, series.tau0)
     return {
         "allan.csv": _allan_csv(h, seed, pts),
         "limits.csv": _csv(h, seed, _LIMIT_HEADER, _limit_rows(params, [p.tau for p in pts])),
@@ -475,7 +478,7 @@ def _projection_bundle(cfg: RunConfig, h):
     if n_cp < 3:
         raise ConfigError(f"the projected-fraction fit needs seq.n_cp >= 3, got {n_cp}")
     n_blocks = cfg["run.n_trials"] or 32
-    rcfg = _ramsey_config(cfg, n_cycles=n_blocks * n_cp)
+    rcfg = _ramsey_config(cfg)
     lo = _local_oscillator(cfg, substream(seed, "lo"))
     proj = np.array(
         [

@@ -103,7 +103,7 @@ _REGISTRY = {
     "seq.t_fp_s": (_as_float, 0.1, "free precession time per cycle"),
     "seq.pi2_duration_s": (_as_float, 7.5e-4, "pi/2 pulse length"),
     "seq.n_cp": (_count, 3, "cycles per tracking block"),
-    "seq.n_cycles": (_count, 300, "total cycle budget per run"),
+    "seq.n_cycles": (_count, 300, "cycles per protocol in apl when run.n_trials is 0; blocks = n_cycles // n_cp"),
     "seq.dead_time_s": (_as_float, 0.0, "extra free evolution per cycle"),
     "seq.rabi_step_rad": (_positive, math.pi / 6.0, "rotation per Rabi step"),
     "seq.rabi_n_steps": (_at_least(_as_int, 2), 12, "Rabi steps after the baseline point"),

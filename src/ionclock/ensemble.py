@@ -15,8 +15,8 @@ equatorial axis, free precession about z.
 Projection noise emerges from per-ion binomial collapse; aggregate
 detection noise is additive Gaussian on the population estimate. Raw
 estimates are deliberately not clamped to [0, 1] (clamping would bias
-the downstream frequency estimator); use ``estimate_clamped`` where a
-valid arcsine argument is required.
+the downstream frequency estimator); ``sequences.estimate_phase``
+clamps where a valid arcsine argument is required.
 
 All operations are functional: they return a new state and treat the
 array fields of existing states as immutable. The random stream handle
@@ -122,11 +122,6 @@ class MeasurementResult:
     estimate: float
     n_sampled: int
     sampled_indices: np.ndarray
-
-    @property
-    def estimate_clamped(self):
-        """Estimate clamped to [0, 1], safe as an arcsine argument."""
-        return min(max(self.estimate, 0.0), 1.0)
 
 
 def initialize_ensemble(n, cloud_length, seed) -> EnsembleState:

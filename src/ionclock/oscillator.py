@@ -17,7 +17,7 @@ to the atomic transition: increment = 2 pi (delta_f0 + y f0) dt.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,12 +112,10 @@ class LocalOscillatorState:
     then the random-walk level, starting at 0, when h_minus2 > 0.
     """
 
-    f0: float = 12.6e9
-    delta_f0: float = 0.0
-    spec: NoiseSpec = field(default_factory=NoiseSpec)
-    rng_stream: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0)
-    )
+    f0: float
+    delta_f0: float
+    spec: NoiseSpec
+    rng_stream: np.random.Generator
 
     def __post_init__(self):
         if self.f0 <= 0:
@@ -153,14 +151,9 @@ class LocalOscillatorState:
         return y
 
 
-def make_local_oscillator(f0=12.6e9, delta_f0=0.0, spec=None, seed=0):
+def make_local_oscillator(f0=12.6e9, delta_f0=0.0, spec=NoiseSpec(), seed=0):
     """Convenience constructor accepting a seed or Generator."""
-    return LocalOscillatorState(
-        f0=f0,
-        delta_f0=delta_f0,
-        spec=spec if spec is not None else NoiseSpec(),
-        rng_stream=as_generator(seed),
-    )
+    return LocalOscillatorState(f0=f0, delta_f0=delta_f0, spec=spec, rng_stream=as_generator(seed))
 
 
 def advance(lo: LocalOscillatorState, dt) -> float:
@@ -198,5 +191,5 @@ def generate_y_series(spec: NoiseSpec, dt, n, seed):
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    lo = LocalOscillatorState(spec=spec, rng_stream=as_generator(seed))
+    lo = make_local_oscillator(spec=spec, seed=seed)
     return np.concatenate([lo._means(dt, min(_CHUNK, n - i)) for i in range(0, n, _CHUNK)])

@@ -32,7 +32,6 @@ from . import diffusion as _diffusion
 from .ensemble import (
     DetectionConfig,
     EnsembleState,
-    MeasurementResult,
     excited_population,
     free_precession,
     partial_projection,
@@ -85,8 +84,7 @@ class RamseyConfig:
     """Timing and detection for Ramsey-type sequences.
 
     n_cp is the number of consecutive partial projections executed on
-    one preparation before the ensemble is re-initialized; n_cycles is
-    the number of cycles ``run_standard_ramsey`` runs. dead_time is
+    one preparation before the ensemble is re-initialized. dead_time is
     extra free evolution per cycle (the relative phase keeps
     accumulating through it). A ``diffusion`` model moves the ions
     between its walls, and each readout then samples the ions that
@@ -97,7 +95,6 @@ class RamseyConfig:
     pi2_duration: float = 7.5e-4
     n_cp: int = 3
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    n_cycles: int = 100
     dead_time: float = 0.0
     diffusion: "_diffusion.DiffusionConfig | None" = None
 
@@ -156,7 +153,7 @@ class CycleRecord:
 class RabiRecord:
     step: int
     estimate: float
-    n_sampled: int = 0
+    n_sampled: int
 
 
 def _growth(n, p, amplitude):
@@ -186,21 +183,21 @@ class DecoherenceFit:
     residual_norm: float
 
 
-def estimate_phase(m: MeasurementResult) -> float:
-    """Invert a 90-degree readout into the accumulated phase.
+def estimate_phase(estimate) -> float:
+    """Invert a 90-degree readout estimate into the accumulated phase.
 
-    arcsin(2 * clamp(estimate) - 1), principal branch [-pi/2, +pi/2];
+    arcsin(2 * clamp(estimate, 0, 1) - 1), principal branch [-pi/2, +pi/2];
     estimate 0.5 maps to 0 and small positive phases raise the excited
     fraction. No unwrapping is attempted; a SaturationWarning is issued
     when the raw estimate sits within 0.05 of either rail.
     """
-    if abs(m.estimate - 0.5) > 0.45:
+    if abs(estimate - 0.5) > 0.45:
         warnings.warn(
             "population estimate near saturation, phase readout unreliable",
             SaturationWarning,
             stacklevel=2,
         )
-    return float(math.asin(2.0 * m.estimate_clamped - 1.0))
+    return float(math.asin(2.0 * min(max(estimate, 0.0), 1.0) - 1.0))
 
 
 def estimate_frequency(phi_n, n, t_fp) -> float:
@@ -272,7 +269,7 @@ def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
         projected_before = float(state.ever_projected.mean())
         state, m = _measure(state, cfg)
         t += cfg.detection.measurement_duration
-        phi = estimate_phase(m)
+        phi = estimate_phase(m.estimate)
         records.append(
             CycleRecord(
                 n=n,
@@ -290,8 +287,10 @@ def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
     return records
 
 
-def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
-    """cfg.n_cycles independent Ramsey cycles with destructive readout.
+def run_standard_ramsey(
+    ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, n_cycles
+):
+    """n_cycles independent Ramsey cycles with destructive readout.
 
     Each cycle is a one-cycle block on a re-initialized ensemble that
     reads every ion (sampling fraction 1, no transport), started every
@@ -301,7 +300,7 @@ def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: 
     whole = replace(cfg, n_cp=1, detection=replace(cfg.detection, p=1.0), diffusion=None)
     return [
         run_apl_block(reset_to_ground(ensemble), lo, whole, t0=i * cfg.standard_cycle_time)[0]
-        for i in range(cfg.n_cycles)
+        for i in range(n_cycles)
     ]
 
 

@@ -74,17 +74,16 @@ class StabilityParams:
 
     q is the line quality factor f0 * 2 * t_fp, snr the single-cycle
     signal-to-noise, t_c the full cycle time, n_cp the cycles per
-    tracking block, n_atom the ensemble size (None disables the bound
-    check).
+    tracking block, n_atom the ensemble size.
     """
 
     q: float
     snr: float
     t_c: float
+    n_atom: int
     k: float = 1.0
     f0: float = 12.6e9
     n_cp: int = 1
-    n_atom: "int | None" = None
 
     def __post_init__(self):
         for name in ("q", "snr", "t_c", "k", "f0"):
@@ -92,14 +91,12 @@ class StabilityParams:
                 raise ValueError(f"{name} must be positive")
         if self.n_cp < 1:
             raise ValueError("n_cp must be at least 1")
-        if self.n_atom is not None and self.n_atom < 1:
-            raise ValueError("n_atom must be at least 1 when given")
+        if self.n_atom < 1:
+            raise ValueError("n_atom must be at least 1")
 
     @property
     def max_n_cp(self):
         """Largest useful block length before the information bound."""
-        if self.n_atom is None:
-            return None
         return self.n_atom / (self.snr**2)
 
 
@@ -118,19 +115,17 @@ def _to_m(series, tau):
     return m
 
 
-def allan_deviation(series: FractionalFrequencySeries, taus=None, mode="overlapping"):
+def allan_deviation(series: FractionalFrequencySeries, taus, mode="overlapping"):
     """Two-sample (Allan) deviation at the requested averaging times.
 
-    taus must be integer multiples of series.tau0; None picks a
-    log-spaced default grid. mode is "overlapping" or
+    taus must be integer multiples of series.tau0 (``default_taus``
+    gives a log-spaced grid). mode is "overlapping" or
     "non_overlapping". Returns a list of AllanPoint. A tau too long for
     even one pair raises InsufficientDataError naming the largest
     usable tau.
     """
     if mode not in ("overlapping", "non_overlapping"):
         raise ValueError(f"unknown mode: {mode!r}")
-    if taus is None:
-        taus = default_taus(series)
 
     y = series.y
     n = y.size
@@ -162,13 +157,10 @@ def allan_deviation(series: FractionalFrequencySeries, taus=None, mode="overlapp
 
 def default_taus(series: FractionalFrequencySeries, points_per_decade=4):
     """Log-spaced tau grid from tau0 up to the longest tau with a pair."""
-    m_max = len(series) // 2
-    if m_max < 1:
-        raise InsufficientDataError("series too short for any Allan pair")
-    decades = math.log10(m_max) if m_max > 1 else 0.0
-    n_pts = max(1, int(decades * points_per_decade) + 1)
-    ms = np.unique(np.round(np.logspace(0.0, math.log10(max(m_max, 1)), n_pts)).astype(int))
-    ms = ms[(ms >= 1) & (ms <= m_max)]
+    m_max = len(series) // 2  # at least 1: a series holds two samples
+    decades = math.log10(m_max)
+    n_pts = int(decades * points_per_decade) + 1
+    ms = np.unique(np.round(np.logspace(0.0, decades, n_pts)).astype(int))
     return ms * series.tau0
 
 
@@ -219,7 +211,7 @@ def limit_apl_repetition(params: StabilityParams, tau):
     the line coincides with the ensemble QPN floor.
     """
     bound = params.max_n_cp
-    if bound is not None and params.n_cp > bound:
+    if params.n_cp > bound:
         warnings.warn(
             f"n_cp={params.n_cp} exceeds the information bound "
             f"n_atom/snr^2={bound:.6g}; the sqrt(n_cp) gain is not physical past it",

@@ -54,7 +54,7 @@ def quiet_lo(seed_path, delta_f0=0.0):
 @pytest.fixture(scope="module")
 def tracked_blocks():
     """10^4 three-cycle tracking blocks, noiseless LO, frozen seed."""
-    cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=DET, n_cycles=3 * N_BLOCKS)
+    cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=DET)
     lo = quiet_lo((TRACK_SEED, "lo"))
     df = np.empty((N_BLOCKS, 3))
     with warnings.catch_warnings():
@@ -69,12 +69,12 @@ def tracked_blocks():
 @pytest.fixture(scope="module")
 def standard_cycles():
     """12000 independent full-projection cycles on the same noise level."""
-    cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=DET, n_cycles=N_STD_CYCLES)
+    cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=DET)
     lo = quiet_lo((TRACK_SEED, "lo"))
     ens = initialize_ensemble(N_IONS, CLOUD, substream(TRACK_SEED, "std-ens"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        recs = run_standard_ramsey(ens, lo, cfg)
+        recs = run_standard_ramsey(ens, lo, cfg, N_STD_CYCLES)
     y = np.array([r.delta_f_hz for r in recs]) / 12.6e9
     tau0 = cfg.dead_time + cfg.t_fp + 2 * cfg.pi2_duration + DET.measurement_duration
     return cfg, FractionalFrequencySeries(y, tau0)
@@ -85,7 +85,7 @@ def test_projected_fraction_matches_prediction_and_fit_recovers_p():
     # 1 - (1-p)^(n-1), then the saturation fit recovers p = 0.18
     t_start = time.monotonic()
     seed = 1
-    cfg = RamseyConfig(t_fp=0.1, n_cp=8, detection=DET, n_cycles=256)
+    cfg = RamseyConfig(t_fp=0.1, n_cp=8, detection=DET)
     lo = quiet_lo((seed, "lo"))
     proj = np.empty((32, 8))
     with warnings.catch_warnings():

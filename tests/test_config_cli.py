@@ -140,6 +140,8 @@ class TestCli:
             ("apl", "seq.dead_time_s", "nan"),
             ("apl", "seq.pi2_duration_s", "inf"),
             ("apl", "lo.delta_f0_hz", "nan"),
+            ("rabi", "det.mode", "beam_overlap"),
+            ("reproduce fig4", "det.mode", "beam_overlap"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -319,6 +321,16 @@ class TestCli:
         # three cycles fit p and the amplitude exactly: no interval exists
         fit = json.loads((out / "decoherence_fit.json").read_text())
         assert fit["p_stderr"] is None and fit["p_ci95"] is None
+
+    def test_apl_with_one_standard_cycle_writes_no_allan_rows(self, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("ens.n_ions = 200\nseq.n_cp = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["apl", "--config", str(cfg), "--out", str(out), "--trials", "1"]) == 0
+        for name in ("allan_standard.csv", "allan_apl.csv"):
+            lines = (out / name).read_text().splitlines()
+            assert len(lines) == 3 and lines[2] == "tau_s,adev,n_pairs", name
+        assert len((out / "ramsey_cycles.csv").read_text().splitlines()) == 3 + 1
 
     def test_limit_rows_equal_the_scalar_lines(self):
         params = cli._stab_params(resolve({}))

@@ -184,12 +184,6 @@ class TestPartialProjection:
         _, m = partial_projection(e, det)
         assert m.estimate != 0.0
 
-    def test_estimate_clamped(self):
-        e = make(n=100, seed=8)
-        det = DetectionConfig(p=1.0, sigma_tech=3.0)
-        _, m = partial_projection(e, det)
-        assert 0.0 <= m.estimate_clamped <= 1.0
-
     def test_same_stream_reproduces(self):
         det = DetectionConfig(p=0.3, sigma_tech=0.05)
         r1 = partial_projection(rotate(make(seed=11, n=500), 0.0, 1.0), det)[1]

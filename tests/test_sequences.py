@@ -9,7 +9,7 @@ import pytest
 from scipy import optimize, stats
 
 from ionclock import diffusion
-from ionclock.ensemble import DetectionConfig, MeasurementResult, initialize_ensemble
+from ionclock.ensemble import DetectionConfig, initialize_ensemble
 from ionclock.oscillator import NoiseSpec, make_local_oscillator
 from ionclock.rng import substream
 from ionclock.sequences import (
@@ -28,10 +28,6 @@ from ionclock.sequences import (
 )
 
 TWO_PI = 2 * math.pi
-
-
-def _meas(est):
-    return MeasurementResult(estimate=est, n_sampled=100, sampled_indices=np.array([0]))
 
 
 def quiet_lo(delta_f0=0.0, seed=1):
@@ -54,24 +50,24 @@ def readout_starts(monkeypatch):
 
 class TestEstimators:
     def test_phase_at_midpoint_is_zero(self):
-        assert estimate_phase(_meas(0.5)) == 0.0
+        assert estimate_phase(0.5) == 0.0
 
     def test_phase_inversion_frozen_value(self):
         # arcsin(2*0.6 - 1) = arcsin(0.2)
-        assert estimate_phase(_meas(0.6)) == pytest.approx(0.2013579207903308, rel=1e-12)
+        assert estimate_phase(0.6) == pytest.approx(0.2013579207903308, rel=1e-12)
 
     def test_phase_clamps_out_of_range_estimates(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SaturationWarning)
-            assert estimate_phase(_meas(1.3)) == pytest.approx(math.pi / 2)
-            assert estimate_phase(_meas(-0.2)) == pytest.approx(-math.pi / 2)
+            assert estimate_phase(1.3) == pytest.approx(math.pi / 2)
+            assert estimate_phase(-0.2) == pytest.approx(-math.pi / 2)
 
     def test_saturation_warning(self):
         with pytest.warns(SaturationWarning):
-            estimate_phase(_meas(0.97))
+            estimate_phase(0.97)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            estimate_phase(_meas(0.9))  # inside the safe band, no warning
+            estimate_phase(0.9)  # inside the safe band, no warning
 
     def test_frequency_conversion(self):
         phi = TWO_PI * 0.25 * 0.1
@@ -93,7 +89,7 @@ class TestEstimators:
 class TestAplBlock:
     def test_tracks_static_offset(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=3)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(4000, 3e-3, substream(21, "ens"))
         recs = run_apl_block(ens, quiet_lo(delta_f0=0.25, seed=21), cfg)
         assert [r.n for r in recs] == [1, 2, 3]
@@ -104,7 +100,7 @@ class TestAplBlock:
 
     def test_phase_accumulates_across_cycles(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=4, detection=det, n_cycles=4)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=4, detection=det)
         ens = initialize_ensemble(8000, 3e-3, substream(22, "ens"))
         recs = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=22), cfg)
         phis = np.array([r.phi_n for r in recs])
@@ -112,7 +108,7 @@ class TestAplBlock:
 
     def test_projected_fraction_grows_geometrically(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=5, detection=det, n_cycles=5)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=5, detection=det)
         ens = initialize_ensemble(6000, 3e-3, substream(23, "ens"))
         recs = run_apl_block(ens, quiet_lo(seed=23), cfg)
         for r in recs:
@@ -123,7 +119,7 @@ class TestAplBlock:
     def test_timestamps_account_for_all_stages(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0, measurement_duration=1e-3)
         cfg = RamseyConfig(
-            t_fp=0.1, pi2_duration=7.5e-4, n_cp=2, detection=det, n_cycles=2, dead_time=0.01
+            t_fp=0.1, pi2_duration=7.5e-4, n_cp=2, detection=det, dead_time=0.01
         )
         ens = initialize_ensemble(500, 3e-3, substream(24, "ens"))
         recs = run_apl_block(ens, quiet_lo(seed=24), cfg, t0=5.0)
@@ -134,7 +130,7 @@ class TestAplBlock:
     def test_beam_overlap_block(self, readout_starts):
         dcfg = diffusion.DiffusionConfig()
         det = DetectionConfig(sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=3, diffusion=dcfg)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, diffusion=dcfg)
         n_ions, n_blocks = 400, 2
         second, moved = [], []
         for b in range(n_blocks):
@@ -163,7 +159,7 @@ class TestAplBlock:
         # p = 1 would read every ion; with a diffusion model the beam decides
         det = DetectionConfig(p=1.0, sigma_tech=0.0)
         cfg = RamseyConfig(
-            t_fp=0.1, n_cp=2, detection=det, n_cycles=2, diffusion=diffusion.DiffusionConfig()
+            t_fp=0.1, n_cp=2, detection=det, diffusion=diffusion.DiffusionConfig()
         )
         n_ions, n_blocks = 400, 2
         second = []
@@ -178,7 +174,7 @@ class TestAplBlock:
     def test_transport_walls_come_from_the_diffusion_config(self, readout_starts):
         dcfg = diffusion.DiffusionConfig(cloud_length=1e-3, beam_interval=(-1e-4, 1e-4))
         det = DetectionConfig(sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=3, diffusion=dcfg)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, diffusion=dcfg)
         ens = initialize_ensemble(400, 3e-3, substream(28, "ens"))
         run_apl_block(ens, quiet_lo(seed=28), cfg)
         assert len(readout_starts) == cfg.n_cp
@@ -187,7 +183,7 @@ class TestAplBlock:
 
     def test_same_seed_reproduces_block(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.1)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=3)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
 
         def run():
             ens = initialize_ensemble(1000, 3e-3, substream(25, "ens"))
@@ -201,9 +197,9 @@ class TestAplBlock:
 class TestStandardRamsey:
     def test_zero_offset_reads_half_on_average(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=60)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(2000, 3e-3, substream(31, "ens"))
-        recs = run_standard_ramsey(ens, quiet_lo(seed=31), cfg)
+        recs = run_standard_ramsey(ens, quiet_lo(seed=31), cfg, 60)
         assert len(recs) == 60
         assert all(r.n == 1 for r in recs)
         ests = np.array([r.estimate for r in recs])
@@ -213,25 +209,25 @@ class TestStandardRamsey:
 
     def test_full_ensemble_projected_each_cycle(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=2)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(300, 3e-3, substream(32, "ens"))
-        recs = run_standard_ramsey(ens, quiet_lo(seed=32), cfg)
+        recs = run_standard_ramsey(ens, quiet_lo(seed=32), cfg, 2)
         assert all(r.n_sampled == 300 for r in recs)
 
     def test_recovers_static_offset(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=200)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(2000, 3e-3, substream(33, "ens"))
-        recs = run_standard_ramsey(ens, quiet_lo(delta_f0=0.3, seed=33), cfg)
+        recs = run_standard_ramsey(ens, quiet_lo(delta_f0=0.3, seed=33), cfg, 200)
         dfs = np.array([r.delta_f_hz for r in recs])
         assert dfs.mean() == pytest.approx(0.3, abs=0.02)
 
     def test_timestamps_increase_uniformly(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         for dead_time in (0.0, 0.01):
-            cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, n_cycles=5, dead_time=dead_time)
+            cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, dead_time=dead_time)
             ens = initialize_ensemble(200, 3e-3, substream(34, "ens"))
-            recs = run_standard_ramsey(ens, quiet_lo(seed=34), cfg)
+            recs = run_standard_ramsey(ens, quiet_lo(seed=34), cfg, 5)
             gaps = np.diff([r.timestamp for r in recs])
             # the spacing is the tau0 of the standard series in allan_standard.csv
             assert cfg.standard_cycle_time == pytest.approx(0.1 + dead_time + 2 * 7.5e-4 + 1e-3)
@@ -388,7 +384,7 @@ def test_ramsey_config_validation():
 
 def test_dead_time_lengthens_cycles_and_phase():
     det = DetectionConfig(p=0.18, sigma_tech=0.0)
-    base = RamseyConfig(t_fp=0.1, n_cp=1, detection=det, n_cycles=1)
+    base = RamseyConfig(t_fp=0.1, n_cp=1, detection=det)
     slow = replace(base, dead_time=0.1)
     ens = initialize_ensemble(6000, 3e-3, substream(51, "ens"))
     r_fast = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), base)[0]

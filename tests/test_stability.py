@@ -108,7 +108,7 @@ class TestAllan:
 
 class TestLimits:
     def test_apl_line_frozen_value(self):
-        p = StabilityParams(q=2.52e9, snr=10.0, t_c=0.1, k=1.0, f0=12.6e9)
+        p = StabilityParams(q=2.52e9, snr=10.0, t_c=0.1, n_atom=2000, k=1.0, f0=12.6e9)
         assert limit_apl(p, 1.0) == pytest.approx(7.936507936507937e-12, rel=1e-15)
 
     def test_technical_line_scales_as_root_tau(self):
@@ -149,9 +149,9 @@ class TestLimits:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            StabilityParams(q=0.0, snr=1.0, t_c=0.1)
+            StabilityParams(q=0.0, snr=1.0, t_c=0.1, n_atom=1)
         with pytest.raises(ValueError):
-            StabilityParams(q=1.0, snr=1.0, t_c=0.1, n_cp=0)
+            StabilityParams(q=1.0, snr=1.0, t_c=0.1, n_atom=1, n_cp=0)
         with pytest.raises(ValueError):
             StabilityParams(q=1.0, snr=1.0, t_c=0.1, n_atom=0)
 
