@@ -5,7 +5,7 @@ fraction of the ensemble is projected per measurement, so the
 collective phase survives across cycles and can be tracked coherently
 over many free-precession periods. Modules:
 
-* ensemble: Bloch-vector ensemble state, rotations, partial projection
+* ensemble: batches of Bloch-vector ensembles, rotations, partial projection
 * oscillator: local oscillator with h0 / h-1 / h-2 noise
 * sequences: Rabi and Ramsey protocols, phase/frequency estimators
 * diffusion: axial Brownian transport and beam overlap statistics
@@ -22,6 +22,7 @@ from .ensemble import (
     free_precession,
     initialize_ensemble,
     partial_projection,
+    place_ions,
     reset_to_ground,
     rotate,
 )
@@ -32,6 +33,7 @@ from .oscillator import (
     advance,
     generate_y_series,
     make_local_oscillator,
+    phase_increments,
 )
 from .sequences import (
     CycleRecord,

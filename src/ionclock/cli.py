@@ -163,16 +163,19 @@ def _ramsey_config(cfg) -> RamseyConfig:
 
 
 def _tracking_blocks(cfg, rcfg: RamseyConfig, lo, n_blocks):
-    """Yield the records of n_blocks consecutive tracking blocks.
+    """The records of n_blocks consecutive tracking blocks, block by block.
 
-    Every block starts from a fresh ensemble; the LO runs on across
-    blocks.
+    Every block starts from a fresh ensemble of one batch drawn from
+    one stream; the LO runs on across blocks.
     """
-    for b in range(n_blocks):
-        ens = initialize_ensemble(
-            cfg["ens.n_ions"], cfg["ens.cloud_length_m"], substream(cfg["run.seed"], "apl-ens", b)
-        )
-        yield run_apl_block(ens, lo, rcfg, t0=b * rcfg.block_time)
+    ens = initialize_ensemble(cfg["ens.n_ions"], substream(cfg["run.seed"], "apl-ens"), n_blocks)
+    return run_apl_block(ens, lo, rcfg)
+
+
+def _cycle_columns(recs):
+    """CSV rows of cycle records, and their delta_f_hz and projected_before as arrays."""
+    rows = [(r.block, r.n, r.timestamp, r.estimate, r.phi_n, r.delta_f_hz) for r in recs]
+    return rows, np.array([r.delta_f_hz for r in recs]), np.array([r.projected_before for r in recs])
 
 
 def _fit_doc(fit):
@@ -255,11 +258,7 @@ def cmd_rabi(cfg: RunConfig, h):
         est = np.empty((reps, n_steps + 1))
         for r in range(reps):
             lo = _local_oscillator(cfg, substream(seed, f"rabi-lo-{mode}", r))
-            ens = initialize_ensemble(
-                cfg["ens.n_ions"],
-                cfg["ens.cloud_length_m"],
-                substream(seed, f"rabi-{mode}", r),
-            )
+            ens = initialize_ensemble(cfg["ens.n_ions"], substream(seed, f"rabi-{mode}", r))
             recs = run_rabi_ppm(ens, lo, step, n_steps, reinit, det)
             est[r] = [rec.estimate for rec in recs]
         mean = est.mean(axis=0)
@@ -302,25 +301,11 @@ def cmd_apl(cfg: RunConfig, h):
 
     # (block, n) tables; reduced one column at a time, so each sum runs
     # in the same order as over a list of that column
-    apl_rows = []
-    df = np.empty((n_blocks, n_cp))
-    proj = np.empty((n_blocks, n_cp))
-    for b, recs in enumerate(_tracking_blocks(cfg, rcfg, lo_apl, n_blocks)):
-        for rec in recs:
-            apl_rows.append(
-                (b, rec.n, rec.timestamp, rec.estimate, rec.phi_n, rec.delta_f_hz)
-            )
-        df[b] = [rec.delta_f_hz for rec in recs]
-        proj[b] = [rec.projected_before for rec in recs]
+    apl_rows, df, proj = _cycle_columns(_tracking_blocks(cfg, rcfg, lo_apl, n_blocks))
+    df, proj = df.reshape(n_blocks, n_cp), proj.reshape(n_blocks, n_cp)
 
-    std_ens = initialize_ensemble(
-        cfg["ens.n_ions"], cfg["ens.cloud_length_m"], substream(seed, "std-ens")
-    )
-    std_recs = run_standard_ramsey(std_ens, lo_std, rcfg, n_blocks * n_cp)
-    std_rows = [
-        (i, rec.n, rec.timestamp, rec.estimate, rec.phi_n, rec.delta_f_hz)
-        for i, rec in enumerate(std_recs)
-    ]
+    std_ens = initialize_ensemble(cfg["ens.n_ions"], substream(seed, "std-ens"), n_blocks * n_cp)
+    std_rows, std_df, _ = _cycle_columns(run_standard_ramsey(std_ens, lo_std, rcfg))
 
     sd_rows = [
         (n, float(df[:, n - 1].std(ddof=1)) if n_blocks > 1 else 0.0, n_blocks)
@@ -341,8 +326,7 @@ def cmd_apl(cfg: RunConfig, h):
         fit_doc.update(_fit_doc(fit_decoherence(ns, mean_proj)))
     files["decoherence_fit.json"] = _json_doc(fit_doc)
 
-    std_y = np.array([rec.delta_f_hz for rec in std_recs]) / f0
-    std_pts = _allan_points(cfg, std_y, rcfg.standard_cycle_time)
+    std_pts = _allan_points(cfg, std_df / f0, rcfg.standard_cycle_time)
     files["allan_standard.csv"] = _allan_csv(h, seed, std_pts)
     apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
     files["allan_apl.csv"] = _allan_csv(h, seed, apl_pts)
@@ -480,12 +464,8 @@ def _projection_bundle(cfg: RunConfig, h):
     n_blocks = cfg["run.n_trials"] or 32
     rcfg = _ramsey_config(cfg)
     lo = _local_oscillator(cfg, substream(seed, "lo"))
-    proj = np.array(
-        [
-            [rec.projected_before for rec in recs]
-            for recs in _tracking_blocks(cfg, rcfg, lo, n_blocks)
-        ]
-    )
+    recs = _tracking_blocks(cfg, rcfg, lo, n_blocks)
+    proj = np.array([r.projected_before for r in recs]).reshape(n_blocks, n_cp)
 
     ns = np.arange(1, n_cp + 1)
     mean = proj.mean(axis=0)

@@ -11,8 +11,10 @@ deviation is within 1% of sqrt(2 ln2 h_minus1) for tau from 1 ms to
 Each relaxator and the level draw endpoint and interval mean from their
 joint Gaussian (Gillespie, Phys. Rev. E 54, 2084, 1996).
 
-``advance`` returns the LO phase accumulated over an interval dt relative
-to the atomic transition: increment = 2 pi (delta_f0 + y f0) dt.
+``phase_increments`` returns the LO phase accumulated over each of n
+consecutive intervals dt relative to the atomic transition,
+increment = 2 pi (delta_f0 + y f0) dt; ``advance`` is its one-interval
+case.
 """
 
 import functools
@@ -28,13 +30,14 @@ __all__ = [
     "LocalOscillatorState",
     "make_local_oscillator",
     "generate_y_series",
+    "phase_increments",
     "advance",
     "PRESETS",
 ]
 
 # Corner band for the relaxator bank; sets the tau range of the flicker floor.
 _FLICKER_BAND = (1e-4, 1e4)
-_CHUNK = 4096  # rows per block in generate_y_series; bounds its memory
+_CHUNK = 512  # rows per draw of the noise core; bounds the memory of a long record
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,6 @@ def _octave_corners(f_lo, f_hi):
     return f_hi / 2.0 ** np.arange(math.ceil(math.log2(f_hi / f_lo)) + 1)
 
 
-def flicker_psd(f, h_minus1, corners):
-    """Analytic one-sided PSD of the relaxator bank (design check)."""
-    f = np.asarray(f, dtype=float)
-    lam = 2.0 * np.pi * corners
-    w2 = h_minus1 * math.log(2.0)
-    return (
-        w2 * 4.0 * lam[:, None] / (lam[:, None] ** 2 + (2.0 * np.pi * f[None, :]) ** 2)
-    ).sum(axis=0)
-
-
 _CORNERS = _octave_corners(*_FLICKER_BAND)
 
 
@@ -106,10 +99,11 @@ def _coefficients(spec, dt):
 class LocalOscillatorState:
     """Carrier, deterministic offset, noise spec and noise bank.
 
-    ``advance`` mutates this state in place. The noise bank is the
-    state vector ``_x`` of its AR(1) processes: the flicker relaxators,
-    drawn from their stationary law at construction when h_minus1 > 0,
-    then the random-walk level, starting at 0, when h_minus2 > 0.
+    ``phase_increments`` and ``advance`` mutate this state in place.
+    The noise bank is the state vector ``_x`` of its AR(1) processes:
+    the flicker relaxators, drawn from their stationary law at
+    construction when h_minus1 > 0, then the random-walk level,
+    starting at 0, when h_minus2 > 0.
     """
 
     f0: float
@@ -156,15 +150,31 @@ def make_local_oscillator(f0=12.6e9, delta_f0=0.0, spec=NoiseSpec(), seed=0):
     return LocalOscillatorState(f0=f0, delta_f0=delta_f0, spec=spec, rng_stream=as_generator(seed))
 
 
+def _record(lo: LocalOscillatorState, dt, n):
+    """Mean y over n consecutive intervals of length dt, drawn ``_CHUNK`` rows at a time."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return np.concatenate([lo._means(dt, min(_CHUNK, n - i)) for i in range(0, n, _CHUNK)])
+
+
+def phase_increments(lo: LocalOscillatorState, dt, n):
+    """Advance the LO over n consecutive intervals of dt seconds; return their phase increments.
+
+    increment = 2 pi (delta_f0 + y f0) dt, in rad, with y the mean
+    fractional frequency over each interval. One record draws the same normals as n
+    ``advance`` calls, and its increments equal theirs to rounding.
+    """
+    return 2.0 * np.pi * (lo.delta_f0 + _record(lo, dt, n) * lo.f0) * dt
+
+
 def advance(lo: LocalOscillatorState, dt) -> float:
     """Advance the LO by dt seconds; return the phase increment in rad.
 
-    increment = 2 pi (delta_f0 + y f0) dt with y the mean fractional
-    frequency over the interval. The deterministic part is exactly
-    additive over consecutive calls.
+    The one-interval case of ``phase_increments``. The deterministic part
+    is exactly additive over consecutive calls.
     """
-    y = float(lo._means(dt, 1)[0])
-    return float(2.0 * np.pi * (lo.delta_f0 + y * lo.f0) * dt)
+    return float(phase_increments(lo, dt, 1)[0])
 
 
 def generate_y_series(spec: NoiseSpec, dt, n, seed):
@@ -188,8 +198,4 @@ def generate_y_series(spec: NoiseSpec, dt, n, seed):
     -------
     y : (n,) ndarray
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    lo = make_local_oscillator(spec=spec, seed=seed)
-    return np.concatenate([lo._means(dt, min(_CHUNK, n - i)) for i in range(0, n, _CHUNK)])
+    return _record(make_local_oscillator(spec=spec, seed=seed), dt, n)

@@ -1,10 +1,11 @@
 """Deterministic named random streams.
 
 Every stochastic component draws from its own substream derived from a
-base seed plus a label path, e.g. ``substream(seed, "apl-ens", trial)``.
+base seed plus a label path, e.g. ``substream(seed, "apl-ens")``.
 Streams depend only on (seed, path), never on execution order, so
-independent trials can run in any order, or concurrently, and merge to
-identical results.
+components that draw from different streams can run in any order and
+give identical results. A protocol's blocks run as one batch on one
+stream, so a block's draws depend on its place in that batch.
 """
 
 import hashlib
@@ -32,4 +33,6 @@ def as_generator(seed_or_rng):
     """Accept either an integer seed or an existing Generator."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
+    if not isinstance(seed_or_rng, (int, np.integer)):
+        raise TypeError(f"a seed is an integer or a Generator, not {seed_or_rng!r}")
     return substream(int(seed_or_rng))

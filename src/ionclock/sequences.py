@@ -5,13 +5,16 @@ Three protocols are implemented on top of the ensemble primitives:
 * ``run_rabi_ppm``: Rabi probing, either re-prepared each point
   (standard) or accumulated rotations with a partial projection after
   every step.
-* ``run_apl_block``: phase tracking. The ensemble is prepared once;
-  each cycle runs free precession, a pi/2 readout pulse at 90 degrees,
-  a partial projection, and a 3 pi/2 pulse that reverts the unprojected
-  ions, so the accumulated phase survives across cycles and the n-th
-  estimate divides its phase by n.
-* ``run_standard_ramsey``: the limiting case, a one-cycle block that
-  reads every ion, re-initialized once per cycle.
+* ``run_apl_block``: phase tracking on every block of a batch. Each
+  ensemble is prepared once; each cycle runs free precession, a pi/2
+  readout pulse at 90 degrees, a partial projection, and a 3 pi/2 pulse
+  that reverts the unprojected ions, so the accumulated phase survives
+  across cycles and the n-th estimate divides its phase by n.
+* ``run_standard_ramsey``: the limiting case, a batch of one-cycle
+  blocks that read every ion.
+
+The blocks of a batch run back to back on one LO, whose phase
+increments for all of them are drawn as one record.
 
 Phase convention: the tracked angle is the LO phase relative to the
 atomic transition, so a positive frequency offset gives a positive
@@ -35,10 +38,11 @@ from .ensemble import (
     excited_population,
     free_precession,
     partial_projection,
+    place_ions,
     reset_to_ground,
     rotate,
 )
-from .oscillator import LocalOscillatorState, advance
+from .oscillator import LocalOscillatorState, advance, phase_increments
 
 __all__ = [
     "RamseyConfig",
@@ -130,16 +134,17 @@ class RamseyConfig:
         return self.pi2_duration + self.n_cp * self.cycle_time
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CycleRecord:
-    """Per-cycle outcome inside one phase-tracking block.
+    """Outcome of cycle ``n`` of block ``block`` of a phase-tracking batch.
 
     ``estimate`` is the raw readout of this cycle's measurement over its
     ``n_sampled`` ions; ``projected_before`` is the ever-projected
-    fraction of the ensemble just before it (diagnostic, not emitted in
-    the cycle CSV).
+    fraction of the block's ensemble just before it (diagnostic, not
+    emitted in the cycle CSV).
     """
 
+    block: int
     n: int
     timestamp: float
     estimate: float
@@ -183,31 +188,37 @@ class DecoherenceFit:
     residual_norm: float
 
 
-def estimate_phase(estimate) -> float:
-    """Invert a 90-degree readout estimate into the accumulated phase.
+def estimate_phase(estimate):
+    """Invert 90-degree readout estimates into the accumulated phase.
 
     arcsin(2 * clamp(estimate, 0, 1) - 1), principal branch [-pi/2, +pi/2];
     estimate 0.5 maps to 0 and small positive phases raise the excited
-    fraction. No unwrapping is attempted; a SaturationWarning is issued
-    when the raw estimate sits within 0.05 of either rail.
+    fraction. Takes a number or an array and returns the same. No
+    unwrapping is attempted; a SaturationWarning is issued when a raw
+    estimate sits within 0.05 of either rail.
     """
-    if abs(estimate - 0.5) > 0.45:
+    est = np.asarray(estimate, dtype=float)
+    if np.any(np.abs(est - 0.5) > 0.45):
         warnings.warn(
             "population estimate near saturation, phase readout unreliable",
             SaturationWarning,
             stacklevel=2,
         )
-    return float(math.asin(2.0 * min(max(estimate, 0.0), 1.0) - 1.0))
+    phi = np.arcsin(2.0 * np.clip(est, 0.0, 1.0) - 1.0)
+    return float(phi) if phi.ndim == 0 else phi
 
 
-def estimate_frequency(phi_n, n, t_fp) -> float:
-    """Frequency offset in Hz from the phase after n tracked cycles."""
-    n = int(n)
-    if n < 1:
+def estimate_frequency(phi_n, n, t_fp):
+    """Frequency offset in Hz from the phase after n tracked cycles.
+
+    Takes numbers or broadcastable arrays and returns the same.
+    """
+    if np.any(np.asarray(n) < 1):
         raise ValueError("n must be at least 1")
     if t_fp <= 0:
         raise ValueError("t_fp must be positive")
-    return float(phi_n / (2.0 * math.pi * n * t_fp))
+    f = np.asarray(phi_n) / (2.0 * math.pi * np.asarray(n) * t_fp)
+    return float(f) if f.ndim == 0 else f
 
 
 def _transport(state, cfg, duration):
@@ -239,79 +250,101 @@ def _measure(state, cfg):
     z, struck = _diffusion.struck_during(
         state.z_pos, cfg.diffusion, det.measurement_duration, state.rng_stream
     )
-    return partial_projection(replace(state, z_pos=z), det, sampled=np.flatnonzero(struck))
+    return partial_projection(replace(state, z_pos=z), det, sampled=struck)
+
+
+def _cycle_tables(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
+    """Run cfg.n_cp cycles on every block of a fresh batch.
+
+    Returns the estimate, the sample size and the ever-projected fraction
+    before the readout of every cycle, each (blocks, n_cp).
+    """
+    blocks, n_cp = len(ensemble.counts), cfg.n_cp
+    n_ions = ensemble.counts.sum(axis=1)
+    dt_free = cfg.dead_time + cfg.t_fp
+    increments = phase_increments(lo, dt_free, blocks * n_cp).reshape(blocks, n_cp)
+    est = np.empty((blocks, n_cp))
+    sizes = np.empty((blocks, n_cp), dtype=np.int64)
+    proj = np.empty((blocks, n_cp))
+
+    state = ensemble
+    if cfg.diffusion is not None:
+        state = place_ions(state, cfg.diffusion.cloud_length)
+    state = rotate(state, 0.0, _HALF_PI)
+    for i in range(n_cp):
+        state = _transport(free_precession(state, increments[:, i]), cfg, dt_free)
+        state = rotate(state, _HALF_PI, _HALF_PI)
+        proj[:, i] = (n_ions - state.counts[:, 0]) / n_ions
+        state, m = _measure(state, cfg)
+        est[:, i], sizes[:, i] = m.estimate, m.sample_sizes
+        if i + 1 < n_cp:
+            state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
+    return est, sizes, proj
+
+
+def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, t0, period):
+    """The CycleRecords of every block of a batch; block b starts at t0 + b * period."""
+    est, sizes, proj = _cycle_tables(ensemble, lo, cfg)
+    blocks, n_cp = est.shape
+    ns = np.arange(1, n_cp + 1)
+    phi = estimate_phase(est)
+    columns = (
+        # readout n ends after the opening pi/2 and n cycles, less the
+        # 3 pi/2 revert that closes cycle n
+        t0 + np.arange(blocks)[:, None] * period + ns * cfg.cycle_time - 2.0 * cfg.pi2_duration,
+        est,
+        sizes,
+        phi,
+        estimate_frequency(phi, ns, cfg.t_fp),
+        proj,
+    )
+    block = [b for b in range(blocks) for _ in range(n_cp)]  # one int object per block
+    cycle = ns.tolist() * blocks
+    return list(map(CycleRecord, block, cycle, *(c.ravel().tolist() for c in columns)))
 
 
 def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, t0=0.0):
-    """One phase-tracking block of cfg.n_cp cycles on a fresh ensemble.
+    """A phase-tracking block of cfg.n_cp cycles on every ensemble of a batch.
 
-    The ensemble must be initialized (all ions ground). Sequence: one
-    pi/2 at phase 0, then per cycle free precession over t_fp (plus any
-    dead time), pi/2 at 90 degrees, partial projection, 3 pi/2 at 90
-    degrees to revert the unprojected ions. The revert after the last
-    cycle is not applied, since nothing reads the state after it, but
-    its duration still counts towards the block time.
+    The ensemble batch must be freshly prepared (all ions ground); with
+    a diffusion model its ions get their positions here. The blocks run
+    back to back on the LO, block b from t0 + b * cfg.block_time, and
+    the LO's phase increments for all of them are drawn as one record.
+    Sequence per block: one pi/2 at phase 0, then per cycle free
+    precession over t_fp (plus any dead time), pi/2 at 90 degrees,
+    partial projection, 3 pi/2 at 90 degrees to revert the unprojected
+    ions. The revert after the last cycle is not applied, since nothing
+    reads the state after it, but its duration still counts towards the
+    block time.
 
-    Returns the list of CycleRecord, one per cycle; the n-th record's
-    delta_f_hz uses the 1/n phase divisor. Empty-sample errors from the
-    projection propagate to the caller.
+    Returns the CycleRecords of all blocks, block by block and cycle by
+    cycle within a block; the n-th record's delta_f_hz uses the 1/n
+    phase divisor. Empty-sample errors from the projection propagate to
+    the caller.
     """
-    state = rotate(ensemble, 0.0, _HALF_PI)
-    t = t0 + cfg.pi2_duration
-    records = []
-    for n in range(1, cfg.n_cp + 1):
-        dt_free = cfg.dead_time + cfg.t_fp
-        state = free_precession(state, advance(lo, dt_free))
-        state = _transport(state, cfg, dt_free)
-        t += dt_free
-        state = rotate(state, _HALF_PI, _HALF_PI)
-        t += cfg.pi2_duration
-        projected_before = float(state.ever_projected.mean())
-        state, m = _measure(state, cfg)
-        t += cfg.detection.measurement_duration
-        phi = estimate_phase(m.estimate)
-        records.append(
-            CycleRecord(
-                n=n,
-                timestamp=t,
-                estimate=m.estimate,
-                n_sampled=m.n_sampled,
-                phi_n=phi,
-                delta_f_hz=estimate_frequency(phi, n, cfg.t_fp),
-                projected_before=projected_before,
-            )
-        )
-        if n < cfg.n_cp:
-            state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
-        t += 3.0 * cfg.pi2_duration
-    return records
+    return _run_blocks(ensemble, lo, cfg, t0, cfg.block_time)
 
 
-def run_standard_ramsey(
-    ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, n_cycles
-):
-    """n_cycles independent Ramsey cycles with destructive readout.
+def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
+    """One independent Ramsey cycle with destructive readout per block of a batch.
 
-    Each cycle is a one-cycle block on a re-initialized ensemble that
+    Each cycle is a one-cycle block on its re-prepared ensemble that
     reads every ion (sampling fraction 1, no transport), started every
     cfg.standard_cycle_time; each record is an n=1 estimate. Technical
     noise follows cfg.detection.sigma_tech.
     """
     whole = replace(cfg, n_cp=1, detection=replace(cfg.detection, p=1.0), diffusion=None)
-    return [
-        run_apl_block(reset_to_ground(ensemble), lo, whole, t0=i * cfg.standard_cycle_time)[0]
-        for i in range(n_cycles)
-    ]
+    return _run_blocks(reset_to_ground(ensemble), lo, whole, 0.0, cfg.standard_cycle_time)
 
 
 def run_rabi_ppm(ensemble, lo, rotation_step, n_steps, reinitialize, det: DetectionConfig):
     """Rabi probing with or without state reuse.
 
-    reinitialize=True re-prepares the ground state before every point k
-    and probes with the cumulative pulse area k * rotation_step; the
-    readout is the full-cloud mean plus technical noise (the state is
-    discarded afterwards, so no per-ion collapse is needed and the
-    noiseless trace is exact). reinitialize=False applies one
+    The ensemble is one block. reinitialize=True re-prepares the ground
+    state before every point k and probes with the cumulative pulse
+    area k * rotation_step; the readout is the full-cloud mean plus
+    technical noise (the state is discarded afterwards, so no collapse
+    is needed and the noiseless trace is exact). reinitialize=False applies one
     rotation_step per point to the same ensemble and partially projects
     after each step, accumulating measurement back-action; the LO keeps
     precessing during each readout window.
@@ -323,6 +356,8 @@ def run_rabi_ppm(ensemble, lo, rotation_step, n_steps, reinitialize, det: Detect
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    if len(ensemble.counts) != 1:
+        raise ValueError("Rabi probing runs on a one-block ensemble")
 
     records = []
     state = reset_to_ground(ensemble)
@@ -333,7 +368,7 @@ def run_rabi_ppm(ensemble, lo, rotation_step, n_steps, reinitialize, det: Detect
             state = reset_to_ground(state)
             if k:
                 state = rotate(state, 0.0, k * rotation_step)
-            est = excited_population(state)
+            est = float(excited_population(state)[0])
             if det.sigma_tech > 0:
                 est += rng.normal(0.0, det.sigma_tech)
             records.append(RabiRecord(step=k, estimate=float(est), n_sampled=len(state)))
@@ -343,7 +378,7 @@ def run_rabi_ppm(ensemble, lo, rotation_step, n_steps, reinitialize, det: Detect
         if k:
             state = rotate(state, 0.0, rotation_step)
         state, m = partial_projection(state, det)
-        records.append(RabiRecord(step=k, estimate=m.estimate, n_sampled=m.n_sampled))
+        records.append(RabiRecord(step=k, estimate=float(m.estimate[0]), n_sampled=m.n_sampled))
         # LO-atom phase drift across the readout window; zero on resonance
         state = free_precession(state, advance(lo, det.measurement_duration))
     return records

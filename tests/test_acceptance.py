@@ -40,7 +40,6 @@ from ionclock.stability import (
 )
 
 N_IONS = 2000
-CLOUD = 3e-3
 DET = DetectionConfig(p=0.18, sigma_tech=0.1)
 TRACK_SEED = 20260822
 N_BLOCKS = 10_000
@@ -56,13 +55,11 @@ def tracked_blocks():
     """10^4 three-cycle tracking blocks, noiseless LO, frozen seed."""
     cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=DET)
     lo = quiet_lo((TRACK_SEED, "lo"))
-    df = np.empty((N_BLOCKS, 3))
+    ens = initialize_ensemble(N_IONS, substream(TRACK_SEED, "ens"), N_BLOCKS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        for b in range(N_BLOCKS):
-            ens = initialize_ensemble(N_IONS, CLOUD, substream(TRACK_SEED, "ens", b))
-            recs = run_apl_block(ens, lo, cfg)
-            df[b] = [r.delta_f_hz for r in recs]
+        recs = run_apl_block(ens, lo, cfg)
+    df = np.array([r.delta_f_hz for r in recs]).reshape(N_BLOCKS, 3)
     return cfg, df
 
 
@@ -71,10 +68,10 @@ def standard_cycles():
     """12000 independent full-projection cycles on the same noise level."""
     cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=DET)
     lo = quiet_lo((TRACK_SEED, "lo"))
-    ens = initialize_ensemble(N_IONS, CLOUD, substream(TRACK_SEED, "std-ens"))
+    ens = initialize_ensemble(N_IONS, substream(TRACK_SEED, "std-ens"), N_STD_CYCLES)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        recs = run_standard_ramsey(ens, lo, cfg, N_STD_CYCLES)
+        recs = run_standard_ramsey(ens, lo, cfg)
     y = np.array([r.delta_f_hz for r in recs]) / 12.6e9
     tau0 = cfg.dead_time + cfg.t_fp + 2 * cfg.pi2_duration + DET.measurement_duration
     return cfg, FractionalFrequencySeries(y, tau0)
@@ -87,13 +84,11 @@ def test_projected_fraction_matches_prediction_and_fit_recovers_p():
     seed = 1
     cfg = RamseyConfig(t_fp=0.1, n_cp=8, detection=DET)
     lo = quiet_lo((seed, "lo"))
-    proj = np.empty((32, 8))
+    ens = initialize_ensemble(N_IONS, substream(seed, "ens"), 32)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        for b in range(32):
-            ens = initialize_ensemble(N_IONS, CLOUD, substream(seed, "ens", b))
-            recs = run_apl_block(ens, lo, cfg)
-            proj[b] = [r.projected_before for r in recs]
+        recs = run_apl_block(ens, lo, cfg)
+    proj = np.array([r.projected_before for r in recs]).reshape(32, 8)
     mean = proj.mean(axis=0)
     n = np.arange(1, 9)
     expected = 1.0 - 0.82 ** (n - 1.0)
@@ -148,7 +143,7 @@ def test_partial_projection_rabi_true_to_three_points_then_deviates():
     reps = 600
     est = np.empty((reps, n_steps + 1))
     for r in range(reps):
-        ens = initialize_ensemble(N_IONS, CLOUD, substream(seed, "rabi", r))
+        ens = initialize_ensemble(N_IONS, substream(seed, "rabi", r))
         lo = quiet_lo((seed, "rabi-lo", r))
         recs = run_rabi_ppm(ens, lo, step, n_steps, False, DET)
         est[r] = [x.estimate for x in recs]

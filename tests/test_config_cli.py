@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ionclock import cli, diffusion
+from ionclock import cli, diffusion, sequences
 from ionclock.config import ConfigError, config_hash, parse_config_file, resolve
 from ionclock.oscillator import PRESETS
 from ionclock.stability import limit_apl, limit_apl_repetition, limit_technical, qpn_snr
@@ -150,7 +150,10 @@ class TestCli:
         def simulated(*args, **kwargs):
             raise AssertionError("simulation ran before the config was checked")
 
+        # the first draw of each simulation: the ensemble batch, the LO
+        # record of a protocol and a Brownian step
         monkeypatch.setattr(cli, "initialize_ensemble", simulated)
+        monkeypatch.setattr(sequences, "phase_increments", simulated)
         monkeypatch.setattr(diffusion, "step_brownian", simulated)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = {value}\n")

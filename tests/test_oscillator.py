@@ -11,9 +11,10 @@ from ionclock.oscillator import (
     PRESETS,
     NoiseSpec,
     advance,
-    flicker_psd,
+    _octave_corners,
     generate_y_series,
     make_local_oscillator,
+    phase_increments,
 )
 from ionclock.rng import substream
 from ionclock.stability import FractionalFrequencySeries, allan_deviation
@@ -86,19 +87,30 @@ def test_flicker_floor_is_flat():
     ],
 )
 def test_series_is_what_advance_accumulates(spec):
-    # one noise core: the series is the y implied by n advance calls,
-    # also across the series' internal block boundaries
+    # one noise core: the series and the phase record are the y implied by
+    # n advance calls, also across their internal chunk boundaries
     f0, dt, n = 12.6e9, 0.1, 5000
     lo = make_local_oscillator(f0, 0.0, spec, substream(11, "core"))
     stepped = np.array([advance(lo, dt) for _ in range(n)]) / (2 * math.pi * f0 * dt)
     series = generate_y_series(spec, dt, n, substream(11, "core"))
     np.testing.assert_allclose(series, stepped, rtol=1e-9)
+    lo = make_local_oscillator(f0, 0.0, spec, substream(11, "core"))
+    record = phase_increments(lo, dt, n) / (2 * math.pi * f0 * dt)
+    np.testing.assert_allclose(record, stepped, rtol=1e-9)
+
+
+def flicker_psd(f, h_minus1, corners):
+    """Analytic one-sided PSD of the relaxator bank."""
+    f = np.asarray(f, dtype=float)
+    lam = 2.0 * np.pi * corners
+    w2 = h_minus1 * math.log(2.0)
+    return (
+        w2 * 4.0 * lam[:, None] / (lam[:, None] ** 2 + (2.0 * np.pi * f[None, :]) ** 2)
+    ).sum(axis=0)
 
 
 def test_flicker_bank_psd_tracks_one_over_f():
     # analytic PSD of the relaxator bank vs the target h/f law
-    from ionclock.oscillator import _octave_corners
-
     corners = _octave_corners(1e-4, 1e4)
     f = np.logspace(-3, 3, 200)
     psd = flicker_psd(f, 1.0, corners)
@@ -137,6 +149,8 @@ def test_advance_validates_dt():
         advance(lo, 0.0)
     with pytest.raises(ValueError):
         advance(lo, -1.0)
+    with pytest.raises(ValueError):
+        phase_increments(lo, 0.1, 0)
 
 
 _NO_SCIPY = """

@@ -48,6 +48,20 @@ def readout_starts(monkeypatch):
     return starts
 
 
+@pytest.fixture
+def first_steps(monkeypatch):
+    """Positions handed to each step_brownian call; a beam run's first is the start."""
+    steps = []
+    step_brownian = diffusion.step_brownian
+
+    def spy(positions, *args, **kwargs):
+        steps.append(np.array(positions))
+        return step_brownian(positions, *args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "step_brownian", spy)
+    return steps
+
+
 class TestEstimators:
     def test_phase_at_midpoint_is_zero(self):
         assert estimate_phase(0.5) == 0.0
@@ -90,7 +104,7 @@ class TestAplBlock:
     def test_tracks_static_offset(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
-        ens = initialize_ensemble(4000, 3e-3, substream(21, "ens"))
+        ens = initialize_ensemble(4000, substream(21, "ens"))
         recs = run_apl_block(ens, quiet_lo(delta_f0=0.25, seed=21), cfg)
         assert [r.n for r in recs] == [1, 2, 3]
         # QPN on ~720 sampled ions gives phase sd ~ 0.037 rad
@@ -101,7 +115,7 @@ class TestAplBlock:
     def test_phase_accumulates_across_cycles(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=4, detection=det)
-        ens = initialize_ensemble(8000, 3e-3, substream(22, "ens"))
+        ens = initialize_ensemble(8000, substream(22, "ens"))
         recs = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=22), cfg)
         phis = np.array([r.phi_n for r in recs])
         assert np.all(np.diff(phis) > 0)
@@ -109,7 +123,7 @@ class TestAplBlock:
     def test_projected_fraction_grows_geometrically(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=5, detection=det)
-        ens = initialize_ensemble(6000, 3e-3, substream(23, "ens"))
+        ens = initialize_ensemble(6000, substream(23, "ens"))
         recs = run_apl_block(ens, quiet_lo(seed=23), cfg)
         for r in recs:
             expected = 1.0 - 0.82 ** (r.n - 1)
@@ -121,26 +135,30 @@ class TestAplBlock:
         cfg = RamseyConfig(
             t_fp=0.1, pi2_duration=7.5e-4, n_cp=2, detection=det, dead_time=0.01
         )
-        ens = initialize_ensemble(500, 3e-3, substream(24, "ens"))
+        ens = initialize_ensemble(500, substream(24, "ens"))
         recs = run_apl_block(ens, quiet_lo(seed=24), cfg, t0=5.0)
         first = 5.0 + 7.5e-4 + 0.11 + 7.5e-4 + 1e-3
         assert recs[0].timestamp == pytest.approx(first, rel=1e-12)
         assert recs[1].timestamp == pytest.approx(first + cfg.cycle_time, rel=1e-12)
 
-    def test_beam_overlap_block(self, readout_starts):
+    def test_beam_overlap_block(self, readout_starts, first_steps):
         dcfg = diffusion.DiffusionConfig()
         det = DetectionConfig(sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, diffusion=dcfg)
         n_ions, n_blocks = 400, 2
-        second, moved = [], []
-        for b in range(n_blocks):
-            ens = initialize_ensemble(n_ions, dcfg.cloud_length, substream(26, "ens", b))
-            recs = run_apl_block(ens, quiet_lo(seed=26), cfg)
-            assert recs[0].projected_before == 0.0
-            second.append(recs[1].projected_before)
-            moved.append(readout_starts[-cfg.n_cp] - ens.z_pos)
-        assert len(readout_starts) == n_blocks * cfg.n_cp
+        ens = initialize_ensemble(n_ions, substream(26, "ens"), n_blocks)
+        recs = run_apl_block(ens, quiet_lo(seed=26), cfg)
+        assert [r.block for r in recs] == [0, 0, 0, 1, 1, 1]
+        assert [r.projected_before for r in recs[:: cfg.n_cp]] == [0.0] * n_blocks
+        second = [r.projected_before for r in recs[1 :: cfg.n_cp]]
+        # the first transport starts from the positions drawn at block start
+        start = first_steps[0]
+        assert start.shape == (n_blocks, n_ions)
+        assert np.all(np.abs(start) <= dcfg.cloud_length / 2)
+        moved = [readout_starts[0] - start]
+        assert len(readout_starts) == cfg.n_cp
         for z in readout_starts:
+            assert z.shape == (n_blocks, n_ions)
             assert np.all(np.abs(z) <= dcfg.cloud_length / 2)
         # n = 2 has seen one 1 ms readout: the calibrated 17% struck fraction
         sd = math.sqrt(0.17 * 0.83 / (n_ions * n_blocks))
@@ -152,7 +170,7 @@ class TestAplBlock:
         msd = length**2 / 6 - 16 * length**2 / math.pi**4 * np.sum(
             np.exp(-d_eff * k**2 * math.pi**2 * cfg.t_fp / length**2) / k**4
         )
-        sq = np.concatenate(moved) ** 2
+        sq = np.concatenate(moved).ravel() ** 2
         assert sq.mean() == pytest.approx(msd, abs=4 * sq.std() / math.sqrt(sq.size))
 
     def test_diffusion_model_picks_the_sample_at_any_p(self):
@@ -162,12 +180,10 @@ class TestAplBlock:
             t_fp=0.1, n_cp=2, detection=det, diffusion=diffusion.DiffusionConfig()
         )
         n_ions, n_blocks = 400, 2
-        second = []
-        for b in range(n_blocks):
-            ens = initialize_ensemble(n_ions, 3e-3, substream(27, "ens", b))
-            recs = run_apl_block(ens, quiet_lo(seed=27), cfg)
-            assert recs[0].n_sampled < n_ions
-            second.append(recs[1].projected_before)
+        ens = initialize_ensemble(n_ions, substream(27, "ens"), n_blocks)
+        recs = run_apl_block(ens, quiet_lo(seed=27), cfg)
+        assert all(r.n_sampled < n_ions for r in recs[:: cfg.n_cp])
+        second = [r.projected_before for r in recs[1 :: cfg.n_cp]]
         sd = math.sqrt(0.17 * 0.83 / (n_ions * n_blocks))
         assert np.mean(second) == pytest.approx(0.17, abs=0.02 + 4 * sd)
 
@@ -175,7 +191,7 @@ class TestAplBlock:
         dcfg = diffusion.DiffusionConfig(cloud_length=1e-3, beam_interval=(-1e-4, 1e-4))
         det = DetectionConfig(sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, diffusion=dcfg)
-        ens = initialize_ensemble(400, 3e-3, substream(28, "ens"))
+        ens = initialize_ensemble(400, substream(28, "ens"), 2)
         run_apl_block(ens, quiet_lo(seed=28), cfg)
         assert len(readout_starts) == cfg.n_cp
         for z in readout_starts:
@@ -186,7 +202,7 @@ class TestAplBlock:
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
 
         def run():
-            ens = initialize_ensemble(1000, 3e-3, substream(25, "ens"))
+            ens = initialize_ensemble(1000, substream(25, "ens"))
             return run_apl_block(ens, quiet_lo(delta_f0=0.1, seed=25), cfg)
 
         a, b = run(), run()
@@ -198,8 +214,8 @@ class TestStandardRamsey:
     def test_zero_offset_reads_half_on_average(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
-        ens = initialize_ensemble(2000, 3e-3, substream(31, "ens"))
-        recs = run_standard_ramsey(ens, quiet_lo(seed=31), cfg, 60)
+        ens = initialize_ensemble(2000, substream(31, "ens"), 60)
+        recs = run_standard_ramsey(ens, quiet_lo(seed=31), cfg)
         assert len(recs) == 60
         assert all(r.n == 1 for r in recs)
         ests = np.array([r.estimate for r in recs])
@@ -210,15 +226,15 @@ class TestStandardRamsey:
     def test_full_ensemble_projected_each_cycle(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
-        ens = initialize_ensemble(300, 3e-3, substream(32, "ens"))
-        recs = run_standard_ramsey(ens, quiet_lo(seed=32), cfg, 2)
+        ens = initialize_ensemble(300, substream(32, "ens"), 2)
+        recs = run_standard_ramsey(ens, quiet_lo(seed=32), cfg)
         assert all(r.n_sampled == 300 for r in recs)
 
     def test_recovers_static_offset(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
-        ens = initialize_ensemble(2000, 3e-3, substream(33, "ens"))
-        recs = run_standard_ramsey(ens, quiet_lo(delta_f0=0.3, seed=33), cfg, 200)
+        ens = initialize_ensemble(2000, substream(33, "ens"), 200)
+        recs = run_standard_ramsey(ens, quiet_lo(delta_f0=0.3, seed=33), cfg)
         dfs = np.array([r.delta_f_hz for r in recs])
         assert dfs.mean() == pytest.approx(0.3, abs=0.02)
 
@@ -226,8 +242,8 @@ class TestStandardRamsey:
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         for dead_time in (0.0, 0.01):
             cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, dead_time=dead_time)
-            ens = initialize_ensemble(200, 3e-3, substream(34, "ens"))
-            recs = run_standard_ramsey(ens, quiet_lo(seed=34), cfg, 5)
+            ens = initialize_ensemble(200, substream(34, "ens"), 5)
+            recs = run_standard_ramsey(ens, quiet_lo(seed=34), cfg)
             gaps = np.diff([r.timestamp for r in recs])
             # the spacing is the tau0 of the standard series in allan_standard.csv
             assert cfg.standard_cycle_time == pytest.approx(0.1 + dead_time + 2 * 7.5e-4 + 1e-3)
@@ -237,7 +253,7 @@ class TestStandardRamsey:
 class TestRabi:
     def test_reinitialized_noiseless_traces_ideal_curve(self):
         det = DetectionConfig(p=1.0, sigma_tech=0.0)
-        ens = initialize_ensemble(100, 3e-3, substream(41, "ens"))
+        ens = initialize_ensemble(100, substream(41, "ens"))
         recs = run_rabi_ppm(ens, quiet_lo(seed=41), math.pi / 5, 10, True, det)
         for r in recs:
             ideal = (1 - math.cos(r.step * math.pi / 5)) / 2
@@ -245,7 +261,7 @@ class TestRabi:
 
     def test_zero_rotation_baseline_reads_zero(self):
         det = DetectionConfig(p=1.0, sigma_tech=0.0)
-        ens = initialize_ensemble(50, 3e-3, substream(42, "ens"))
+        ens = initialize_ensemble(50, substream(42, "ens"))
         recs = run_rabi_ppm(ens, quiet_lo(seed=42), 0.3, 2, True, det)
         assert recs[0].step == 0 and recs[0].estimate == 0.0
 
@@ -256,7 +272,7 @@ class TestRabi:
         k = 5
         acc = np.zeros(k + 1)
         for r in range(reps):
-            ens = initialize_ensemble(2000, 3e-3, substream(43, "ens", r))
+            ens = initialize_ensemble(2000, substream(43, "ens", r))
             lo = make_local_oscillator(12.6e9, 0.0, NoiseSpec(), substream(43, "lo", r))
             recs = run_rabi_ppm(ens, lo, math.pi / 6, k, False, det)
             acc += [x.estimate for x in recs]
@@ -267,14 +283,14 @@ class TestRabi:
 
     def test_ppm_mode_counts_sampled_subset(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        ens = initialize_ensemble(3000, 3e-3, substream(44, "ens"))
+        ens = initialize_ensemble(3000, substream(44, "ens"))
         recs = run_rabi_ppm(ens, quiet_lo(seed=44), 0.5, 3, False, det)
         for r in recs:
             assert 0 < r.n_sampled < 3000
 
     def test_rotation_step_must_be_positive(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        ens = initialize_ensemble(10, 3e-3, substream(45, "ens"))
+        ens = initialize_ensemble(10, substream(45, "ens"))
         with pytest.raises(ValueError):
             run_rabi_ppm(ens, quiet_lo(seed=45), 0.0, 3, True, det)
         with pytest.raises(ValueError):
@@ -386,10 +402,32 @@ def test_dead_time_lengthens_cycles_and_phase():
     det = DetectionConfig(p=0.18, sigma_tech=0.0)
     base = RamseyConfig(t_fp=0.1, n_cp=1, detection=det)
     slow = replace(base, dead_time=0.1)
-    ens = initialize_ensemble(6000, 3e-3, substream(51, "ens"))
+    ens = initialize_ensemble(6000, substream(51, "ens"))
     r_fast = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), base)[0]
-    ens = initialize_ensemble(6000, 3e-3, substream(51, "ens"))
+    ens = initialize_ensemble(6000, substream(51, "ens"))
     r_slow = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), slow)[0]
     # twice the free evolution, same estimator divisor t_fp
     assert r_slow.phi_n == pytest.approx(2 * r_fast.phi_n, abs=0.12)
     assert r_slow.timestamp - r_fast.timestamp == pytest.approx(0.1, rel=1e-9)
+
+
+def test_tracked_estimates_under_read_by_the_response():
+    # An ion first projected at readout k carries, to first order, the
+    # phase of readout k into every later readout, so the mean estimate
+    # of cycle n is R_n times the true offset. Tolerance, fixed before the
+    # run: each readout averages +-1 over about p N sampled ions, so one
+    # block's phase has sd 1/sqrt(p N) and the mean over B blocks of
+    # estimate / offset a standard error 1/(n theta sqrt(p N B)); allow 4.
+    # At theta = 0.01 rad per cycle the third-order terms of the arcsine
+    # and of the collapsed ions' cos(phi_n - phi_k) move the exact mean by
+    # less than 0.08 of that tolerance (n = 5, less below).
+    p, n_cp, n_ions, blocks, theta, t_fp = 0.18, 5, 10**6, 10**4, 0.01, 0.1
+    offset = theta / (TWO_PI * t_fp)
+    cfg = RamseyConfig(t_fp=t_fp, n_cp=n_cp, detection=DetectionConfig(p=p, sigma_tech=0.0))
+    ens = initialize_ensemble(n_ions, substream(61, "ens"), blocks)
+    recs = run_apl_block(ens, quiet_lo(delta_f0=offset, seed=61), cfg)
+    ratio = np.array([r.delta_f_hz for r in recs]).reshape(blocks, n_cp).mean(axis=0) / offset
+    for n in range(1, n_cp + 1):
+        r_n = (1 - p) ** (n - 1) + sum(k * p * (1 - p) ** (k - 1) for k in range(1, n)) / n
+        se = 1.0 / (n * theta * math.sqrt(p * n_ions * blocks))
+        assert abs(ratio[n - 1] - r_n) <= 4 * se, f"n={n}: {ratio[n - 1]:.5f} vs R_n {r_n:.5f}"
