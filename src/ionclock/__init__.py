@@ -13,6 +13,21 @@ over many free-precession periods. Modules:
 * config, cli: flat key-value run configs and the command harness
 """
 
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts worker threads at load that busy-wait, and the
+# only BLAS calls here are on matrices of a few rows. Load numpy with
+# one BLAS thread unless the user set a count or loaded numpy first,
+# then leave the environment as the user had it, so subprocesses are
+# unaffected.
+if "OPENBLAS_NUM_THREADS" not in _os.environ and "numpy" not in _sys.modules:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .ensemble import (
     DetectionConfig,
     EmptySampleError,

@@ -62,16 +62,13 @@ class DataError(RuntimeError):
     """Malformed or unusable input data file."""
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return "%.12g" % v
-    return str(v)
-
-
 def _csv(h, seed, header, rows):
+    # every column of a table holds one type, so the first row (a tuple,
+    # like every row) picks the table's format: %.12g for floats
     lines = [f"# config_hash={h}", f"# seed={seed}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if rows:
+        fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines.extend(fmt % row for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -429,10 +426,13 @@ def _read_series(path):
         if len(data) < 2:
             raise DataError(f"{path}: need at least 2 samples, got {len(data)}")
         gaps = np.diff(data[:, 0])
-        tau0 = float(np.median(gaps))
-        if tau0 <= 0:
+        # the median gap; np.median would import numpy.ma on its first call
+        mid = ((gaps.size - 1) // 2, gaps.size // 2)
+        part = np.partition(gaps, mid)
+        tau0 = float((part[mid[0]] + part[mid[1]]) / 2.0)
+        if not tau0 > 0:
             raise DataError(f"{path}: timestamps must be strictly increasing")
-        bad = np.flatnonzero(np.abs(gaps - tau0) > 1e-6 * tau0)
+        bad = np.flatnonzero(~(np.abs(gaps - tau0) <= 1e-6 * tau0))  # nan gaps too
         if bad.size:
             with open(path, encoding="utf-8") as fh:
                 lineno = next(itertools.islice(_data_lines(fh, skip), bad[0] + 1, None))[0]

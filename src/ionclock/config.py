@@ -112,7 +112,7 @@ _REGISTRY = {
     "diff.temperature_k": (_as_float, 0.05, "ion temperature"),
     "diff.mobility": (_as_float, 8.62e18, "ion mobility for the Einstein relation"),
     "diff.d_override": (_as_float_or_none, 3.5e-6, "diffusion constant override; 'none' derives from T and mobility"),
-    "diff.dt_s": (_as_float, 1e-5, "largest Brownian sub-step in a readout window and the diffusion MSD step"),
+    "diff.dt_s": (_as_float, 1e-5, "time step of the diffusion MSD curve; transport takes no sub-steps"),
     "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
     "diff.beam_lo_m": (_as_float, -BEAM_HALF_WIDTH, "detection beam lower edge"),
     "diff.beam_hi_m": (_as_float, BEAM_HALF_WIDTH, "detection beam upper edge"),

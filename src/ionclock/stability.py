@@ -130,7 +130,10 @@ def allan_deviation(series: FractionalFrequencySeries, taus, mode="overlapping")
     y = series.y
     n = y.size
     # prefix sums give any block mean in O(1)
-    s = np.concatenate(([0.0], np.cumsum(y)))
+    s = np.empty(n + 1)
+    s[0] = 0.0
+    np.cumsum(y, out=s[1:])
+    buf = np.empty(n - 1)  # the overlapping differences of every tau, in place
     out = []
     for tau in np.atleast_1d(taus):
         m = _to_m(series, float(tau))
@@ -148,9 +151,14 @@ def allan_deviation(series: FractionalFrequencySeries, taus, mode="overlapping")
                 raise InsufficientDataError(
                     f"tau={float(tau)} needs >= 2m samples; max usable tau is {(n // 2) * series.tau0}"
                 )
-            d = (s[2 * m :] - 2.0 * s[m:-m] + s[: n - 2 * m + 1]) / m
             n_pairs = n - 2 * m + 1
-        adev = math.sqrt(float(np.mean(d * d)) / 2.0)
+            # (s[2m:] - 2 s[m:n-m+1] + s[:n_pairs]) / m
+            d = np.multiply(s[m : n - m + 1], 2.0, out=buf[:n_pairs])
+            np.subtract(s[2 * m :], d, out=d)
+            np.add(d, s[:n_pairs], out=d)
+            np.divide(d, m, out=d)
+        np.square(d, out=d)
+        adev = math.sqrt(float(np.mean(d)) / 2.0)
         out.append(AllanPoint(tau=m * series.tau0, adev=adev, n_pairs=int(n_pairs)))
     return out
 
@@ -160,7 +168,8 @@ def default_taus(series: FractionalFrequencySeries, points_per_decade=4):
     m_max = len(series) // 2  # at least 1: a series holds two samples
     decades = math.log10(m_max)
     n_pts = int(decades * points_per_decade) + 1
-    ms = np.unique(np.round(np.logspace(0.0, decades, n_pts)).astype(int))
+    ms = np.round(np.logspace(0.0, decades, n_pts)).astype(int)
+    ms = ms[np.diff(ms, prepend=0) > 0]  # non-decreasing: drop the repeats
     return ms * series.tau0
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -197,6 +199,19 @@ class TestCli:
         assert r.returncode == 3
         assert "spacing" in r.stderr
 
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ((0, 1, "nan", 3, 4), "strictly increasing"),
+            ((0, 1, 2, 3, "nan"), r"nan\.csv:5: non-uniform sample spacing \(gap nan"),
+        ],
+    )
+    def test_nan_timestamp_exits_3(self, tmp_path, capsys, times, message):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("".join(f"{t},1e-12\n" for t in times))
+        assert cli.main(["allan", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert re.search(message, capsys.readouterr().err)
+
     def test_allan_on_white_noise(self, tmp_path):
         rng = np.random.default_rng(11)
         y = rng.normal(0, 1e-12, 4000)
@@ -246,6 +261,16 @@ class TestCli:
             path.write_text(f"0.0,0.1\n{row}\n1.0,0.3\n")
             with pytest.raises(cli.DataError, match=rf"{name}.csv:2: expected two columns, got 3"):
                 cli._read_series(path)
+
+    @pytest.mark.parametrize(
+        "times", [(0.0, 1.0, 2.0000004, 3.0000012, 4.0000014), (0.0, 1.0, 2.0000004, 3.0000012)]
+    )
+    def test_tau0_is_the_median_gap(self, tmp_path, times):
+        # jitter inside the 1e-6 spacing tolerance; with an even gap count
+        # tau0 is the mean of the two middle gaps
+        path = tmp_path / "jitter.csv"
+        path.write_text("".join(f"{t!r},1e-12\n" for t in times))
+        assert cli._read_series(path).tau0 == float(np.median(np.diff(times)))
 
     def test_rabi_fit_matches_curve_fit(self, tmp_path):
         # reference: curve_fit from the nominal step, run to convergence
@@ -362,9 +387,43 @@ class TestCli:
         assert lines[2] == "n,mean_projected,sd,predicted"
         assert len(lines) == 3 + 8  # header block plus one row per cycle index
 
+    def test_csv_rows_and_header_only_table(self):
+        rows = [("a", 1, 0.1 + 0.2, 1e-300), ("b", 20, 2.0, float("nan"))]
+        text = cli._csv("h", 3, ("s", "i", "x", "y"), rows)
+        assert text == "# config_hash=h\n# seed=3\ns,i,x,y\na,1,0.3,1e-300\nb,20,2,nan\n"
+        assert cli._csv("h", 3, ("s",), []) == "# config_hash=h\n# seed=3\ns\n"
+
     def test_console_entry_point(self):
         r = subprocess.run(
             ["ionclock", "--help"], capture_output=True, text=True
         )
         assert r.returncode == 0
         assert "rabi" in r.stdout and "reproduce" in r.stdout
+
+
+_THREADS = (
+    "import os, ionclock.cli; "
+    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+)
+
+
+def _threads_and_blas_variable(env):
+    r = subprocess.run([sys.executable, "-c", _THREADS], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.split()
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+
+
+@needs_proc
+def test_numpy_loads_with_one_blas_thread():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    # one thread, and the variable unset again for subprocesses
+    assert _threads_and_blas_variable(env) == ["1", "None"]
+
+
+@needs_proc
+def test_user_blas_thread_count_is_kept():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    assert _threads_and_blas_variable(env)[1] == "2"

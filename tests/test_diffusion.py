@@ -154,3 +154,48 @@ class TestStruck:
     def test_zero_ions_rejected(self):
         with pytest.raises(ValueError):
             fraction_struck(DiffusionConfig(), 1e-3, 0, 1)
+
+
+class TestBridge:
+    """struck_during against the first-passage law of free Brownian motion.
+
+    Each tolerance is 4 binomial standard deviations of the sampled
+    fraction, fixed before the run.
+    """
+
+    @pytest.mark.parametrize("duration", [2e-4, 1e-3, 5e-3])
+    def test_uniform_cloud_fraction(self, duration):
+        # inside w/L, plus from each side the integral of the hit
+        # probability erfc(x / sqrt(4 D T)) over the distance x to the edge
+        cfg = DiffusionConfig()
+        d, length, n = cfg.effective_d(), cfg.cloud_length, 1_000_000
+        lo, hi = cfg.beam_interval
+        expected = (hi - lo) / length + 2 * math.sqrt(4 * d * duration / math.pi) / length
+        frac, _ = fraction_struck(cfg, duration, n, substream(40, "bridge", round(duration * 1e4)))
+        assert abs(frac - expected) <= 4 * math.sqrt(expected * (1 - expected) / n)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_fixed_start_hit_fraction(self, side):
+        # first passage to a level d0 away: P = 2 P(B_T > d0) = erfc(d0 / sqrt(4 D T))
+        cfg = DiffusionConfig()
+        d, duration, d0, n = cfg.effective_d(), 1e-3, 1e-4, 200_000
+        edge = cfg.beam_interval[side > 0]
+        z0 = np.full(n, edge + side * d0)
+        _, struck = struck_during(z0, cfg, duration, substream(41, "bridge", side + 1))
+        expected = math.erfc(d0 / math.sqrt(4 * d * duration))
+        assert abs(struck.mean() - expected) <= 4 * math.sqrt(expected * (1 - expected) / n)
+
+    def test_mask_does_not_depend_on_dt(self):
+        z0 = substream(42, "start").uniform(-1.5e-3, 1.5e-3, 5000)
+        masks = [
+            struck_during(z0, DiffusionConfig(dt=dt), 1e-3, substream(42, "bridge"))[1]
+            for dt in (1e-5, 1e-7)
+        ]
+        assert np.array_equal(masks[0], masks[1])
+
+    def test_no_diffusion_keeps_the_initial_overlap(self):
+        cfg = DiffusionConfig(d_override=0.0)
+        pos = np.array([0.0, BEAM_HALF_WIDTH, 1.0e-3, -1.2e-3])
+        z, struck = struck_during(pos, cfg, 1e-3, substream(43, "s"))
+        assert np.array_equal(z, pos)
+        assert struck.tolist() == [True, True, False, False]

@@ -90,6 +90,24 @@ class TestAllan:
         pts = allan_deviation(s, taus)
         assert len(pts) == len(taus)
 
+    def test_overlapping_matches_the_array_formula_bit_for_bit(self):
+        y = substream(5, "wn").normal(0, 1, 1001)
+        s = np.concatenate(([0.0], np.cumsum(y)))
+        n = y.size
+        pts = allan_deviation(series(y), default_taus(series(y), 8))
+        assert len(pts) > 10
+        for pt in pts:
+            m = int(pt.tau)
+            d = (s[2 * m :] - 2.0 * s[m:-m] + s[: n - 2 * m + 1]) / m
+            assert pt.adev == math.sqrt(float(np.mean(d * d)) / 2.0)
+
+    @pytest.mark.parametrize("n, per_decade", [(2, 4), (3, 4), (1000, 4), (54_321, 10), (10**6, 20)])
+    def test_default_taus_are_the_distinct_rounded_grid(self, n, per_decade):
+        decades = math.log10(n // 2)
+        grid = np.round(np.logspace(0.0, decades, int(decades * per_decade) + 1)).astype(int)
+        taus = default_taus(series(np.zeros(n), tau0=0.5), per_decade)
+        assert np.array_equal(taus, np.unique(grid) * 0.5)
+
     def test_series_validation(self):
         with pytest.raises(ValueError):
             series([1.0])
