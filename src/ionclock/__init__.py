@@ -51,7 +51,7 @@ from .oscillator import (
     phase_increments,
 )
 from .sequences import (
-    CycleRecord,
+    CycleTable,
     DecoherenceFit,
     DecoherenceModel,
     FitFailureError,

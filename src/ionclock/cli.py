@@ -62,19 +62,23 @@ class DataError(RuntimeError):
     """Malformed or unusable input data file."""
 
 
-def _csv(h, seed, header, rows):
-    # every column of a table holds one type, so the first row (a tuple,
-    # like every row) picks the table's format: %.12g for floats
+_CSV_CHUNK_ROWS = 512  # rows formatted at a time: one chunk of Python values is alive
+
+
+def _csv(h, seed, header, columns):
+    """CSV text of equal-length columns; float columns print as %.12g, others as %s."""
+    columns = [np.ravel(c) for c in columns]
+    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns)
     lines = [f"# config_hash={h}", f"# seed={seed}", ",".join(header)]
-    if rows:
-        fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
-        lines.extend(fmt % row for row in rows)
+    for i in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        rows = zip(*(c[i : i + _CSV_CHUNK_ROWS].tolist() for c in columns))
+        lines.append("\n".join(map(fmt.__mod__, rows)))
     return "\n".join(lines) + "\n"
 
 
 def _allan_csv(h, seed, points):
-    rows = [(p.tau, p.adev, p.n_pairs) for p in points]
-    return _csv(h, seed, ("tau_s", "adev", "n_pairs"), rows)
+    columns = ([p.tau for p in points], [p.adev for p in points], [p.n_pairs for p in points])
+    return _csv(h, seed, ("tau_s", "adev", "n_pairs"), columns)
 
 
 def _json_doc(payload):
@@ -82,6 +86,9 @@ def _json_doc(payload):
 
 
 def _meta(command, cfg: RunConfig, h, outputs):
+    from . import __version__
+
+    python = "%d.%d.%d" % sys.version_info[:3]
     return _json_doc(
         {
             "command": command,
@@ -89,6 +96,7 @@ def _meta(command, cfg: RunConfig, h, outputs):
             "seed": int(cfg["run.seed"]),
             "config": cfg.values,
             "outputs": sorted(outputs),
+            "versions": {"ionclock": __version__, "numpy": np.__version__, "python": python},
         }
     )
 
@@ -160,7 +168,7 @@ def _ramsey_config(cfg) -> RamseyConfig:
 
 
 def _tracking_blocks(cfg, rcfg: RamseyConfig, lo, n_blocks):
-    """The records of n_blocks consecutive tracking blocks, block by block.
+    """The CycleTable of n_blocks consecutive tracking blocks: (n_blocks, n_cp) arrays.
 
     Every block starts from a fresh ensemble of one batch drawn from
     one stream; the LO runs on across blocks.
@@ -169,10 +177,9 @@ def _tracking_blocks(cfg, rcfg: RamseyConfig, lo, n_blocks):
     return run_apl_block(ens, lo, rcfg)
 
 
-def _cycle_columns(recs):
-    """CSV rows of cycle records, and their delta_f_hz and projected_before as arrays."""
-    rows = [(r.block, r.n, r.timestamp, r.estimate, r.phi_n, r.delta_f_hz) for r in recs]
-    return rows, np.array([r.delta_f_hz for r in recs]), np.array([r.projected_before for r in recs])
+def _cycles_csv(h, seed, t):
+    header = ("block_id", "n", "timestamp_s", "estimate", "phi_rad", "delta_f_hz")
+    return _csv(h, seed, header, (t.block, t.n, t.timestamp, t.estimate, t.phi_n, t.delta_f_hz))
 
 
 def _fit_doc(fit):
@@ -185,16 +192,15 @@ def _fit_doc(fit):
     }
 
 
-def _limit_rows(params: StabilityParams, taus):
+def _limit_columns(params: StabilityParams, taus):
     taus = np.asarray(taus, dtype=float)
-    columns = (
+    return (
         taus,
         limit_technical(params, taus),
         limit_apl(params, taus),
         limit_apl_repetition(params, taus),
         limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
     )
-    return [tuple(float(v) for v in row) for row in zip(*columns)]
 
 
 _LIMIT_HEADER = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
@@ -246,7 +252,8 @@ def cmd_rabi(cfg: RunConfig, h):
         raise ConfigError(f"the probe bundle needs det.mode = fixed_fraction, got {cfg['det.mode']}")
     trials = cfg["run.n_trials"]
 
-    rows = []
+    ks = np.arange(n_steps + 1)
+    tables = []  # the CSV columns of each mode
     curves = {}
     for mode, reps, reinit in (
         ("standard", trials or cfg["seq.rabi_repeats_standard"], True),
@@ -261,8 +268,7 @@ def cmd_rabi(cfg: RunConfig, h):
         mean = est.mean(axis=0)
         sd = est.std(axis=0, ddof=1) if reps > 1 else np.zeros(n_steps + 1)
         curves[mode] = mean
-        for k in range(n_steps + 1):
-            rows.append((mode, k, k * step, float(mean[k]), float(sd[k]), reps))
+        tables.append(([mode] * ks.size, ks, ks * step, mean, sd, [reps] * ks.size))
 
     deviation = np.abs(curves["ppm"] - curves["standard"])
     fits = {m: _rabi_fit(np.arange(n_steps + 1) * step, c) for m, c in curves.items()}
@@ -270,7 +276,7 @@ def cmd_rabi(cfg: RunConfig, h):
         "rabi_curve.csv": _csv(
             h, seed,
             ("mode", "step", "angle_rad", "mean_estimate", "sd_estimate", "n_trials"),
-            rows,
+            [np.concatenate(c) for c in zip(*tables)],
         ),
         "rabi_fit.json": _json_doc(
             {
@@ -296,41 +302,38 @@ def cmd_apl(cfg: RunConfig, h):
     lo_apl = _local_oscillator(cfg, substream(seed, "lo"))
     lo_std = _local_oscillator(cfg, substream(seed, "lo"))
 
-    # (block, n) tables; reduced one column at a time, so each sum runs
-    # in the same order as over a list of that column
-    apl_rows, df, proj = _cycle_columns(_tracking_blocks(cfg, rcfg, lo_apl, n_blocks))
-    df, proj = df.reshape(n_blocks, n_cp), proj.reshape(n_blocks, n_cp)
-
+    # each protocol's cycle CSV is formatted as soon as it has run; only
+    # the (block, n) columns reduced below outlive its table
+    apl = _tracking_blocks(cfg, rcfg, lo_apl, n_blocks)
+    files = {"apl_cycles.csv": _cycles_csv(h, seed, apl)}
+    df, proj = apl.delta_f_hz, apl.projected_before
+    del apl
     std_ens = initialize_ensemble(cfg["ens.n_ions"], substream(seed, "std-ens"), n_blocks * n_cp)
-    std_rows, std_df, _ = _cycle_columns(run_standard_ramsey(std_ens, lo_std, rcfg))
+    std = run_standard_ramsey(std_ens, lo_std, rcfg)
+    files["ramsey_cycles.csv"] = _cycles_csv(h, seed, std)
 
-    sd_rows = [
-        (n, float(df[:, n - 1].std(ddof=1)) if n_blocks > 1 else 0.0, n_blocks)
-        for n in range(1, n_cp + 1)
-    ]
-
-    cycle_header = ("block_id", "n", "timestamp_s", "estimate", "phi_rad", "delta_f_hz")
-    files = {
-        "apl_cycles.csv": _csv(h, seed, cycle_header, apl_rows),
-        "ramsey_cycles.csv": _csv(h, seed, cycle_header, std_rows),
-        "apl_sd.csv": _csv(h, seed, ("n", "sd_delta_f_hz", "n_blocks"), sd_rows),
-    }
-
+    # reduced one column at a time, so each sum runs in the same order
+    # as over a list of that column
     ns = np.arange(1, n_cp + 1)
+    sds = [float(df[:, n - 1].std(ddof=1)) if n_blocks > 1 else 0.0 for n in ns]
+    files["apl_sd.csv"] = _csv(
+        h, seed, ("n", "sd_delta_f_hz", "n_blocks"), (ns, sds, [n_blocks] * n_cp)
+    )
+
     mean_proj = np.array([proj[:, n - 1].mean() for n in ns])
     fit_doc = {"mean_projected_by_n": [float(v) for v in mean_proj]}
     if n_cp >= 3:
         fit_doc.update(_fit_doc(fit_decoherence(ns, mean_proj)))
     files["decoherence_fit.json"] = _json_doc(fit_doc)
 
-    std_pts = _allan_points(cfg, std_df / f0, rcfg.standard_cycle_time)
+    std_pts = _allan_points(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
     files["allan_standard.csv"] = _allan_csv(h, seed, std_pts)
     apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
     files["allan_apl.csv"] = _allan_csv(h, seed, apl_pts)
     taus = np.logspace(
         math.log10(rcfg.standard_cycle_time), math.log10(max(n_blocks, 2) * rcfg.block_time), 25
     )
-    files["limits.csv"] = _csv(h, seed, _LIMIT_HEADER, _limit_rows(params, taus))
+    files["limits.csv"] = _csv(h, seed, _LIMIT_HEADER, _limit_columns(params, taus))
     return files
 
 
@@ -342,28 +345,29 @@ def cmd_diffusion(cfg: RunConfig, h):
 
     rng = substream(seed, "diff-msd")
     z = np.zeros(n_walkers)
-    msd_rows = []
+    msd = []
     for k in range(1, 101):
         z = diff_mod.step_brownian(z, d_eff, dcfg.dt, rng)  # free space
         if k % 10 == 0:
-            t = k * dcfg.dt
-            msd_rows.append((t, float(np.mean(z * z)), 2.0 * d_eff * t))
+            msd.append(float(np.mean(z * z)))
+    t = np.arange(10, 101, 10) * dcfg.dt
 
     temps = np.linspace(0.01, 0.10, 10)
-    d_rows = [
-        (float(t), diff_mod.diffusion_constant(float(t), dcfg.mobility)) for t in temps
-    ]
+    d = [diff_mod.diffusion_constant(float(temp), dcfg.mobility) for temp in temps]
 
     durations = np.linspace(0.0, cfg["diff.duration_max_s"], cfg["diff.n_durations"])
-    struck_rows = []
-    for i, dur in enumerate(durations):
-        frac, _ = diff_mod.fraction_struck(dcfg, float(dur), n_walkers, substream(seed, "diff", i))
-        struck_rows.append((float(dur), frac, n_walkers))
+    fractions = [
+        diff_mod.fraction_struck(dcfg, float(dur), n_walkers, substream(seed, "diff", i))[0]
+        for i, dur in enumerate(durations)
+    ]
 
     return {
-        "msd.csv": _csv(h, seed, ("t_s", "msd_m2", "predicted_m2"), msd_rows),
-        "d_of_t.csv": _csv(h, seed, ("temperature_k", "d_m2_per_s"), d_rows),
-        "struck.csv": _csv(h, seed, ("duration_s", "fraction", "n_ions"), struck_rows),
+        "msd.csv": _csv(h, seed, ("t_s", "msd_m2", "predicted_m2"), (t, msd, 2.0 * d_eff * t)),
+        "d_of_t.csv": _csv(h, seed, ("temperature_k", "d_m2_per_s"), (temps, d)),
+        "struck.csv": _csv(
+            h, seed, ("duration_s", "fraction", "n_ions"),
+            (durations, fractions, [n_walkers] * durations.size),
+        ),
     }
 
 
@@ -401,7 +405,7 @@ def _sniff(path, fh):
 
 def _bad_line(path, skip, delimiter, why):
     """A DataError naming the first file line that is not two numbers."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, text in _data_lines(fh, skip):
             fields = text.split(delimiter)
             if len(fields) != 2:
@@ -413,11 +417,13 @@ def _bad_line(path, skip, delimiter, why):
 
 def _read_series(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, or the first sample would read as a header
+        with open(path, encoding="utf-8-sig") as fh:
             skip, delimiter = _sniff(path, fh)
         try:
             data = np.loadtxt(
-                path, delimiter=delimiter, comments="#", skiprows=skip, ndmin=2, encoding="utf-8"
+                path, delimiter=delimiter, comments="#", skiprows=skip, ndmin=2,
+                encoding="utf-8-sig",
             )
         except ValueError as exc:  # numpy names the data row, not the file line
             raise _bad_line(path, skip, delimiter, exc) from None
@@ -434,7 +440,7 @@ def _read_series(path):
             raise DataError(f"{path}: timestamps must be strictly increasing")
         bad = np.flatnonzero(~(np.abs(gaps - tau0) <= 1e-6 * tau0))  # nan gaps too
         if bad.size:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 lineno = next(itertools.islice(_data_lines(fh, skip), bad[0] + 1, None))[0]
             raise DataError(
                 f"{path}:{lineno}: non-uniform sample spacing "
@@ -452,7 +458,7 @@ def cmd_allan(cfg: RunConfig, h, input_path):
     pts = _allan_points(cfg, series.y, series.tau0)
     return {
         "allan.csv": _allan_csv(h, seed, pts),
-        "limits.csv": _csv(h, seed, _LIMIT_HEADER, _limit_rows(params, [p.tau for p in pts])),
+        "limits.csv": _csv(h, seed, _LIMIT_HEADER, _limit_columns(params, [p.tau for p in pts])),
     }
 
 
@@ -464,20 +470,15 @@ def _projection_bundle(cfg: RunConfig, h):
     n_blocks = cfg["run.n_trials"] or 32
     rcfg = _ramsey_config(cfg)
     lo = _local_oscillator(cfg, substream(seed, "lo"))
-    recs = _tracking_blocks(cfg, rcfg, lo, n_blocks)
-    proj = np.array([r.projected_before for r in recs]).reshape(n_blocks, n_cp)
+    proj = _tracking_blocks(cfg, rcfg, lo, n_blocks).projected_before
 
     ns = np.arange(1, n_cp + 1)
     mean = proj.mean(axis=0)
     sd = proj.std(axis=0, ddof=1) if n_blocks > 1 else np.zeros(n_cp)
     fit = fit_decoherence(ns, mean)
-    predicted = predicted_projected_fraction(fit.model, ns)
-    rows = [
-        (int(n), float(mean[i]), float(sd[i]), float(predicted[i]))
-        for i, n in enumerate(ns)
-    ]
+    columns = (ns, mean, sd, predicted_projected_fraction(fit.model, ns))
     return {
-        "fig5_projection.csv": _csv(h, seed, ("n", "mean_projected", "sd", "predicted"), rows),
+        "fig5_projection.csv": _csv(h, seed, ("n", "mean_projected", "sd", "predicted"), columns),
         "decoherence_fit.json": _json_doc(_fit_doc(fit)),
     }
 

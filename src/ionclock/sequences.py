@@ -14,7 +14,8 @@ Three protocols are implemented on top of the ensemble primitives:
   blocks that read every ion.
 
 The blocks of a batch run back to back on one LO, whose phase
-increments for all of them are drawn as one record.
+increments for all of them are drawn as one record. Their results are
+a ``CycleTable`` of (blocks, n_cp) arrays, no Python object per cycle.
 
 Phase convention: the tracked angle is the LO phase relative to the
 atomic transition, so a positive frequency offset gives a positive
@@ -27,7 +28,7 @@ cycle timestamps.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .oscillator import LocalOscillatorState, advance, phase_increments
 
 __all__ = [
     "RamseyConfig",
-    "CycleRecord",
+    "CycleTable",
     "RabiRecord",
     "DecoherenceModel",
     "DecoherenceFit",
@@ -135,23 +136,32 @@ class RamseyConfig:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class CycleRecord:
-    """Outcome of cycle ``n`` of block ``block`` of a phase-tracking batch.
+class CycleTable:
+    """Every cycle of a phase-tracking batch, one (blocks, n_cp) array per field.
 
-    ``estimate`` is the raw readout of this cycle's measurement over its
-    ``n_sampled`` ions; ``projected_before`` is the ever-projected
-    fraction of the block's ensemble just before it (diagnostic, not
-    emitted in the cycle CSV).
+    Element [b, n - 1] is cycle n of block b: its raw ``estimate`` over
+    ``n_sampled`` ions, the phase and frequency (1/n divisor) from it,
+    and the block's ever-projected fraction just before it. Iterating
+    builds the cycles, block by block, as rows of these attributes.
     """
 
-    block: int
-    n: int
-    timestamp: float
-    estimate: float
-    n_sampled: int
-    phi_n: float
-    delta_f_hz: float
-    projected_before: float
+    block: np.ndarray
+    n: np.ndarray
+    timestamp: np.ndarray
+    estimate: np.ndarray
+    n_sampled: np.ndarray
+    phi_n: np.ndarray
+    delta_f_hz: np.ndarray
+    projected_before: np.ndarray
+
+    def __len__(self):
+        return self.block.size
+
+    def __iter__(self):
+        return map(_Cycle, *(getattr(self, f.name).ravel().tolist() for f in fields(self)))
+
+
+_Cycle = make_dataclass("Cycle", [f.name for f in fields(CycleTable)], eq=False, slots=True)
 
 
 @dataclass(frozen=True)
@@ -194,16 +204,14 @@ def estimate_phase(estimate):
     arcsin(2 * clamp(estimate, 0, 1) - 1), principal branch [-pi/2, +pi/2];
     estimate 0.5 maps to 0 and small positive phases raise the excited
     fraction. Takes a number or an array and returns the same. No
-    unwrapping is attempted; a SaturationWarning is issued when a raw
-    estimate sits within 0.05 of either rail.
+    unwrapping is attempted; a SaturationWarning counts the raw
+    estimates that sit within 0.05 of either rail.
     """
     est = np.asarray(estimate, dtype=float)
-    if np.any(np.abs(est - 0.5) > 0.45):
-        warnings.warn(
-            "population estimate near saturation, phase readout unreliable",
-            SaturationWarning,
-            stacklevel=2,
-        )
+    saturated = np.count_nonzero(np.abs(est - 0.5) > 0.45)
+    if saturated:
+        msg = f"{saturated} of {est.size} population estimates within 0.05 of a rail"
+        warnings.warn(f"{msg}; phase readout unreliable", SaturationWarning, stacklevel=2)
     phi = np.arcsin(2.0 * np.clip(est, 0.0, 1.0) - 1.0)
     return float(phi) if phi.ndim == 0 else phi
 
@@ -253,12 +261,8 @@ def _measure(state, cfg):
     return partial_projection(replace(state, z_pos=z), det, sampled=struck)
 
 
-def _cycle_tables(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
-    """Run cfg.n_cp cycles on every block of a fresh batch.
-
-    Returns the estimate, the sample size and the ever-projected fraction
-    before the readout of every cycle, each (blocks, n_cp).
-    """
+def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, t0, period):
+    """The CycleTable of cfg.n_cp cycles of each block b of a fresh batch, from t0 + b * period."""
     blocks, n_cp = len(ensemble.counts), cfg.n_cp
     n_ions = ensemble.counts.sum(axis=1)
     dt_free = cfg.dead_time + cfg.t_fp
@@ -279,28 +283,22 @@ def _cycle_tables(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
         est[:, i], sizes[:, i] = m.estimate, m.sample_sizes
         if i + 1 < n_cp:
             state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
-    return est, sizes, proj
 
-
-def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, t0, period):
-    """The CycleRecords of every block of a batch; block b starts at t0 + b * period."""
-    est, sizes, proj = _cycle_tables(ensemble, lo, cfg)
-    blocks, n_cp = est.shape
-    ns = np.arange(1, n_cp + 1)
+    block, n = np.indices(est.shape)
+    n += 1  # cycles count from 1
     phi = estimate_phase(est)
-    columns = (
+    return CycleTable(
+        block=block,
+        n=n,
         # readout n ends after the opening pi/2 and n cycles, less the
         # 3 pi/2 revert that closes cycle n
-        t0 + np.arange(blocks)[:, None] * period + ns * cfg.cycle_time - 2.0 * cfg.pi2_duration,
-        est,
-        sizes,
-        phi,
-        estimate_frequency(phi, ns, cfg.t_fp),
-        proj,
+        timestamp=t0 + block * period + n * cfg.cycle_time - 2.0 * cfg.pi2_duration,
+        estimate=est,
+        n_sampled=sizes,
+        phi_n=phi,
+        delta_f_hz=estimate_frequency(phi, n, cfg.t_fp),
+        projected_before=proj,
     )
-    block = [b for b in range(blocks) for _ in range(n_cp)]  # one int object per block
-    cycle = ns.tolist() * blocks
-    return list(map(CycleRecord, block, cycle, *(c.ravel().tolist() for c in columns)))
 
 
 def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, t0=0.0):
@@ -317,10 +315,10 @@ def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
     reads the state after it, but its duration still counts towards the
     block time.
 
-    Returns the CycleRecords of all blocks, block by block and cycle by
-    cycle within a block; the n-th record's delta_f_hz uses the 1/n
-    phase divisor. Empty-sample errors from the projection propagate to
-    the caller.
+    Returns a CycleTable whose arrays are (blocks, cfg.n_cp): row b
+    holds the cycles of block b, and column n - 1 the n-th cycle, whose
+    delta_f_hz uses the 1/n phase divisor. Empty-sample errors from the
+    projection propagate to the caller.
     """
     return _run_blocks(ensemble, lo, cfg, t0, cfg.block_time)
 
@@ -330,8 +328,8 @@ def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: 
 
     Each cycle is a one-cycle block on its re-prepared ensemble that
     reads every ion (sampling fraction 1, no transport), started every
-    cfg.standard_cycle_time; each record is an n=1 estimate. Technical
-    noise follows cfg.detection.sigma_tech.
+    cfg.standard_cycle_time; the table's arrays are (blocks, 1), each
+    an n=1 estimate. Technical noise follows cfg.detection.sigma_tech.
     """
     whole = replace(cfg, n_cp=1, detection=replace(cfg.detection, p=1.0), diffusion=None)
     return _run_blocks(reset_to_ground(ensemble), lo, whole, 0.0, cfg.standard_cycle_time)

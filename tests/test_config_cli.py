@@ -3,14 +3,18 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ionclock
 from ionclock import cli, diffusion, sequences
 from ionclock.config import ConfigError, config_hash, parse_config_file, resolve
 from ionclock.oscillator import PRESETS
@@ -180,6 +184,23 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: cannot read")
         assert not out.exists()
 
+    def test_allan_input_with_byte_order_mark(self, tmp_path):
+        # a BOM must not turn the first sample into a header
+        rng = np.random.default_rng(13)
+        text = "".join(f"{i}.0,{v:.15e}\n" for i, v in enumerate(rng.normal(0, 1e-12, 50)))
+        tables = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text, encoding=encoding)
+            assert cli.main(["allan", str(path), "--out", str(tmp_path / name)]) == 0
+            tables.append((tmp_path / name / "allan.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert tables[1].splitlines()[3].endswith(b",49")  # tau0 from all 50 samples
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.0,0.1\n1.0,x\n2.0,0.3\n", encoding="utf-8-sig")
+        with pytest.raises(cli.DataError, match=r"bad.csv:2: non-numeric sample"):
+            cli._read_series(bad)
+
     def test_missing_allan_input_exits_3(self, tmp_path):
         r = run_cli("allan", tmp_path / "nope.csv", "--out", tmp_path / "o")
         assert r.returncode == 3
@@ -311,6 +332,10 @@ class TestCli:
             assert head[1] == "# seed=77"
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["seed"] == 77
+        assert meta["versions"]["ionclock"] == ionclock.__version__
+        assert meta["versions"]["numpy"] == np.__version__
+        assert platform.python_version().startswith(meta["versions"]["python"])
+        assert meta["versions"].keys() == {"ionclock", "numpy", "python"}
         assert meta["command"] == "diffusion"
         assert "struck.csv" in meta["outputs"]
 
@@ -364,7 +389,7 @@ class TestCli:
         params = cli._stab_params(resolve({}))
         qpn = replace(params, snr=qpn_snr(params.n_atom))
         taus = np.logspace(-1, 3, 9)
-        rows = cli._limit_rows(params, taus)
+        rows = list(zip(*cli._limit_columns(params, taus)))
         assert len(rows) == taus.size
         for tau, row in zip(taus, rows):
             assert row == (
@@ -388,10 +413,38 @@ class TestCli:
         assert len(lines) == 3 + 8  # header block plus one row per cycle index
 
     def test_csv_rows_and_header_only_table(self):
-        rows = [("a", 1, 0.1 + 0.2, 1e-300), ("b", 20, 2.0, float("nan"))]
-        text = cli._csv("h", 3, ("s", "i", "x", "y"), rows)
+        columns = (["a", "b"], [1, 20], [0.1 + 0.2, 2.0], np.array([1e-300, float("nan")]))
+        text = cli._csv("h", 3, ("s", "i", "x", "y"), columns)
         assert text == "# config_hash=h\n# seed=3\ns,i,x,y\na,1,0.3,1e-300\nb,20,2,nan\n"
-        assert cli._csv("h", 3, ("s",), []) == "# config_hash=h\n# seed=3\ns\n"
+        assert cli._csv("h", 3, ("s",), ([],)) == "# config_hash=h\n# seed=3\ns\n"
+        # rows formatted chunk by chunk join up like one pass over all rows
+        n = 2 * cli._CSV_CHUNK_ROWS + 3
+        ints, floats = np.arange(n).reshape(-1, 1), np.linspace(0.0, 1.0, n).reshape(-1, 1)
+        body = cli._csv("h", 3, ("i", "x"), (ints, floats)).split("\n", 3)[3]
+        rows = zip(range(n), floats.ravel().tolist())
+        assert body == "".join("%s,%.12g\n" % row for row in rows)
+
+    def test_heap_per_cycle_is_bounded(self, tmp_path):
+        # The tracemalloc peak of fig6 grows with the cycle count; per
+        # cycle (6 per block over both protocols) it must stay at or below
+        # 300 B, a bound fixed before measuring. Keeping a Python object
+        # per cycle (a record or a row tuple) costs about 400 B.
+        def peak(trials):
+            argv = ["reproduce", "fig6", "--trials", str(trials), "--out", str(tmp_path / "o")]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with warnings.catch_warnings():
+            # a rare rail readout among 60,000 standard cycles is physics, not the subject here
+            warnings.simplefilter("ignore", sequences.SaturationWarning)
+            peak(10)  # first-call costs (lazy imports, caches) fall on neither size
+            small, large = peak(2000), peak(20000)
+        per_cycle = (large - small) / ((20000 - 2000) * 6)
+        assert per_cycle <= 300, f"{per_cycle:.0f} B per cycle"
 
     def test_console_entry_point(self):
         r = subprocess.run(

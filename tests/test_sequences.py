@@ -79,6 +79,10 @@ class TestEstimators:
     def test_saturation_warning(self):
         with pytest.warns(SaturationWarning):
             estimate_phase(0.97)
+        # the message counts the saturated estimates of the call
+        match = r"^2 of 3 population estimates within 0\.05 of a rail; phase readout unreliable$"
+        with pytest.warns(SaturationWarning, match=match):
+            estimate_phase(np.array([0.97, 0.5, 0.01]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             estimate_phase(0.9)  # inside the safe band, no warning
@@ -138,8 +142,28 @@ class TestAplBlock:
         ens = initialize_ensemble(500, substream(24, "ens"))
         recs = run_apl_block(ens, quiet_lo(seed=24), cfg, t0=5.0)
         first = 5.0 + 7.5e-4 + 0.11 + 7.5e-4 + 1e-3
-        assert recs[0].timestamp == pytest.approx(first, rel=1e-12)
-        assert recs[1].timestamp == pytest.approx(first + cfg.cycle_time, rel=1e-12)
+        assert recs.timestamp[0, 0] == pytest.approx(first, rel=1e-12)
+        assert recs.timestamp[0, 1] == pytest.approx(first + cfg.cycle_time, rel=1e-12)
+
+    def test_table_columns_and_rows_agree(self):
+        det = DetectionConfig(p=0.18, sigma_tech=0.1)
+        cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
+        ens = initialize_ensemble(300, substream(29, "ens"), 4)
+        recs = run_apl_block(ens, quiet_lo(delta_f0=0.1, seed=29), cfg)
+        assert len(recs) == 12
+        assert recs.block.tolist() == [[b] * 3 for b in range(4)]
+        assert recs.n.tolist() == [[1, 2, 3]] * 4
+        rows = list(recs)
+        assert len(rows) == len(recs)
+        assert not hasattr(rows[0], "measurement")
+        names = "block n timestamp estimate n_sampled phi_n delta_f_hz projected_before"
+        for name in names.split():
+            column = getattr(recs, name)
+            assert column.shape == (4, cfg.n_cp)
+            values = [getattr(r, name) for r in rows]
+            assert values == column.ravel().tolist()
+            assert all(type(v) is type(values[0]) for v in values)
+        assert type(rows[0].n_sampled) is int and type(rows[0].estimate) is float
 
     def test_beam_overlap_block(self, readout_starts, first_steps):
         dcfg = diffusion.DiffusionConfig()
@@ -149,8 +173,8 @@ class TestAplBlock:
         ens = initialize_ensemble(n_ions, substream(26, "ens"), n_blocks)
         recs = run_apl_block(ens, quiet_lo(seed=26), cfg)
         assert [r.block for r in recs] == [0, 0, 0, 1, 1, 1]
-        assert [r.projected_before for r in recs[:: cfg.n_cp]] == [0.0] * n_blocks
-        second = [r.projected_before for r in recs[1 :: cfg.n_cp]]
+        assert recs.projected_before[:, 0].tolist() == [0.0] * n_blocks
+        second = recs.projected_before[:, 1]
         # the first transport starts from the positions drawn at block start
         start = first_steps[0]
         assert start.shape == (n_blocks, n_ions)
@@ -182,8 +206,8 @@ class TestAplBlock:
         n_ions, n_blocks = 400, 2
         ens = initialize_ensemble(n_ions, substream(27, "ens"), n_blocks)
         recs = run_apl_block(ens, quiet_lo(seed=27), cfg)
-        assert all(r.n_sampled < n_ions for r in recs[:: cfg.n_cp])
-        second = [r.projected_before for r in recs[1 :: cfg.n_cp]]
+        assert np.all(recs.n_sampled[:, 0] < n_ions)
+        second = recs.projected_before[:, 1]
         sd = math.sqrt(0.17 * 0.83 / (n_ions * n_blocks))
         assert np.mean(second) == pytest.approx(0.17, abs=0.02 + 4 * sd)
 
@@ -403,9 +427,9 @@ def test_dead_time_lengthens_cycles_and_phase():
     base = RamseyConfig(t_fp=0.1, n_cp=1, detection=det)
     slow = replace(base, dead_time=0.1)
     ens = initialize_ensemble(6000, substream(51, "ens"))
-    r_fast = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), base)[0]
+    (r_fast,) = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), base)
     ens = initialize_ensemble(6000, substream(51, "ens"))
-    r_slow = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), slow)[0]
+    (r_slow,) = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), slow)
     # twice the free evolution, same estimator divisor t_fp
     assert r_slow.phi_n == pytest.approx(2 * r_fast.phi_n, abs=0.12)
     assert r_slow.timestamp - r_fast.timestamp == pytest.approx(0.1, rel=1e-9)
@@ -426,7 +450,7 @@ def test_tracked_estimates_under_read_by_the_response():
     cfg = RamseyConfig(t_fp=t_fp, n_cp=n_cp, detection=DetectionConfig(p=p, sigma_tech=0.0))
     ens = initialize_ensemble(n_ions, substream(61, "ens"), blocks)
     recs = run_apl_block(ens, quiet_lo(delta_f0=offset, seed=61), cfg)
-    ratio = np.array([r.delta_f_hz for r in recs]).reshape(blocks, n_cp).mean(axis=0) / offset
+    ratio = recs.delta_f_hz.mean(axis=0) / offset
     for n in range(1, n_cp + 1):
         r_n = (1 - p) ** (n - 1) + sum(k * p * (1 - p) ** (k - 1) for k in range(1, n)) / n
         se = 1.0 / (n * theta * math.sqrt(p * n_ions * blocks))
