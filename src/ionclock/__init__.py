@@ -55,7 +55,6 @@ from .sequences import (
     DecoherenceFit,
     DecoherenceModel,
     FitFailureError,
-    RabiRecord,
     RamseyConfig,
     SaturationWarning,
     estimate_frequency,

@@ -251,6 +251,9 @@ def cmd_rabi(cfg: RunConfig, h):
     if cfg["det.mode"] != "fixed_fraction":
         raise ConfigError(f"the probe bundle needs det.mode = fixed_fraction, got {cfg['det.mode']}")
     trials = cfg["run.n_trials"]
+    # built before either batch, so a bad lo.* value exits 2 before any
+    # draw; only the accumulated batch reads it
+    lo = _local_oscillator(cfg, substream(seed, "rabi-lo"))
 
     ks = np.arange(n_steps + 1)
     tables = []  # the CSV columns of each mode
@@ -259,12 +262,9 @@ def cmd_rabi(cfg: RunConfig, h):
         ("standard", trials or cfg["seq.rabi_repeats_standard"], True),
         ("ppm", trials or cfg["seq.rabi_repeats_ppm"], False),
     ):
-        est = np.empty((reps, n_steps + 1))
-        for r in range(reps):
-            lo = _local_oscillator(cfg, substream(seed, f"rabi-lo-{mode}", r))
-            ens = initialize_ensemble(cfg["ens.n_ions"], substream(seed, f"rabi-{mode}", r))
-            recs = run_rabi_ppm(ens, lo, step, n_steps, reinit, det)
-            est[r] = [rec.estimate for rec in recs]
+        # one block per repeat: row r of the estimates is repeat r
+        batch = initialize_ensemble(cfg["ens.n_ions"], substream(seed, f"rabi-{mode}"), reps)
+        est = run_rabi_ppm(batch, lo, step, n_steps, reinit, det)
         mean = est.mean(axis=0)
         sd = est.std(axis=0, ddof=1) if reps > 1 else np.zeros(n_steps + 1)
         curves[mode] = mean
@@ -357,7 +357,7 @@ def cmd_diffusion(cfg: RunConfig, h):
 
     durations = np.linspace(0.0, cfg["diff.duration_max_s"], cfg["diff.n_durations"])
     fractions = [
-        diff_mod.fraction_struck(dcfg, float(dur), n_walkers, substream(seed, "diff", i))[0]
+        diff_mod.fraction_struck(dcfg, float(dur), n_walkers, substream(seed, "diff", i))
         for i, dur in enumerate(durations)
     ]
 
@@ -415,6 +415,12 @@ def _bad_line(path, skip, delimiter, why):
     return DataError(f"{path}: {why}")
 
 
+def _line_of(path, skip, row):
+    """The file line number of data row `row` (from 0) past `skip`."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return next(itertools.islice(_data_lines(fh, skip), row, None))[0]
+
+
 def _read_series(path):
     try:
         # utf-8-sig drops a byte-order mark, or the first sample would read as a header
@@ -431,6 +437,10 @@ def _read_series(path):
             raise _bad_line(path, skip, delimiter, f"expected two columns, got {data.shape[1]}")
         if len(data) < 2:
             raise DataError(f"{path}: need at least 2 samples, got {len(data)}")
+        bad = np.flatnonzero(~np.isfinite(data[:, 1]))
+        if bad.size:
+            lineno = _line_of(path, skip, bad[0])
+            raise DataError(f"{path}:{lineno}: non-finite sample {data[bad[0], 1]}")
         gaps = np.diff(data[:, 0])
         # the median gap; np.median would import numpy.ma on its first call
         mid = ((gaps.size - 1) // 2, gaps.size // 2)
@@ -440,8 +450,7 @@ def _read_series(path):
             raise DataError(f"{path}: timestamps must be strictly increasing")
         bad = np.flatnonzero(~(np.abs(gaps - tau0) <= 1e-6 * tau0))  # nan gaps too
         if bad.size:
-            with open(path, encoding="utf-8-sig") as fh:
-                lineno = next(itertools.islice(_data_lines(fh, skip), bad[0] + 1, None))[0]
+            lineno = _line_of(path, skip, bad[0] + 1)
             raise DataError(
                 f"{path}:{lineno}: non-uniform sample spacing "
                 f"(gap {gaps[bad[0]]:.12g}, expected {tau0:.12g})"

@@ -148,9 +148,8 @@ def struck_during(positions, cfg: DiffusionConfig, duration, rng):
 def fraction_struck(cfg: DiffusionConfig, duration, n_ions, seed):
     """Fraction of a uniform cloud entering the beam within ``duration``.
 
-    Returns (fraction, struck_indices). At duration 0 this reduces to
-    the fraction initially inside the interval, in expectation
-    interval_width / cloud_length.
+    At duration 0 this reduces to the fraction initially inside the
+    interval, in expectation interval_width / cloud_length.
     """
     n_ions = int(n_ions)
     if n_ions < 1:
@@ -159,4 +158,4 @@ def fraction_struck(cfg: DiffusionConfig, duration, n_ions, seed):
     half = cfg.cloud_length / 2.0
     z0 = rng.uniform(-half, half, n_ions)
     _, struck = struck_during(z0, cfg, duration, rng)
-    return float(struck.mean()), np.flatnonzero(struck)
+    return float(struck.mean())

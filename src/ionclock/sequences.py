@@ -2,9 +2,9 @@
 
 Three protocols are implemented on top of the ensemble primitives:
 
-* ``run_rabi_ppm``: Rabi probing, either re-prepared each point
-  (standard) or accumulated rotations with a partial projection after
-  every step.
+* ``run_rabi_ppm``: Rabi probing on every block of a batch, either
+  re-prepared each point (standard) or accumulated rotations with a
+  partial projection after every step.
 * ``run_apl_block``: phase tracking on every block of a batch. Each
   ensemble is prepared once; each cycle runs free precession, a pi/2
   readout pulse at 90 degrees, a partial projection, and a 3 pi/2 pulse
@@ -14,8 +14,10 @@ Three protocols are implemented on top of the ensemble primitives:
   blocks that read every ion.
 
 The blocks of a batch run back to back on one LO, whose phase
-increments for all of them are drawn as one record. Their results are
-a ``CycleTable`` of (blocks, n_cp) arrays, no Python object per cycle.
+increments for all of them are drawn as one record. The tracking
+protocols return a ``CycleTable`` of (blocks, n_cp) arrays, Rabi
+probing a (blocks, n_steps + 1) array of estimates: no Python object
+per cycle or point.
 
 Phase convention: the tracked angle is the LO phase relative to the
 atomic transition, so a positive frequency offset gives a positive
@@ -43,12 +45,11 @@ from .ensemble import (
     reset_to_ground,
     rotate,
 )
-from .oscillator import LocalOscillatorState, advance, phase_increments
+from .oscillator import LocalOscillatorState, phase_increments
 
 __all__ = [
     "RamseyConfig",
     "CycleTable",
-    "RabiRecord",
     "DecoherenceModel",
     "DecoherenceFit",
     "SaturationWarning",
@@ -162,13 +163,6 @@ class CycleTable:
 
 
 _Cycle = make_dataclass("Cycle", [f.name for f in fields(CycleTable)], eq=False, slots=True)
-
-
-@dataclass(frozen=True)
-class RabiRecord:
-    step: int
-    estimate: float
-    n_sampled: int
 
 
 def _growth(n, p, amplitude):
@@ -335,51 +329,48 @@ def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: 
     return _run_blocks(reset_to_ground(ensemble), lo, whole, 0.0, cfg.standard_cycle_time)
 
 
-def run_rabi_ppm(ensemble, lo, rotation_step, n_steps, reinitialize, det: DetectionConfig):
-    """Rabi probing with or without state reuse.
+def run_rabi_ppm(batch, lo, rotation_step, n_steps, reinitialize, det: DetectionConfig):
+    """Rabi probing of every block of a batch, with or without state reuse.
 
-    The ensemble is one block. reinitialize=True re-prepares the ground
-    state before every point k and probes with the cumulative pulse
-    area k * rotation_step; the readout is the full-cloud mean plus
-    technical noise (the state is discarded afterwards, so no collapse
-    is needed and the noiseless trace is exact). reinitialize=False applies one
-    rotation_step per point to the same ensemble and partially projects
-    after each step, accumulating measurement back-action; the LO keeps
-    precessing during each readout window.
+    reinitialize=True re-prepares the ground state before every point k
+    and probes with the cumulative pulse area k * rotation_step; the
+    readout is the full-cloud mean plus technical noise (the state is
+    discarded afterwards, so no collapse is needed and the noiseless
+    trace is exact), and the LO is not read. reinitialize=False applies
+    one rotation_step per point to the same ensembles and partially
+    projects after each step, accumulating measurement back-action; the
+    LO keeps precessing during each readout window. The blocks run back
+    to back on the LO, and the drift over the n_steps + 1 readout
+    windows of all of them is drawn as one record.
 
-    Records run k = 0 .. n_steps, where k = 0 is the unrotated baseline.
+    Returns the (blocks, n_steps + 1) array of estimates: row b is block
+    b, column k point k, where k = 0 is the unrotated baseline.
     """
     if rotation_step <= 0:
         raise ValueError("rotation_step must be positive")
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if len(ensemble.counts) != 1:
-        raise ValueError("Rabi probing runs on a one-block ensemble")
-
-    records = []
-    state = reset_to_ground(ensemble)
-    rng = state.rng_stream
+    state = reset_to_ground(batch)
+    shape = (len(state.counts), n_steps + 1)
+    est = np.empty(shape)
 
     if reinitialize:
         for k in range(n_steps + 1):
-            state = reset_to_ground(state)
-            if k:
-                state = rotate(state, 0.0, k * rotation_step)
-            est = float(excited_population(state)[0])
-            if det.sigma_tech > 0:
-                est += rng.normal(0.0, det.sigma_tech)
-            records.append(RabiRecord(step=k, estimate=float(est), n_sampled=len(state)))
-        return records
+            est[:, k] = excited_population(rotate(state, 0.0, k * rotation_step))
+        if det.sigma_tech > 0:
+            est += state.rng_stream.normal(0.0, det.sigma_tech, shape)
+        return est
 
+    # LO-atom phase drift across each readout window, zero on resonance;
+    # the last window's advances the LO, though nothing reads the state after it
+    drift = phase_increments(lo, det.measurement_duration, est.size).reshape(shape)
     for k in range(n_steps + 1):
         if k:
-            state = rotate(state, 0.0, rotation_step)
+            state = rotate(free_precession(state, drift[:, k - 1]), 0.0, rotation_step)
         state, m = partial_projection(state, det)
-        records.append(RabiRecord(step=k, estimate=float(m.estimate[0]), n_sampled=m.n_sampled))
-        # LO-atom phase drift across the readout window; zero on resonance
-        state = free_precession(state, advance(lo, det.measurement_duration))
-    return records
+        est[:, k] = m.estimate
+    return est
 
 
 def predicted_projected_fraction(model: DecoherenceModel, n):

@@ -23,7 +23,7 @@ from ionclock.stability import limit_apl, limit_apl_repetition, limit_technical,
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, "-m", "ionclock", *map(str, args)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ionclock", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -148,6 +148,8 @@ class TestCli:
             ("apl", "lo.delta_f0_hz", "nan"),
             ("rabi", "det.mode", "beam_overlap"),
             ("reproduce fig4", "det.mode", "beam_overlap"),
+            ("rabi", "lo.f0_hz", "0"),
+            ("reproduce fig4", "lo.f0_hz", "0"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -232,6 +234,15 @@ class TestCli:
         bad.write_text("".join(f"{t},1e-12\n" for t in times))
         assert cli.main(["allan", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_exits_3(self, tmp_path, capsys, value):
+        bad = tmp_path / "y.csv"
+        bad.write_text(f"t,y\n0,1e-12\n1,2e-12\n\n2,{value}\n3,1e-12\n")
+        out = tmp_path / "o"
+        assert cli.main(["allan", str(bad), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}:5: non-finite sample {value}")
+        assert not out.exists()
 
     def test_allan_on_white_noise(self, tmp_path):
         rng = np.random.default_rng(11)

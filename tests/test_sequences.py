@@ -10,7 +10,7 @@ from scipy import optimize, stats
 
 from ionclock import diffusion
 from ionclock.ensemble import DetectionConfig, initialize_ensemble
-from ionclock.oscillator import NoiseSpec, make_local_oscillator
+from ionclock.oscillator import NoiseSpec, advance, make_local_oscillator, phase_increments
 from ionclock.rng import substream
 from ionclock.sequences import (
     DecoherenceModel,
@@ -277,48 +277,59 @@ class TestStandardRamsey:
 class TestRabi:
     def test_reinitialized_noiseless_traces_ideal_curve(self):
         det = DetectionConfig(p=1.0, sigma_tech=0.0)
-        ens = initialize_ensemble(100, substream(41, "ens"))
-        recs = run_rabi_ppm(ens, quiet_lo(seed=41), math.pi / 5, 10, True, det)
-        for r in recs:
-            ideal = (1 - math.cos(r.step * math.pi / 5)) / 2
-            assert r.estimate == pytest.approx(ideal, abs=1e-12)
+        batch = initialize_ensemble(100, substream(41, "ens"))
+        est = run_rabi_ppm(batch, quiet_lo(seed=41), math.pi / 5, 10, True, det)
+        ideal = (1 - np.cos(np.arange(11) * math.pi / 5)) / 2
+        assert est.shape == (1, 11)
+        assert est[0] == pytest.approx(ideal, abs=1e-12)
+
+    def test_reinitialized_blocks_trace_one_curve(self):
+        det = DetectionConfig(p=0.18, sigma_tech=0.0)
+        batch = initialize_ensemble(100, substream(46, "ens"), 3)
+        est = run_rabi_ppm(batch, quiet_lo(seed=46), 0.4, 7, True, det)
+        ideal = (1 - np.cos(np.arange(8) * 0.4)) / 2
+        assert est.shape == (3, 8)
+        assert np.array_equal(est[0], est[1]) and np.array_equal(est[0], est[2])
+        assert est[0] == pytest.approx(ideal, abs=1e-12)
 
     def test_zero_rotation_baseline_reads_zero(self):
         det = DetectionConfig(p=1.0, sigma_tech=0.0)
-        ens = initialize_ensemble(50, substream(42, "ens"))
-        recs = run_rabi_ppm(ens, quiet_lo(seed=42), 0.3, 2, True, det)
-        assert recs[0].step == 0 and recs[0].estimate == 0.0
+        batch = initialize_ensemble(50, substream(42, "ens"))
+        est = run_rabi_ppm(batch, quiet_lo(seed=42), 0.3, 2, True, det)
+        assert est[0, 0] == 0.0
 
     def test_ppm_mode_shrinks_contrast(self):
         # back-action pulls the accumulated-rotation curve toward 1/2
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         reps = 200
         k = 5
-        acc = np.zeros(k + 1)
-        for r in range(reps):
-            ens = initialize_ensemble(2000, substream(43, "ens", r))
-            lo = make_local_oscillator(12.6e9, 0.0, NoiseSpec(), substream(43, "lo", r))
-            recs = run_rabi_ppm(ens, lo, math.pi / 6, k, False, det)
-            acc += [x.estimate for x in recs]
-        mean = acc / reps
+        batch = initialize_ensemble(2000, substream(43, "ens"), reps)
+        lo = make_local_oscillator(12.6e9, 0.0, NoiseSpec(), substream(43, "lo"))
+        mean = run_rabi_ppm(batch, lo, math.pi / 6, k, False, det).mean(axis=0)
         frozen = [0.0669872981, 0.2275, 0.4255651165, 0.60612825, 0.7283123687]
         for i, expect in enumerate(frozen, start=1):
             assert mean[i] == pytest.approx(expect, abs=0.01)
 
-    def test_ppm_mode_counts_sampled_subset(self):
-        det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        ens = initialize_ensemble(3000, substream(44, "ens"))
-        recs = run_rabi_ppm(ens, quiet_lo(seed=44), 0.5, 3, False, det)
-        for r in recs:
-            assert 0 < r.n_sampled < 3000
+    def test_ppm_batch_draws_one_lo_record(self):
+        # the blocks run back to back: B (n_steps + 1) readout windows of one record
+        det = DetectionConfig(p=0.18, sigma_tech=0.1, measurement_duration=2e-3)
+        blocks, n_steps = 4, 6
+        spec = NoiseSpec(h0=1e-22, h_minus1=1e-23, h_minus2=1e-24)
+        lo = make_local_oscillator(12.6e9, 0.3, spec, substream(47, "lo"))
+        twin = make_local_oscillator(12.6e9, 0.3, spec, substream(47, "lo"))
+        batch = initialize_ensemble(500, substream(47, "ens"), blocks)
+        est = run_rabi_ppm(batch, lo, 0.5, n_steps, False, det)
+        assert est.shape == (blocks, n_steps + 1)
+        phase_increments(twin, det.measurement_duration, blocks * (n_steps + 1))
+        assert advance(lo, 0.1) == advance(twin, 0.1)
 
     def test_rotation_step_must_be_positive(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
-        ens = initialize_ensemble(10, substream(45, "ens"))
+        batch = initialize_ensemble(10, substream(45, "ens"))
         with pytest.raises(ValueError):
-            run_rabi_ppm(ens, quiet_lo(seed=45), 0.0, 3, True, det)
+            run_rabi_ppm(batch, quiet_lo(seed=45), 0.0, 3, True, det)
         with pytest.raises(ValueError):
-            run_rabi_ppm(ens, quiet_lo(seed=45), 0.5, 0, True, det)
+            run_rabi_ppm(batch, quiet_lo(seed=45), 0.5, 0, True, det)
 
 
 class TestDecoherenceModel:
