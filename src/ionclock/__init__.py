@@ -28,66 +28,12 @@ if "OPENBLAS_NUM_THREADS" not in _os.environ and "numpy" not in _sys.modules:
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .ensemble import (
-    DetectionConfig,
-    EmptySampleError,
-    EnsembleState,
-    MeasurementResult,
-    excited_population,
-    free_precession,
-    initialize_ensemble,
-    partial_projection,
-    place_ions,
-    reset_to_ground,
-    rotate,
-)
-from .oscillator import (
-    PRESETS,
-    LocalOscillatorState,
-    NoiseSpec,
-    advance,
-    generate_y_series,
-    make_local_oscillator,
-    phase_increments,
-)
-from .sequences import (
-    CycleTable,
-    DecoherenceFit,
-    DecoherenceModel,
-    FitFailureError,
-    RamseyConfig,
-    SaturationWarning,
-    estimate_frequency,
-    estimate_phase,
-    fit_decoherence,
-    predicted_projected_fraction,
-    run_apl_block,
-    run_rabi_ppm,
-    run_standard_ramsey,
-)
-from .diffusion import (
-    BEAM_HALF_WIDTH,
-    DiffusionConfig,
-    diffusion_constant,
-    fraction_struck,
-    step_brownian,
-    struck_during,
-)
-from .stability import (
-    AllanPoint,
-    BoundViolationWarning,
-    FractionalFrequencySeries,
-    InsufficientDataError,
-    StabilityParams,
-    allan_deviation,
-    confidence_interval,
-    default_taus,
-    limit_apl,
-    limit_apl_repetition,
-    limit_technical,
-    qpn_snr,
-)
-from .config import ConfigError, RunConfig, config_hash, parse_config_file, resolve
-from .rng import substream
+from .ensemble import *
+from .oscillator import *
+from .sequences import *
+from .diffusion import *
+from .stability import *
+from .config import *
+from .rng import *
 
 __version__ = "0.1.0"

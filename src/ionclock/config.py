@@ -22,11 +22,13 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .diffusion import BEAM_HALF_WIDTH
+from .diffusion import DiffusionConfig
+from .ensemble import DetectionConfig
 from .oscillator import PRESETS
-from .sequences import cycle_duration
+from .sequences import RamseyConfig, cycle_duration
+from .stability import StabilityParams
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_file", "config_hash", "DEFAULTS"]
+__all__ = ["ConfigError", "RunConfig", "resolve", "parse_config_file", "config_hash", "DEFAULTS"]
 
 
 class ConfigError(ValueError):
@@ -83,42 +85,42 @@ def _as_choice(*options):
     return conv
 
 
-# key -> (converter, default, help)
+# key -> (converter, default, help); a key that sets a typed config field takes its default
 _REGISTRY = {
     "run.seed": (_as_int, 12345, "master seed for every derived stream"),
     "run.n_trials": (_at_least(_as_int, 0), 0, "trial count override; 0 keeps the per-command default"),
     "run.output_dir": (str, "runs", "directory for emitted CSV/JSON"),
     "ens.n_ions": (_count, 2000, "ions in the ensemble"),
-    "ens.cloud_length_m": (_positive, 3e-3, "axial cloud extent"),
-    "lo.f0_hz": (_as_float, 12.6e9, "nominal transition frequency"),
+    "ens.cloud_length_m": (_positive, DiffusionConfig.cloud_length, "axial cloud extent"),
+    "lo.f0_hz": (_as_float, StabilityParams.f0, "nominal transition frequency"),
     "lo.delta_f0_hz": (_as_float, 0.0, "static LO detuning"),
     "lo.h0": (_as_float, 0.0, "white frequency noise level"),
     "lo.h_minus1": (_as_float, 0.0, "flicker frequency noise level"),
     "lo.h_minus2": (_as_float, 0.0, "random-walk frequency noise level"),
     "lo.preset": (_as_choice("none", *PRESETS), "none", "named noise level set; overrides the h, coefficients"),
     "det.mode": (_as_choice("fixed_fraction", "beam_overlap"), "fixed_fraction", "how the sampled subset is chosen"),
-    "det.p": (_as_float, 0.18, "sampling fraction per measurement"),
-    "det.sigma_tech": (_as_float, 0.1, "technical noise sd added to the population estimate"),
-    "det.measurement_duration_s": (_as_float, 1e-3, "readout window length"),
-    "seq.t_fp_s": (_as_float, 0.1, "free precession time per cycle"),
-    "seq.pi2_duration_s": (_as_float, 7.5e-4, "pi/2 pulse length"),
-    "seq.n_cp": (_count, 3, "cycles per tracking block"),
+    "det.p": (_as_float, DetectionConfig.p, "sampling fraction per measurement"),
+    "det.sigma_tech": (_as_float, DetectionConfig.sigma_tech, "technical noise sd added to the population estimate"),
+    "det.measurement_duration_s": (_as_float, DetectionConfig.measurement_duration, "readout window length"),
+    "seq.t_fp_s": (_as_float, RamseyConfig.t_fp, "free precession time per cycle"),
+    "seq.pi2_duration_s": (_as_float, RamseyConfig.pi2_duration, "pi/2 pulse length"),
+    "seq.n_cp": (_count, RamseyConfig.n_cp, "cycles per tracking block"),
     "seq.n_cycles": (_count, 300, "cycles per protocol in apl when run.n_trials is 0; blocks = n_cycles // n_cp"),
-    "seq.dead_time_s": (_as_float, 0.0, "extra free evolution per cycle"),
+    "seq.dead_time_s": (_as_float, RamseyConfig.dead_time, "extra free evolution per cycle"),
     "seq.rabi_step_rad": (_positive, math.pi / 6.0, "rotation per Rabi step"),
     "seq.rabi_n_steps": (_at_least(_as_int, 2), 12, "Rabi steps after the baseline point"),
     "seq.rabi_repeats_standard": (_count, 10, "re-initialized Rabi repeats"),
     "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
-    "diff.temperature_k": (_as_float, 0.05, "ion temperature"),
-    "diff.mobility": (_as_float, 8.62e18, "ion mobility for the Einstein relation"),
-    "diff.d_override": (_as_float_or_none, 3.5e-6, "diffusion constant override; 'none' derives from T and mobility"),
-    "diff.dt_s": (_as_float, 1e-5, "time step of the diffusion MSD curve; transport takes no sub-steps"),
+    "diff.temperature_k": (_as_float, DiffusionConfig.temperature, "ion temperature"),
+    "diff.mobility": (_as_float, DiffusionConfig.mobility, "ion mobility for the Einstein relation"),
+    "diff.d_override": (_as_float_or_none, DiffusionConfig.d_override, "diffusion constant override; 'none' derives from T and mobility"),
+    "diff.dt_s": (_as_float, DiffusionConfig.dt, "time step of the diffusion MSD curve; transport takes no sub-steps"),
     "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
-    "diff.beam_lo_m": (_as_float, -BEAM_HALF_WIDTH, "detection beam lower edge"),
-    "diff.beam_hi_m": (_as_float, BEAM_HALF_WIDTH, "detection beam upper edge"),
+    "diff.beam_lo_m": (_as_float, DiffusionConfig.beam_interval[0], "detection beam lower edge"),
+    "diff.beam_hi_m": (_as_float, DiffusionConfig.beam_interval[1], "detection beam upper edge"),
     "diff.duration_max_s": (_at_least(_as_float, 0.0), 2e-3, "longest struck-fraction window"),
     "diff.n_durations": (_count, 11, "points on the struck-fraction duration grid"),
-    "stab.k": (_as_float, 1.0, "limit-line prefactor"),
+    "stab.k": (_as_float, StabilityParams.k, "limit-line prefactor"),
     "stab.q": (_as_float, 0.0, "line quality factor; 0 derives f0 * 2 * t_fp"),
     "stab.snr": (_as_float, 0.0, "single-cycle SNR; 0 derives from the detection noise budget"),
     "stab.t_c_s": (_as_float, 0.0, "cycle time; 0 derives from the sequence timing"),
@@ -165,7 +167,11 @@ def resolve(values: dict) -> RunConfig:
     if merged["stab.snr"] == 0.0:
         p = merged["det.p"]
         n = merged["ens.n_ions"]
-        var = merged["det.sigma_tech"] ** 2 + 0.25 / max(p * n, 1.0)
+        sigma = merged["det.sigma_tech"]
+        try:
+            var = sigma**2 + 0.25 / max(p * n, 1.0)
+        except OverflowError:
+            raise ConfigError(f"det.sigma_tech = {sigma!r} is too large to derive stab.snr") from None
         merged["stab.snr"] = 0.5 / math.sqrt(var)
     if merged["stab.t_c_s"] == 0.0:
         merged["stab.t_c_s"] = cycle_duration(

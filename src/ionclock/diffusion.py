@@ -63,6 +63,8 @@ class DiffusionConfig:
             raise ValueError("temperature must be non-negative")
         if self.mobility <= 0:
             raise ValueError("mobility must be positive")
+        if self.d_override is not None and self.d_override < 0:
+            raise ValueError("d_override must be non-negative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.cloud_length <= 0:

@@ -17,7 +17,6 @@ increment = 2 pi (delta_f0 + y f0) dt; ``advance`` is its one-interval
 case.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -75,10 +74,9 @@ def _octave_corners(f_lo, f_hi):
 _CORNERS = _octave_corners(*_FLICKER_BAND)
 
 
-@functools.lru_cache(maxsize=8)
 def _coefficients(spec, dt):
-    """Exact per-interval law of each AR(1) process, cached and shared (read-only):
-    decay mu, endpoint sd s, mean c * start + b * (endpoint normal) + r * (interval normal)."""
+    """Exact per-interval law of each AR(1) process: decay mu, endpoint sd s,
+    mean c * start + b * (endpoint normal) + r * (interval normal)."""
     cols = []
     if spec.h_minus1 > 0:
         w = math.sqrt(spec.h_minus1 * math.log(2.0))
@@ -119,21 +117,19 @@ class LocalOscillatorState:
         level = [0.0] * (self.spec.h_minus2 > 0)
         self._x = np.append(self.rng_stream.standard_normal(n_flicker), level)
 
-    def _means(self, dt, n):
+    def _means(self, dt, n, coef):
         """Mean y over n consecutive intervals of length dt; advances the bank.
 
-        Each interval draws one row of standard normals: the white
-        normal, then an (endpoint, interval) pair per flicker
-        relaxator, then the pair of the random-walk level. So n calls
-        with n = 1 draw the same numbers as one call with n rows.
+        ``coef`` is ``_coefficients(self.spec, dt)``. Each interval draws one
+        row of standard normals: the white normal, then an (endpoint, interval)
+        pair per flicker relaxator, then the pair of the random-walk level. So n
+        calls with n = 1 draw the same numbers as one call with n rows.
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
         n_white = int(self.spec.h0 > 0)
         z = self.rng_stream.standard_normal((n, n_white + 2 * self._x.size))
         y = math.sqrt(self.spec.h0 / (2.0 * dt)) * z[:, 0] if n_white else np.zeros(n)
         if self._x.size:
-            mu, s, c, b, r = _coefficients(self.spec, dt)
+            mu, s, c, b, r = coef
             pairs = z[:, n_white:].reshape(n, -1, 2)
             x = s * pairs[..., 0]  # endpoints x_t = mu x_{t-1} + s z_t, by prefix scan
             x[0] += mu * self._x
@@ -155,7 +151,10 @@ def _record(lo: LocalOscillatorState, dt, n):
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    return np.concatenate([lo._means(dt, min(_CHUNK, n - i)) for i in range(0, n, _CHUNK)])
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    coef = _coefficients(lo.spec, dt)
+    return np.concatenate([lo._means(dt, min(_CHUNK, n - i), coef) for i in range(0, n, _CHUNK)])
 
 
 def phase_increments(lo: LocalOscillatorState, dt, n):

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+__all__ = ["substream", "as_generator"]
+
 _MASK64 = (1 << 64) - 1
 
 

@@ -197,30 +197,24 @@ def estimate_phase(estimate):
 
     arcsin(2 * clamp(estimate, 0, 1) - 1), principal branch [-pi/2, +pi/2];
     estimate 0.5 maps to 0 and small positive phases raise the excited
-    fraction. Takes a number or an array and returns the same. No
-    unwrapping is attempted; a SaturationWarning counts the raw
-    estimates that sit within 0.05 of either rail.
+    fraction. No unwrapping is attempted; a SaturationWarning counts
+    the raw estimates that sit within 0.05 of either rail.
     """
     est = np.asarray(estimate, dtype=float)
     saturated = np.count_nonzero(np.abs(est - 0.5) > 0.45)
     if saturated:
         msg = f"{saturated} of {est.size} population estimates within 0.05 of a rail"
         warnings.warn(f"{msg}; phase readout unreliable", SaturationWarning, stacklevel=2)
-    phi = np.arcsin(2.0 * np.clip(est, 0.0, 1.0) - 1.0)
-    return float(phi) if phi.ndim == 0 else phi
+    return np.arcsin(2.0 * np.clip(est, 0.0, 1.0) - 1.0)
 
 
 def estimate_frequency(phi_n, n, t_fp):
-    """Frequency offset in Hz from the phase after n tracked cycles.
-
-    Takes numbers or broadcastable arrays and returns the same.
-    """
+    """Frequency offset in Hz from the phase after n tracked cycles; arrays broadcast."""
     if np.any(np.asarray(n) < 1):
         raise ValueError("n must be at least 1")
     if t_fp <= 0:
         raise ValueError("t_fp must be positive")
-    f = np.asarray(phi_n) / (2.0 * math.pi * np.asarray(n) * t_fp)
-    return float(f) if f.ndim == 0 else f
+    return np.asarray(phi_n) / (2.0 * math.pi * np.asarray(n) * t_fp)
 
 
 def _transport(state, cfg, duration):
@@ -362,9 +356,11 @@ def run_rabi_ppm(batch, lo, rotation_step, n_steps, reinitialize, det: Detection
             est += state.rng_stream.normal(0.0, det.sigma_tech, shape)
         return est
 
-    # LO-atom phase drift across each readout window, zero on resonance;
-    # the last window's advances the LO, though nothing reads the state after it
-    drift = phase_increments(lo, det.measurement_duration, est.size).reshape(shape)
+    # LO-atom phase drift across each readout window, zero on resonance and
+    # when it has no length; the last window's advances the LO, unread
+    drift = np.zeros(shape)
+    if det.measurement_duration > 0:
+        drift = phase_increments(lo, det.measurement_duration, est.size).reshape(shape)
     for k in range(n_steps + 1):
         if k:
             state = rotate(free_precession(state, drift[:, k - 1]), 0.0, rotation_step)
@@ -378,10 +374,7 @@ def predicted_projected_fraction(model: DecoherenceModel, n):
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
         raise ValueError("cycle index must be at least 1")
-    out = _growth(n_arr, model.p, model.amplitude)
-    if np.isscalar(n) or n_arr.ndim == 0:
-        return float(out)
-    return out
+    return _growth(n_arr, model.p, model.amplitude)
 
 
 def _argmin_1d(f, lo, hi):
@@ -389,7 +382,8 @@ def _argmin_1d(f, lo, hi):
 
     The best point of a 101-point uniform grid brackets the minimum
     between its two neighbours; golden-section search narrows that
-    bracket to 1e-13.
+    bracket to 1e-13, or stops after 200 steps: above 512, adjacent
+    floats lie more than 1e-13 apart.
     """
     grid = np.linspace(lo, hi, 101)
     i = int(np.argmin([f(x) for x in grid]))
@@ -397,7 +391,9 @@ def _argmin_1d(f, lo, hi):
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - shrink * (b - a), a + shrink * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > 1e-13:
+    for _ in range(200):
+        if b - a <= 1e-13:
+            break
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - shrink * (b - a)

@@ -93,6 +93,8 @@ class StabilityParams:
             raise ValueError("n_cp must be at least 1")
         if self.n_atom < 1:
             raise ValueError("n_atom must be at least 1")
+        if not 0.0 < self.snr * self.snr < math.inf:
+            raise ValueError("snr^2 must be positive and finite: max_n_cp divides by it")
 
     @property
     def max_n_cp(self):
@@ -199,8 +201,7 @@ def limit_technical(params: StabilityParams, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
-    out = (1.0 / (params.k * params.q * params.snr)) * np.sqrt(params.t_c / tau)
-    return float(out) if out.ndim == 0 else out
+    return (1.0 / (params.k * params.q * params.snr)) * np.sqrt(params.t_c / tau)
 
 
 def limit_apl(params: StabilityParams, tau):
@@ -208,8 +209,7 @@ def limit_apl(params: StabilityParams, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
-    out = 1.0 / (params.k * params.f0 * params.snr * tau)
-    return float(out) if out.ndim == 0 else out
+    return 1.0 / (params.k * params.f0 * params.snr * tau)
 
 
 def limit_apl_repetition(params: StabilityParams, tau):
@@ -227,8 +227,7 @@ def limit_apl_repetition(params: StabilityParams, tau):
             BoundViolationWarning,
             stacklevel=2,
         )
-    out = limit_technical(params, tau) / math.sqrt(params.n_cp)
-    return out
+    return limit_technical(params, tau) / math.sqrt(params.n_cp)
 
 
 def qpn_snr(n_atom):

@@ -73,8 +73,7 @@ def standard_cycles():
         warnings.simplefilter("ignore", SaturationWarning)
         recs = run_standard_ramsey(ens, lo, cfg)
     y = np.array([r.delta_f_hz for r in recs]) / 12.6e9
-    tau0 = cfg.dead_time + cfg.t_fp + 2 * cfg.pi2_duration + DET.measurement_duration
-    return cfg, FractionalFrequencySeries(y, tau0)
+    return cfg, FractionalFrequencySeries(y, cfg.standard_cycle_time)
 
 
 def test_projected_fraction_matches_prediction_and_fit_recovers_p():
@@ -113,12 +112,11 @@ def test_tracked_estimate_noise_averages_down_as_one_over_n(tracked_blocks):
 def test_block_tracking_beats_standard_averaging_by_sqrt3(tracked_blocks, standard_cycles):
     cfg, df = tracked_blocks
     _, std_series = standard_cycles
-    block_span = cfg.pi2_duration + cfg.n_cp * cfg.cycle_time
-    apl_series = FractionalFrequencySeries(df[:, 2] / 12.6e9, block_span)
+    apl_series = FractionalFrequencySeries(df[:, 2] / 12.6e9, cfg.block_time)
     # equal cycle counts: three averaged independent cycles against one
     # three-cycle tracked block
     a_std = allan_deviation(std_series, [3 * std_series.tau0])[0].adev
-    a_apl = allan_deviation(apl_series, [block_span])[0].adev
+    a_apl = allan_deviation(apl_series, [cfg.block_time])[0].adev
     ratio = a_std / a_apl
     assert abs(ratio / math.sqrt(3) - 1) < 0.10, f"ratio={ratio:.4f}"
 

@@ -21,12 +21,13 @@ from ionclock.oscillator import PRESETS
 from ionclock.stability import limit_apl, limit_apl_repetition, limit_technical, qpn_snr
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "ionclock", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -107,6 +108,11 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve({"nope": "1"})
 
+    def test_snr_derivation_that_overflows_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="det.sigma_tech"):
+            resolve({"det.sigma_tech": "1e300"})
+        assert resolve({"det.sigma_tech": "1e300", "stab.snr": "2"})["stab.snr"] == 2.0
+
     def test_hash_ignores_output_dir_but_not_seed(self):
         a = resolve({"run.output_dir": "x"})
         b = resolve({"run.output_dir": "y"})
@@ -150,6 +156,13 @@ class TestCli:
             ("reproduce fig4", "det.mode", "beam_overlap"),
             ("rabi", "lo.f0_hz", "0"),
             ("reproduce fig4", "lo.f0_hz", "0"),
+            # the derived stab.snr would square an overflowing sigma_tech
+            ("apl", "det.sigma_tech", "1e300"),
+            ("diffusion", "det.sigma_tech", "1e300"),
+            ("rabi", "det.sigma_tech", "1e300"),
+            # max_n_cp divides by snr^2
+            ("apl", "stab.snr", "1e300"),
+            ("diffusion", "diff.d_override", "-1"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -169,6 +182,27 @@ class TestCli:
         assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, lines, code",
+        [
+            # the probe-curve fit searches a bracket where floats are coarser than its tolerance
+            ("rabi", ["seq.rabi_step_rad = 1000"], 0),
+            ("rabi", ["seq.rabi_step_rad = 1e300"], 0),
+            # rabi does not read stab.snr, which apl rejects
+            ("rabi", ["stab.snr = 1e300"], 0),
+            ("apl", ["diff.d_override = -1", "det.mode = beam_overlap"], 2),
+            ("rabi", ["det.measurement_duration_s = 0"], 0),
+            ("reproduce fig4", ["det.measurement_duration_s = 0"], 0),
+        ],
+    )
+    def test_extreme_value_exits_without_traceback(self, tmp_path, command, lines, code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(["ens.n_ions = 50", *lines]) + "\n")
+        out = tmp_path / "o"
+        r = run_cli(*command.split(), "--config", cfg, "--out", out, "--trials", 2, timeout=60)
+        assert (r.returncode, "Traceback" in r.stderr) == (code, False), r.stderr
+        assert out.exists() == (code == 0)
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

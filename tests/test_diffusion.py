@@ -39,6 +39,9 @@ def test_config_validation():
         DiffusionConfig(dt=0.0)
     with pytest.raises(ValueError):
         DiffusionConfig(mobility=-1.0)
+    with pytest.raises(ValueError, match="d_override"):
+        DiffusionConfig(d_override=-1.0)
+    assert DiffusionConfig(d_override=0.0).effective_d() == 0.0
     with pytest.raises(ValueError):
         DiffusionConfig(beam_interval=(1e-4, -1e-4))
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from ionclock.oscillator import NoiseSpec, advance, make_local_oscillator, phase
 from ionclock.rng import substream
 from ionclock.sequences import (
     DecoherenceModel,
+    _argmin_1d,
     _growth,
     _t_quantile,
     RamseyConfig,
@@ -323,6 +324,20 @@ class TestRabi:
         phase_increments(twin, det.measurement_duration, blocks * (n_steps + 1))
         assert advance(lo, 0.1) == advance(twin, 0.1)
 
+    def test_zero_readout_window_drifts_by_nothing(self):
+        # a zero-length window draws no LO record: the same estimates as a
+        # quiet, zero-offset LO over a positive window
+        spec = NoiseSpec(h0=1e-22, h_minus1=1e-23, h_minus2=1e-24)
+        est = {}
+        for duration, lo in (
+            (0.0, make_local_oscillator(12.6e9, 0.3, spec, substream(48, "lo"))),
+            (1e-3, quiet_lo(seed=48)),
+        ):
+            det = DetectionConfig(p=0.18, sigma_tech=0.1, measurement_duration=duration)
+            batch = initialize_ensemble(500, substream(48, "ens"), 3)
+            est[duration] = run_rabi_ppm(batch, lo, 0.5, 6, False, det)
+        assert np.array_equal(est[0.0], est[1e-3])
+
     def test_rotation_step_must_be_positive(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         batch = initialize_ensemble(10, substream(45, "ens"))
@@ -330,6 +345,13 @@ class TestRabi:
             run_rabi_ppm(batch, quiet_lo(seed=45), 0.0, 3, True, det)
         with pytest.raises(ValueError):
             run_rabi_ppm(batch, quiet_lo(seed=45), 0.5, 0, True, det)
+
+
+def test_argmin_ends_where_floats_are_coarser_than_its_tolerance():
+    # above 512 adjacent floats lie more than 1e-13 apart, so the bracket
+    # cannot shrink to 1e-13; the search stops after its step cap
+    x = _argmin_1d(lambda w: (w - 1000.3) ** 2, 950.0, 1050.0)
+    assert x == pytest.approx(1000.3, abs=1e-9)
 
 
 class TestDecoherenceModel:

@@ -172,6 +172,10 @@ class TestLimits:
             StabilityParams(q=1.0, snr=1.0, t_c=0.1, n_atom=1, n_cp=0)
         with pytest.raises(ValueError):
             StabilityParams(q=1.0, snr=1.0, t_c=0.1, n_atom=0)
+        # max_n_cp divides by snr^2, which must neither overflow nor underflow
+        for snr in (1e300, 1e-300):
+            with pytest.raises(ValueError, match="snr"):
+                StabilityParams(q=1.0, snr=snr, t_c=0.1, n_atom=1)
 
 
 def test_qpn_snr():
