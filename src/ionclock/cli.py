@@ -1,7 +1,9 @@
 """Command-line harness.
 
 Subcommands run complete simulation bundles and write CSV/JSON into an
-output directory. Every CSV starts with two comment lines carrying the
+output directory. A bundle returns data, not text: each CSV as its
+header and columns, each JSON file as a dict; only ``main`` renders and
+writes them. Every CSV starts with two comment lines carrying the
 resolved config hash and the seed, so any output file can be traced to
 the exact run that produced it. Nothing records wall-clock time and
 all floats are printed with a fixed %.12g format, so re-running a
@@ -12,9 +14,10 @@ Exit codes: 0 success; 2 configuration problem (bad flag, unreadable
 or malformed config file, unknown key, a value its typed config
 rejects), raised before any simulation runs; 3 runtime or data problem
 (fit failure, empty sample, malformed input series, unwritable output
-directory). Results are built fully in memory before anything is
-written, so a run that fails before writing writes nothing. Files an
-earlier run left in the output directory are not removed.
+directory). Every result is computed before the first file is opened,
+so a run that fails before writing writes nothing; each file is then
+rendered and written 512 rows at a time. Files an earlier run left in
+the output directory are not removed.
 """
 
 import argparse
@@ -62,43 +65,41 @@ class DataError(RuntimeError):
     """Malformed or unusable input data file."""
 
 
-_CSV_CHUNK_ROWS = 512  # rows formatted at a time: one chunk of Python values is alive
+_CSV_CHUNK_ROWS = 512  # rows formatted and written at a time: one chunk of text is alive
 
 
-def _csv(h, seed, header, columns):
-    """CSV text of equal-length columns; float columns print as %.12g, others as %s."""
+def _write_csv(fh, h, seed, header, columns):
+    """Write equal-length columns as CSV; float columns print as %.12g, others as %s."""
     columns = [np.ravel(c) for c in columns]
-    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns)
-    lines = [f"# config_hash={h}", f"# seed={seed}", ",".join(header)]
+    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    fh.write(f"# config_hash={h}\n# seed={seed}\n{','.join(header)}\n")
     for i in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         rows = zip(*(c[i : i + _CSV_CHUNK_ROWS].tolist() for c in columns))
-        lines.append("\n".join(map(fmt.__mod__, rows)))
-    return "\n".join(lines) + "\n"
-
-
-def _allan_csv(h, seed, points):
-    columns = ([p.tau for p in points], [p.adev for p in points], [p.n_pairs for p in points])
-    return _csv(h, seed, ("tau_s", "adev", "n_pairs"), columns)
+        fh.write("".join(map(fmt.__mod__, rows)))
 
 
 def _json_doc(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # numpy scalars and arrays print as the Python floats and lists they hold
+    return json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
+
+
+def _allan_table(points):
+    columns = ([p.tau for p in points], [p.adev for p in points], [p.n_pairs for p in points])
+    return ("tau_s", "adev", "n_pairs"), columns
 
 
 def _meta(command, cfg: RunConfig, h, outputs):
     from . import __version__
 
     python = "%d.%d.%d" % sys.version_info[:3]
-    return _json_doc(
-        {
-            "command": command,
-            "config_hash": h,
-            "seed": int(cfg["run.seed"]),
-            "config": cfg.values,
-            "outputs": sorted(outputs),
-            "versions": {"ionclock": __version__, "numpy": np.__version__, "python": python},
-        }
-    )
+    return {
+        "command": command,
+        "config_hash": h,
+        "seed": cfg["run.seed"],
+        "config": cfg.values,
+        "outputs": sorted(outputs),
+        "versions": {"ionclock": __version__, "numpy": np.__version__, "python": python},
+    }
 
 
 def _builds_config(build):
@@ -177,9 +178,9 @@ def _tracking_blocks(cfg, rcfg: RamseyConfig, lo, n_blocks):
     return run_apl_block(ens, lo, rcfg)
 
 
-def _cycles_csv(h, seed, t):
+def _cycle_table(t):
     header = ("block_id", "n", "timestamp_s", "estimate", "phi_rad", "delta_f_hz")
-    return _csv(h, seed, header, (t.block, t.n, t.timestamp, t.estimate, t.phi_n, t.delta_f_hz))
+    return header, (t.block, t.n, t.timestamp, t.estimate, t.phi_n, t.delta_f_hz)
 
 
 def _fit_doc(fit):
@@ -187,23 +188,21 @@ def _fit_doc(fit):
         "p": fit.model.p,
         "amplitude": fit.model.amplitude,
         "p_stderr": fit.p_stderr,
-        "p_ci95": None if fit.p_ci95 is None else list(fit.p_ci95),
+        "p_ci95": fit.p_ci95,
         "residual_norm": fit.residual_norm,
     }
 
 
-def _limit_columns(params: StabilityParams, taus):
+def _limit_table(params: StabilityParams, taus):
     taus = np.asarray(taus, dtype=float)
-    return (
+    header = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
+    return header, (
         taus,
         limit_technical(params, taus),
         limit_apl(params, taus),
         limit_apl_repetition(params, taus),
         limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
     )
-
-
-_LIMIT_HEADER = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
 
 
 def _allan_points(cfg, y, tau0):
@@ -236,14 +235,14 @@ def _rabi_fit(angles, means):
     if not np.all(np.isfinite(resid)):
         raise FitFailureError(f"probe-curve fit gave a non-finite result (c={offset}, a={amplitude})")
     return {
-        "offset": float(offset),
-        "amplitude": float(amplitude),
+        "offset": offset,
+        "amplitude": amplitude,
         "step_rad": step,
-        "residual_norm": float(np.linalg.norm(resid)),
+        "residual_norm": np.linalg.norm(resid),
     }
 
 
-def cmd_rabi(cfg: RunConfig, h):
+def cmd_rabi(cfg: RunConfig):
     seed = cfg["run.seed"]
     n_steps = cfg["seq.rabi_n_steps"]
     step = cfg["seq.rabi_step_rad"]
@@ -271,25 +270,20 @@ def cmd_rabi(cfg: RunConfig, h):
         tables.append(([mode] * ks.size, ks, ks * step, mean, sd, [reps] * ks.size))
 
     deviation = np.abs(curves["ppm"] - curves["standard"])
-    fits = {m: _rabi_fit(np.arange(n_steps + 1) * step, c) for m, c in curves.items()}
-    files = {
-        "rabi_curve.csv": _csv(
-            h, seed,
+    return {
+        "rabi_curve.csv": (
             ("mode", "step", "angle_rad", "mean_estimate", "sd_estimate", "n_trials"),
             [np.concatenate(c) for c in zip(*tables)],
         ),
-        "rabi_fit.json": _json_doc(
-            {
-                "fits": fits,
-                "deviation_by_step": [float(d) for d in deviation],
-                "max_abs_deviation": float(deviation.max()),
-            }
-        ),
+        "rabi_fit.json": {
+            "fits": {m: _rabi_fit(ks * step, c) for m, c in curves.items()},
+            "deviation_by_step": deviation,
+            "max_abs_deviation": deviation.max(),
+        },
     }
-    return files
 
 
-def cmd_apl(cfg: RunConfig, h):
+def cmd_apl(cfg: RunConfig):
     seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
     n_blocks = cfg["run.n_trials"] or max(1, cfg["seq.n_cycles"] // n_cp)
@@ -302,42 +296,37 @@ def cmd_apl(cfg: RunConfig, h):
     lo_apl = _local_oscillator(cfg, substream(seed, "lo"))
     lo_std = _local_oscillator(cfg, substream(seed, "lo"))
 
-    # each protocol's cycle CSV is formatted as soon as it has run; only
-    # the (block, n) columns reduced below outlive its table
     apl = _tracking_blocks(cfg, rcfg, lo_apl, n_blocks)
-    files = {"apl_cycles.csv": _cycles_csv(h, seed, apl)}
-    df, proj = apl.delta_f_hz, apl.projected_before
-    del apl
     std_ens = initialize_ensemble(cfg["ens.n_ions"], substream(seed, "std-ens"), n_blocks * n_cp)
     std = run_standard_ramsey(std_ens, lo_std, rcfg)
-    files["ramsey_cycles.csv"] = _cycles_csv(h, seed, std)
+    df, proj = apl.delta_f_hz, apl.projected_before
 
     # reduced one column at a time, so each sum runs in the same order
     # as over a list of that column
     ns = np.arange(1, n_cp + 1)
-    sds = [float(df[:, n - 1].std(ddof=1)) if n_blocks > 1 else 0.0 for n in ns]
-    files["apl_sd.csv"] = _csv(
-        h, seed, ("n", "sd_delta_f_hz", "n_blocks"), (ns, sds, [n_blocks] * n_cp)
-    )
-
+    sds = [df[:, n - 1].std(ddof=1) if n_blocks > 1 else 0.0 for n in ns]
     mean_proj = np.array([proj[:, n - 1].mean() for n in ns])
-    fit_doc = {"mean_projected_by_n": [float(v) for v in mean_proj]}
+    fit_doc = {"mean_projected_by_n": mean_proj}
     if n_cp >= 3:
         fit_doc.update(_fit_doc(fit_decoherence(ns, mean_proj)))
-    files["decoherence_fit.json"] = _json_doc(fit_doc)
 
     std_pts = _allan_points(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
-    files["allan_standard.csv"] = _allan_csv(h, seed, std_pts)
     apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
-    files["allan_apl.csv"] = _allan_csv(h, seed, apl_pts)
     taus = np.logspace(
         math.log10(rcfg.standard_cycle_time), math.log10(max(n_blocks, 2) * rcfg.block_time), 25
     )
-    files["limits.csv"] = _csv(h, seed, _LIMIT_HEADER, _limit_columns(params, taus))
-    return files
+    return {
+        "apl_cycles.csv": _cycle_table(apl),
+        "ramsey_cycles.csv": _cycle_table(std),
+        "apl_sd.csv": (("n", "sd_delta_f_hz", "n_blocks"), (ns, sds, [n_blocks] * n_cp)),
+        "decoherence_fit.json": fit_doc,
+        "allan_standard.csv": _allan_table(std_pts),
+        "allan_apl.csv": _allan_table(apl_pts),
+        "limits.csv": _limit_table(params, taus),
+    }
 
 
-def cmd_diffusion(cfg: RunConfig, h):
+def cmd_diffusion(cfg: RunConfig):
     seed = cfg["run.seed"]
     dcfg = _diffusion_config(cfg)
     n_walkers = cfg["diff.n_walkers"]
@@ -349,7 +338,7 @@ def cmd_diffusion(cfg: RunConfig, h):
     for k in range(1, 101):
         z = diff_mod.step_brownian(z, d_eff, dcfg.dt, rng)  # free space
         if k % 10 == 0:
-            msd.append(float(np.mean(z * z)))
+            msd.append(np.mean(z * z))
     t = np.arange(10, 101, 10) * dcfg.dt
 
     temps = np.linspace(0.01, 0.10, 10)
@@ -362,10 +351,10 @@ def cmd_diffusion(cfg: RunConfig, h):
     ]
 
     return {
-        "msd.csv": _csv(h, seed, ("t_s", "msd_m2", "predicted_m2"), (t, msd, 2.0 * d_eff * t)),
-        "d_of_t.csv": _csv(h, seed, ("temperature_k", "d_m2_per_s"), (temps, d)),
-        "struck.csv": _csv(
-            h, seed, ("duration_s", "fraction", "n_ions"),
+        "msd.csv": (("t_s", "msd_m2", "predicted_m2"), (t, msd, 2.0 * d_eff * t)),
+        "d_of_t.csv": (("temperature_k", "d_m2_per_s"), (temps, d)),
+        "struck.csv": (
+            ("duration_s", "fraction", "n_ions"),
             (durations, fractions, [n_walkers] * durations.size),
         ),
     }
@@ -460,18 +449,14 @@ def _read_series(path):
     return FractionalFrequencySeries(data[:, 1], tau0)
 
 
-def cmd_allan(cfg: RunConfig, h, input_path):
-    seed = cfg["run.seed"]
+def cmd_allan(cfg: RunConfig, input_path):
     params = _stab_params(cfg)
     series = _read_series(input_path)
     pts = _allan_points(cfg, series.y, series.tau0)
-    return {
-        "allan.csv": _allan_csv(h, seed, pts),
-        "limits.csv": _csv(h, seed, _LIMIT_HEADER, _limit_columns(params, [p.tau for p in pts])),
-    }
+    return {"allan.csv": _allan_table(pts), "limits.csv": _limit_table(params, [p.tau for p in pts])}
 
 
-def _projection_bundle(cfg: RunConfig, h):
+def _projection_bundle(cfg: RunConfig):
     seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
     if n_cp < 3:
@@ -487,19 +472,20 @@ def _projection_bundle(cfg: RunConfig, h):
     fit = fit_decoherence(ns, mean)
     columns = (ns, mean, sd, predicted_projected_fraction(fit.model, ns))
     return {
-        "fig5_projection.csv": _csv(h, seed, ("n", "mean_projected", "sd", "predicted"), columns),
-        "decoherence_fit.json": _json_doc(_fit_doc(fit)),
+        "fig5_projection.csv": (("n", "mean_projected", "sd", "predicted"), columns),
+        "decoherence_fit.json": _fit_doc(fit),
     }
 
 
-# command -> bundle(cfg, h); allan also takes its input path
+# command -> bundle(cfg), which returns {file name: (CSV header, columns)
+# or JSON dict}; allan also takes its input path
 _COMMANDS = {"rabi": cmd_rabi, "apl": cmd_apl, "diffusion": cmd_diffusion, "allan": cmd_allan}
 
 # reproduce target -> (bundle, config preset); config-file values win
 # over the preset, command-line flags over both
 _REPRODUCE = {
     # probe-curve comparison: re-initialized vs accumulated back-action
-    "fig4": (cmd_rabi, {"seq.rabi_step_rad": math.pi / 6.0, "seq.rabi_n_steps": 12}),
+    "fig4": (cmd_rabi, {}),
     # projected-fraction growth over an 8-cycle block
     "fig5": (_projection_bundle, {"seq.n_cp": 8, "run.n_trials": 32}),
     # stability comparison: tracked blocks vs independent cycles
@@ -560,8 +546,7 @@ def main(argv=None) -> int:
             if val is not None:
                 raw[key] = val
         cfg = resolve(raw)
-        h = config_hash(cfg)
-        files = bundle(cfg, h)
+        files = bundle(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -569,13 +554,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
+    h = config_hash(cfg)
     files["run_meta.json"] = _meta(args.command, cfg, h, list(files) + ["run_meta.json"])
     out_dir = cfg["run.output_dir"]
     try:
         os.makedirs(out_dir, exist_ok=True)
         for name, content in files.items():
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(content)
+                if isinstance(content, dict):
+                    fh.write(_json_doc(content))
+                else:
+                    _write_csv(fh, h, cfg["run.seed"], *content)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 3

@@ -59,20 +59,25 @@ def _as_float_or_none(raw):
     return _as_float(raw)
 
 
-def _at_least(conv, low, strict=False):
-    """Converter ``conv`` that also rejects values below ``low`` (or at it, if strict)."""
+def _bounded(conv, low=-math.inf, strict=False, high=math.inf):
+    """Converter ``conv`` that also rejects values below ``low`` (or at it, if strict) or above ``high``."""
 
     def check(raw):
         val = conv(raw)
         if not (val > low if strict else val >= low):
             raise ConfigError(f"expected a value {'>' if strict else '>='} {low}, got {val!r}")
+        if not val <= high:
+            raise ConfigError(f"expected a value <= {high}, got {val!r}")
         return val
 
     return check
 
 
-_count = _at_least(_as_int, 1)
-_positive = _at_least(_as_float, 0.0, strict=True)
+_count = _bounded(_as_int, 1)
+_positive = _bounded(_as_float, 0.0, strict=True)
+# No stage of a clock cycle lasts a day, and no trapped cloud is a metre
+# long; past these the limit lines and the beam-hit probabilities overflow.
+_duration = _bounded(_as_float, high=86400.0)
 
 
 def _as_choice(*options):
@@ -88,10 +93,10 @@ def _as_choice(*options):
 # key -> (converter, default, help); a key that sets a typed config field takes its default
 _REGISTRY = {
     "run.seed": (_as_int, 12345, "master seed for every derived stream"),
-    "run.n_trials": (_at_least(_as_int, 0), 0, "trial count override; 0 keeps the per-command default"),
+    "run.n_trials": (_bounded(_as_int, 0), 0, "trial count override; 0 keeps the per-command default"),
     "run.output_dir": (str, "runs", "directory for emitted CSV/JSON"),
     "ens.n_ions": (_count, 2000, "ions in the ensemble"),
-    "ens.cloud_length_m": (_positive, DiffusionConfig.cloud_length, "axial cloud extent"),
+    "ens.cloud_length_m": (_bounded(_as_float, 0.0, strict=True, high=1.0), DiffusionConfig.cloud_length, "axial cloud extent"),
     "lo.f0_hz": (_as_float, StabilityParams.f0, "nominal transition frequency"),
     "lo.delta_f0_hz": (_as_float, 0.0, "static LO detuning"),
     "lo.h0": (_as_float, 0.0, "white frequency noise level"),
@@ -101,14 +106,14 @@ _REGISTRY = {
     "det.mode": (_as_choice("fixed_fraction", "beam_overlap"), "fixed_fraction", "how the sampled subset is chosen"),
     "det.p": (_as_float, DetectionConfig.p, "sampling fraction per measurement"),
     "det.sigma_tech": (_as_float, DetectionConfig.sigma_tech, "technical noise sd added to the population estimate"),
-    "det.measurement_duration_s": (_as_float, DetectionConfig.measurement_duration, "readout window length"),
-    "seq.t_fp_s": (_as_float, RamseyConfig.t_fp, "free precession time per cycle"),
-    "seq.pi2_duration_s": (_as_float, RamseyConfig.pi2_duration, "pi/2 pulse length"),
+    "det.measurement_duration_s": (_duration, DetectionConfig.measurement_duration, "readout window length"),
+    "seq.t_fp_s": (_duration, RamseyConfig.t_fp, "free precession time per cycle"),
+    "seq.pi2_duration_s": (_duration, RamseyConfig.pi2_duration, "pi/2 pulse length"),
     "seq.n_cp": (_count, RamseyConfig.n_cp, "cycles per tracking block"),
     "seq.n_cycles": (_count, 300, "cycles per protocol in apl when run.n_trials is 0; blocks = n_cycles // n_cp"),
-    "seq.dead_time_s": (_as_float, RamseyConfig.dead_time, "extra free evolution per cycle"),
+    "seq.dead_time_s": (_duration, RamseyConfig.dead_time, "extra free evolution per cycle"),
     "seq.rabi_step_rad": (_positive, math.pi / 6.0, "rotation per Rabi step"),
-    "seq.rabi_n_steps": (_at_least(_as_int, 2), 12, "Rabi steps after the baseline point"),
+    "seq.rabi_n_steps": (_bounded(_as_int, 2), 12, "Rabi steps after the baseline point"),
     "seq.rabi_repeats_standard": (_count, 10, "re-initialized Rabi repeats"),
     "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
     "diff.temperature_k": (_as_float, DiffusionConfig.temperature, "ion temperature"),
@@ -118,7 +123,7 @@ _REGISTRY = {
     "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
     "diff.beam_lo_m": (_as_float, DiffusionConfig.beam_interval[0], "detection beam lower edge"),
     "diff.beam_hi_m": (_as_float, DiffusionConfig.beam_interval[1], "detection beam upper edge"),
-    "diff.duration_max_s": (_at_least(_as_float, 0.0), 2e-3, "longest struck-fraction window"),
+    "diff.duration_max_s": (_bounded(_as_float, 0.0), 2e-3, "longest struck-fraction window"),
     "diff.n_durations": (_count, 11, "points on the struck-fraction duration grid"),
     "stab.k": (_as_float, StabilityParams.k, "limit-line prefactor"),
     "stab.q": (_as_float, 0.0, "line quality factor; 0 derives f0 * 2 * t_fp"),

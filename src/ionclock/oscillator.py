@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import as_generator
+from .stability import StabilityParams
 
 __all__ = [
     "NoiseSpec",
@@ -141,7 +142,7 @@ class LocalOscillatorState:
         return y
 
 
-def make_local_oscillator(f0=12.6e9, delta_f0=0.0, spec=NoiseSpec(), seed=0):
+def make_local_oscillator(f0=StabilityParams.f0, delta_f0=0.0, spec=NoiseSpec(), seed=0):
     """Convenience constructor accepting a seed or Generator."""
     return LocalOscillatorState(f0=f0, delta_f0=delta_f0, spec=spec, rng_stream=as_generator(seed))
 

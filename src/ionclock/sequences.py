@@ -249,8 +249,8 @@ def _measure(state, cfg):
     return partial_projection(replace(state, z_pos=z), det, sampled=struck)
 
 
-def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, t0, period):
-    """The CycleTable of cfg.n_cp cycles of each block b of a fresh batch, from t0 + b * period."""
+def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, period):
+    """The CycleTable of cfg.n_cp cycles of each block b of a fresh batch, from b * period."""
     blocks, n_cp = len(ensemble.counts), cfg.n_cp
     n_ions = ensemble.counts.sum(axis=1)
     dt_free = cfg.dead_time + cfg.t_fp
@@ -280,7 +280,7 @@ def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyCo
         n=n,
         # readout n ends after the opening pi/2 and n cycles, less the
         # 3 pi/2 revert that closes cycle n
-        timestamp=t0 + block * period + n * cfg.cycle_time - 2.0 * cfg.pi2_duration,
+        timestamp=block * period + n * cfg.cycle_time - 2.0 * cfg.pi2_duration,
         estimate=est,
         n_sampled=sizes,
         phi_n=phi,
@@ -289,12 +289,12 @@ def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyCo
     )
 
 
-def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, t0=0.0):
+def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
     """A phase-tracking block of cfg.n_cp cycles on every ensemble of a batch.
 
     The ensemble batch must be freshly prepared (all ions ground); with
     a diffusion model its ions get their positions here. The blocks run
-    back to back on the LO, block b from t0 + b * cfg.block_time, and
+    back to back on the LO, block b from b * cfg.block_time, and
     the LO's phase increments for all of them are drawn as one record.
     Sequence per block: one pi/2 at phase 0, then per cycle free
     precession over t_fp (plus any dead time), pi/2 at 90 degrees,
@@ -308,7 +308,7 @@ def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
     delta_f_hz uses the 1/n phase divisor. Empty-sample errors from the
     projection propagate to the caller.
     """
-    return _run_blocks(ensemble, lo, cfg, t0, cfg.block_time)
+    return _run_blocks(ensemble, lo, cfg, cfg.block_time)
 
 
 def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
@@ -320,7 +320,7 @@ def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: 
     an n=1 estimate. Technical noise follows cfg.detection.sigma_tech.
     """
     whole = replace(cfg, n_cp=1, detection=replace(cfg.detection, p=1.0), diffusion=None)
-    return _run_blocks(reset_to_ground(ensemble), lo, whole, 0.0, cfg.standard_cycle_time)
+    return _run_blocks(reset_to_ground(ensemble), lo, whole, cfg.standard_cycle_time)
 
 
 def run_rabi_ppm(batch, lo, rotation_step, n_steps, reinitialize, det: DetectionConfig):

@@ -1,5 +1,6 @@
 """Config parsing, resolution, and the command-line harness."""
 
+import io
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 
 import ionclock
 from ionclock import cli, diffusion, sequences
-from ionclock.config import ConfigError, config_hash, parse_config_file, resolve
+from ionclock.config import DEFAULTS, ConfigError, config_hash, parse_config_file, resolve
 from ionclock.oscillator import PRESETS
 from ionclock.stability import limit_apl, limit_apl_repetition, limit_technical, qpn_snr
 
@@ -29,6 +30,15 @@ def run_cli(*args, cwd=None, timeout=None):
         cwd=cwd,
         timeout=timeout,
     )
+
+
+# every number key at 0 and -1, and every float key and the two integer
+# keys that size a loop (cycles, Rabi steps) at 1e300
+_EDGE_VALUES = sorted(
+    {(k, v) for k, d in DEFAULTS.items() if type(d) in (int, float) for v in ("0", "-1")}
+    | {(k, "1e300") for k, d in DEFAULTS.items() if type(d) is float}
+    | {("seq.n_cp", "1e300"), ("seq.rabi_n_steps", "1e300")}
+)
 
 
 class TestConfigFile:
@@ -163,6 +173,10 @@ class TestCli:
             # max_n_cp divides by snr^2
             ("apl", "stab.snr", "1e300"),
             ("diffusion", "diff.d_override", "-1"),
+            # no cycle stage lasts over a day, no cloud over a metre
+            ("apl", "seq.dead_time_s", "1e300"),
+            ("apl", "det.measurement_duration_s", "86401"),
+            ("diffusion", "ens.cloud_length_m", "1.5"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -202,6 +216,28 @@ class TestCli:
         out = tmp_path / "o"
         r = run_cli(*command.split(), "--config", cfg, "--out", out, "--trials", 2, timeout=60)
         assert (r.returncode, "Traceback" in r.stderr) == (code, False), r.stderr
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize(
+        "bundle",
+        [["apl"], ["apl", "beam"], ["rabi"], ["diffusion"], ["reproduce", "fig5"]],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("key, value", _EDGE_VALUES)
+    def test_every_key_at_its_edges_keeps_the_exit_contract(self, tmp_path, bundle, key, value):
+        raw = {"ens.n_ions": "50", "diff.n_walkers": "50", key: value}
+        if bundle[-1] == "beam":
+            bundle, raw["det.mode"] = ["apl"], "beam_overlap"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            # as in a CLI child run with -W error::RuntimeWarning; a saturated
+            # readout or a bound past its limit only warns there
+            warnings.simplefilter("ignore")
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([*bundle, "--config", str(cfg), "--out", str(out), "--trials", "2"])
+        assert code in (0, 2, 3)
         assert out.exists() == (code == 0)
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
@@ -434,7 +470,7 @@ class TestCli:
         params = cli._stab_params(resolve({}))
         qpn = replace(params, snr=qpn_snr(params.n_atom))
         taus = np.logspace(-1, 3, 9)
-        rows = list(zip(*cli._limit_columns(params, taus)))
+        rows = list(zip(*cli._limit_table(params, taus)[1]))
         assert len(rows) == taus.size
         for tau, row in zip(taus, rows):
             assert row == (
@@ -457,17 +493,48 @@ class TestCli:
         assert lines[2] == "n,mean_projected,sd,predicted"
         assert len(lines) == 3 + 8  # header block plus one row per cycle index
 
+    @staticmethod
+    def _csv(header, columns):
+        fh = io.StringIO()
+        cli._write_csv(fh, "h", 3, header, columns)
+        return fh.getvalue()
+
     def test_csv_rows_and_header_only_table(self):
         columns = (["a", "b"], [1, 20], [0.1 + 0.2, 2.0], np.array([1e-300, float("nan")]))
-        text = cli._csv("h", 3, ("s", "i", "x", "y"), columns)
+        text = self._csv(("s", "i", "x", "y"), columns)
         assert text == "# config_hash=h\n# seed=3\ns,i,x,y\na,1,0.3,1e-300\nb,20,2,nan\n"
-        assert cli._csv("h", 3, ("s",), ([],)) == "# config_hash=h\n# seed=3\ns\n"
-        # rows formatted chunk by chunk join up like one pass over all rows
+        assert self._csv(("s",), ([],)) == "# config_hash=h\n# seed=3\ns\n"
+        # rows written chunk by chunk join up like one pass over all rows
         n = 2 * cli._CSV_CHUNK_ROWS + 3
         ints, floats = np.arange(n).reshape(-1, 1), np.linspace(0.0, 1.0, n).reshape(-1, 1)
-        body = cli._csv("h", 3, ("i", "x"), (ints, floats)).split("\n", 3)[3]
+        body = self._csv(("i", "x"), (ints, floats)).split("\n", 3)[3]
         rows = zip(range(n), floats.ravel().tolist())
         assert body == "".join("%s,%.12g\n" % row for row in rows)
+
+    def test_no_write_carries_more_than_one_chunk_of_rows(self):
+        lines = []  # per write
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                lines.append(text.count("\n"))
+                return super().write(text)
+
+        chunk = cli._CSV_CHUNK_ROWS
+        cli._write_csv(Recorder(), "h", 3, ("i",), (np.arange(2 * chunk + 3),))
+        assert lines == [3, chunk, chunk, 3]  # the header block, then the rows
+
+    def test_chunk_size_does_not_change_the_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+
+        def files():
+            assert cli.main(["apl", "--trials", "400", "--seed", "3", "--out", str(out)]) == 0
+            return {f.name: f.read_bytes() for f in out.iterdir()}
+
+        whole = files()
+        # 400 blocks of 3 cycles: each cycle CSV spans more than two chunks
+        assert whole["apl_cycles.csv"].count(b"\n") > 3 + 2 * cli._CSV_CHUNK_ROWS
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 1)
+        assert files() == whole
 
     def test_heap_per_cycle_is_bounded(self, tmp_path):
         # The tracemalloc peak of fig6 grows with the cycle count; per

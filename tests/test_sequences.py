@@ -141,8 +141,8 @@ class TestAplBlock:
             t_fp=0.1, pi2_duration=7.5e-4, n_cp=2, detection=det, dead_time=0.01
         )
         ens = initialize_ensemble(500, substream(24, "ens"))
-        recs = run_apl_block(ens, quiet_lo(seed=24), cfg, t0=5.0)
-        first = 5.0 + 7.5e-4 + 0.11 + 7.5e-4 + 1e-3
+        recs = run_apl_block(ens, quiet_lo(seed=24), cfg)
+        first = 7.5e-4 + 0.11 + 7.5e-4 + 1e-3
         assert recs.timestamp[0, 0] == pytest.approx(first, rel=1e-12)
         assert recs.timestamp[0, 1] == pytest.approx(first + cfg.cycle_time, rel=1e-12)
 
