@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diffusion as diff_mod
-from .config import ConfigError, RunConfig, config_hash, parse_config_file, resolve
+from .config import ConfigError, config_hash, parse_config_file, resolve
 from .ensemble import DetectionConfig, EmptySampleError, initialize_ensemble
 from .oscillator import NoiseSpec, make_local_oscillator
 from .rng import substream
@@ -88,7 +88,7 @@ def _allan_table(points):
     return ("tau_s", "adev", "n_pairs"), columns
 
 
-def _meta(command, cfg: RunConfig, h, outputs):
+def _meta(command, cfg, h, outputs):
     from . import __version__
 
     python = "%d.%d.%d" % sys.version_info[:3]
@@ -96,7 +96,7 @@ def _meta(command, cfg: RunConfig, h, outputs):
         "command": command,
         "config_hash": h,
         "seed": cfg["run.seed"],
-        "config": cfg.values,
+        "config": dict(cfg),
         "outputs": sorted(outputs),
         "versions": {"ionclock": __version__, "numpy": np.__version__, "python": python},
     }
@@ -242,7 +242,7 @@ def _rabi_fit(angles, means):
     }
 
 
-def cmd_rabi(cfg: RunConfig):
+def cmd_rabi(cfg):
     seed = cfg["run.seed"]
     n_steps = cfg["seq.rabi_n_steps"]
     step = cfg["seq.rabi_step_rad"]
@@ -283,7 +283,7 @@ def cmd_rabi(cfg: RunConfig):
     }
 
 
-def cmd_apl(cfg: RunConfig):
+def cmd_apl(cfg):
     seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
     n_blocks = cfg["run.n_trials"] or max(1, cfg["seq.n_cycles"] // n_cp)
@@ -299,16 +299,14 @@ def cmd_apl(cfg: RunConfig):
     apl = _tracking_blocks(cfg, rcfg, lo_apl, n_blocks)
     std_ens = initialize_ensemble(cfg["ens.n_ions"], substream(seed, "std-ens"), n_blocks * n_cp)
     std = run_standard_ramsey(std_ens, lo_std, rcfg)
-    df, proj = apl.delta_f_hz, apl.projected_before
+    df = apl.delta_f_hz
 
-    # reduced one column at a time, so each sum runs in the same order
-    # as over a list of that column
     ns = np.arange(1, n_cp + 1)
+    # per column: std(axis=0) sums in another order and moves the last bits
     sds = [df[:, n - 1].std(ddof=1) if n_blocks > 1 else 0.0 for n in ns]
-    mean_proj = np.array([proj[:, n - 1].mean() for n in ns])
-    fit_doc = {"mean_projected_by_n": mean_proj}
+    fit_doc = {"mean_projected_by_n": apl.projected_before.mean(axis=0)}
     if n_cp >= 3:
-        fit_doc.update(_fit_doc(fit_decoherence(ns, mean_proj)))
+        fit_doc.update(_fit_doc(fit_decoherence(apl.projected_before)))
 
     std_pts = _allan_points(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
     apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
@@ -326,7 +324,7 @@ def cmd_apl(cfg: RunConfig):
     }
 
 
-def cmd_diffusion(cfg: RunConfig):
+def cmd_diffusion(cfg):
     seed = cfg["run.seed"]
     dcfg = _diffusion_config(cfg)
     n_walkers = cfg["diff.n_walkers"]
@@ -449,14 +447,14 @@ def _read_series(path):
     return FractionalFrequencySeries(data[:, 1], tau0)
 
 
-def cmd_allan(cfg: RunConfig, input_path):
+def cmd_allan(cfg, input_path):
     params = _stab_params(cfg)
     series = _read_series(input_path)
     pts = _allan_points(cfg, series.y, series.tau0)
     return {"allan.csv": _allan_table(pts), "limits.csv": _limit_table(params, [p.tau for p in pts])}
 
 
-def _projection_bundle(cfg: RunConfig):
+def _projection_bundle(cfg):
     seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
     if n_cp < 3:
@@ -469,7 +467,7 @@ def _projection_bundle(cfg: RunConfig):
     ns = np.arange(1, n_cp + 1)
     mean = proj.mean(axis=0)
     sd = proj.std(axis=0, ddof=1) if n_blocks > 1 else np.zeros(n_cp)
-    fit = fit_decoherence(ns, mean)
+    fit = fit_decoherence(proj)
     columns = (ns, mean, sd, predicted_projected_fraction(fit.model, ns))
     return {
         "fig5_projection.csv": (("n", "mean_projected", "sd", "predicted"), columns),

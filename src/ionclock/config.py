@@ -20,7 +20,7 @@ command builds from the value.
 
 import hashlib
 import math
-from dataclasses import dataclass
+from types import MappingProxyType
 
 from .diffusion import DiffusionConfig
 from .ensemble import DetectionConfig
@@ -28,7 +28,7 @@ from .oscillator import PRESETS
 from .sequences import RamseyConfig, cycle_duration
 from .stability import StabilityParams
 
-__all__ = ["ConfigError", "RunConfig", "resolve", "parse_config_file", "config_hash", "DEFAULTS"]
+__all__ = ["ConfigError", "resolve", "parse_config_file", "config_hash", "DEFAULTS"]
 
 
 class ConfigError(ValueError):
@@ -137,21 +137,8 @@ _REGISTRY = {
 DEFAULTS = {k: v[1] for k, v in _REGISTRY.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    """Immutable resolved configuration; values keyed by registry name."""
-
-    values: dict
-
-    def __getitem__(self, key):
-        try:
-            return self.values[key]
-        except KeyError as exc:
-            raise ConfigError(f"unknown config key: {key!r}") from exc
-
-
-def resolve(values: dict) -> RunConfig:
-    """Fill derived defaults and return the frozen config."""
+def resolve(values: dict) -> MappingProxyType:
+    """Fill derived defaults; return a read-only mapping keyed by registry name."""
     merged = dict(DEFAULTS)
     for key, raw in values.items():
         if key not in _REGISTRY:
@@ -188,7 +175,7 @@ def resolve(values: dict) -> RunConfig:
     if merged["stab.n_atom"] == 0:
         merged["stab.n_atom"] = merged["ens.n_ions"]
 
-    return RunConfig(values=merged)
+    return MappingProxyType(merged)
 
 
 def parse_config_file(path) -> dict:
@@ -225,15 +212,11 @@ def _canonical(value):
     return str(value)
 
 
-def config_hash(cfg: RunConfig) -> str:
+def config_hash(cfg) -> str:
     """Stable digest of the resolved config, seed included.
 
     run.output_dir is excluded: where results land does not change
     what they are, and the hash identifies the data.
     """
-    lines = [
-        f"{k}={_canonical(cfg.values[k])}"
-        for k in sorted(cfg.values)
-        if k != "run.output_dir"
-    ]
+    lines = [f"{k}={_canonical(cfg[k])}" for k in sorted(cfg) if k != "run.output_dir"]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]

@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+# The t quantile's series is O(nu); at 1000 dof t_0.975 is within 0.13% of its normal limit
+_T_DOF_CAP = 1000
 
 
 class SaturationWarning(UserWarning):
@@ -184,7 +186,7 @@ class DecoherenceModel:
 
 @dataclass(frozen=True)
 class DecoherenceFit:
-    """A decoherence fit; p_stderr and p_ci95 are None when no residual dof is left."""
+    """A decoherence fit; p_stderr and p_ci95 are None for a single block."""
 
     model: DecoherenceModel
     p_stderr: "float | None"
@@ -436,32 +438,33 @@ def _t_quantile(q, nu):
             hi = mid
 
 
-def fit_decoherence(cycles, deviations) -> DecoherenceFit:
-    """Least-squares fit of amplitude * (1 - (1-p)^(n-1)).
+def fit_decoherence(projected) -> DecoherenceFit:
+    """Least-squares fit of amplitude * (1 - (1-p)^(n-1)) to a block table.
 
     Parameters
     ----------
-    cycles : array-like of cycle indices (n >= 1)
-    deviations : array-like of per-cycle deviations to fit
+    projected : (blocks, n_cp) array of the ever-projected fraction
+        before cycle n = 1 .. n_cp of each block; n_cp >= 3
 
-    The model is linear in the amplitude, so for each p the amplitude
-    is the least-squares projection max(g.d / g.g, 0) of the data on
-    g = 1 - (1-p)^(n-1), and p itself is a bounded 1-D search on [0, 1]
-    (variable projection). Returns the fitted model with the standard
-    error of p from s^2 (J^T J)^-1 and its 95% confidence interval (t
-    quantile), and the residual norm. The n = 1 point is 0 for every
-    model, so s^2 and the residual dof count only the n > 1 points
-    (dof = their number minus 2);
-    with no dof left (3 cycles) p_stderr and p_ci95 are None. An
-    all-zero series short-circuits to p = 0. A non-finite result raises
+    The model is fitted to the column means d. It is linear in the
+    amplitude, so for each p the amplitude is the least-squares
+    projection max(g.d / g.g, 0) of d on g = 1 - (1-p)^(n-1), and p
+    itself is a bounded 1-D search on [0, 1] (variable projection).
+    The B blocks are independent, so the variance of p is the sandwich
+    (J^T J)^-1 J^T (Cov_rows / B) J (J^T J)^-1 (Huber 1967; White
+    1980), J the model Jacobian at the fit: the p row w of
+    (J^T J)^-1 J^T gives var(rows . w) / B. The 95% interval takes the
+    t quantile on B - 1 degrees of freedom, at most _T_DOF_CAP. With
+    one block p_stderr and p_ci95 are None. An all-zero table
+    short-circuits to p = 0. A non-finite result raises
     FitFailureError.
     """
-    n = np.asarray(cycles, dtype=float)
-    d = np.asarray(deviations, dtype=float)
-    if n.size < 3:
-        raise ValueError("need at least 3 points to fit")
-    if n.size != d.size:
-        raise ValueError("cycles and deviations must have equal length")
+    table = np.asarray(projected, dtype=float)
+    if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 3:
+        raise ValueError(f"need a (blocks >= 1, n_cp >= 3) table, got shape {table.shape}")
+    blocks, n_cp = table.shape
+    n = np.arange(1.0, n_cp + 1.0)
+    d = table.mean(axis=0)
     if np.allclose(d, 0.0, atol=1e-15):
         return DecoherenceFit(
             model=DecoherenceModel(p=0.0, amplitude=0.0),
@@ -486,8 +489,7 @@ def fit_decoherence(cycles, deviations) -> DecoherenceFit:
         raise FitFailureError(f"decoherence fit gave a non-finite result (p={p_hat}, a={a_hat})")
 
     stderr = ci = None
-    dof = int(np.count_nonzero(n > 1)) - 2
-    if dof >= 1:
+    if blocks > 1:
         # Jacobian columns d/dp and d/da of the model at the optimum; the
         # exponent is clipped at 0 where the factor n - 1 is 0 anyway
         jac = np.column_stack(
@@ -498,10 +500,13 @@ def fit_decoherence(cycles, deviations) -> DecoherenceFit:
         )
         jtj = jac.T @ jac
         det = jtj[0, 0] * jtj[1, 1] - jtj[0, 1] ** 2
-        r = resid[n > 1]
-        p_var = float(r @ r) / dof * jtj[1, 1] / det if det > 0 else math.inf
+        if det > 0:
+            w = (jtj[1, 1] * jac[:, 0] - jtj[0, 1] * jac[:, 1]) / det
+            p_var = float(np.var(table @ w, ddof=1)) / blocks
+        else:
+            p_var = math.inf
         stderr = math.sqrt(p_var)
-        tq = _t_quantile(0.975, dof)
+        tq = _t_quantile(0.975, min(blocks - 1, _T_DOF_CAP))
         ci = (p_hat - tq * stderr, p_hat + tq * stderr)
     return DecoherenceFit(
         model=DecoherenceModel(p=p_hat, amplitude=a_hat),

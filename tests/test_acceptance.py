@@ -95,7 +95,7 @@ def test_projected_fraction_matches_prediction_and_fit_recovers_p():
     assert mean[0] == 0.0
     assert np.all(np.abs(mean[1:] - expected[1:]) <= 3 * sigma[1:])
 
-    fit = fit_decoherence(n, mean)
+    fit = fit_decoherence(proj)
     lo_ci, hi_ci = fit.p_ci95
     assert lo_ci <= 0.18 <= hi_ci, f"p={fit.model.p:.5f}, ci=({lo_ci:.5f}, {hi_ci:.5f})"
     assert time.monotonic() - t_start < 60.0

@@ -75,6 +75,9 @@ class TestResolve:
         assert cfg["run.seed"] == 12345
         assert cfg["det.p"] == 0.18
         assert cfg["seq.t_fp_s"] == 0.1
+        with pytest.raises(TypeError):
+            cfg["seq.n_cp"] = 99
+        assert cfg["seq.n_cp"] == DEFAULTS["seq.n_cp"]
 
     def test_derived_quality_factor_and_cycle_time(self):
         cfg = resolve({})
@@ -208,6 +211,9 @@ class TestCli:
             ("apl", ["diff.d_override = -1", "det.mode = beam_overlap"], 2),
             ("rabi", ["det.measurement_duration_s = 0"], 0),
             ("reproduce fig4", ["det.measurement_duration_s = 0"], 0),
+            # a limit-line prefactor that overflows to zero or past the float range
+            ("apl", ["lo.f0_hz = 1e300", "stab.snr = 1e100"], 2),
+            ("apl", ["stab.k = 1e-300", "lo.f0_hz = 1e-10"], 2),
         ],
     )
     def test_extreme_value_exits_without_traceback(self, tmp_path, command, lines, code):
@@ -435,7 +441,7 @@ class TestCli:
 
     def test_apl_bundle_files(self, tmp_path):
         cfg = tmp_path / "small.cfg"
-        cfg.write_text("ens.n_ions = 80\nseq.n_cycles = 12\nlo.preset = maser\n")
+        cfg.write_text("ens.n_ions = 2000\nseq.n_cycles = 12\nlo.preset = maser\n")
         out = tmp_path / "out"
         r = run_cli("apl", "--config", cfg, "--out", out)
         assert r.returncode == 0, r.stderr
@@ -452,9 +458,16 @@ class TestCli:
             assert (out / name).exists(), name
         header = (out / "apl_cycles.csv").read_text().splitlines()[2]
         assert header == "block_id,n,timestamp_s,estimate,phi_rad,delta_f_hz"
-        # three cycles fit p and the amplitude exactly: no interval exists
+        # three cycles over four blocks: the interval comes from the spread
+        # over blocks. 2000 ions keep the n = 3 mean below twice the n = 2
+        # mean by some 5 binomial sigma, so p lies inside (0, 1]; at a few
+        # dozen ions a block table can put the fit on the p = 0 edge, where
+        # p and the amplitude are not separately identified and the
+        # interval is infinite.
         fit = json.loads((out / "decoherence_fit.json").read_text())
-        assert fit["p_stderr"] is None and fit["p_ci95"] is None
+        lo, hi = fit["p_ci95"]
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < fit["p"] < hi
+        assert fit["p_stderr"] > 0
 
     def test_apl_with_one_standard_cycle_writes_no_allan_rows(self, tmp_path):
         cfg = tmp_path / "one.cfg"

@@ -14,6 +14,7 @@ from ionclock.oscillator import NoiseSpec, advance, make_local_oscillator, phase
 from ionclock.rng import substream
 from ionclock.sequences import (
     DecoherenceModel,
+    _T_DOF_CAP,
     _argmin_1d,
     _growth,
     _t_quantile,
@@ -382,31 +383,33 @@ class TestDecoherenceModel:
     def test_fit_round_trip_noiseless(self):
         n = np.arange(1, 9)
         data = 0.9 * (1 - 0.82 ** (n - 1.0))
-        fit = fit_decoherence(n, data)
+        fit = fit_decoherence(data[None, :])
         assert fit.model.p == pytest.approx(0.18, abs=1e-6)
         assert fit.model.amplitude == pytest.approx(0.9, abs=1e-6)
         assert fit.residual_norm < 1e-7
 
     def test_fit_all_zero_series(self):
-        fit = fit_decoherence([1, 2, 3, 4], [0.0, 0.0, 0.0, 0.0])
+        fit = fit_decoherence(np.zeros((2, 4)))
         assert fit.model.p == 0.0
         assert fit.model.amplitude == 0.0
 
     def test_fit_needs_three_points(self):
-        with pytest.raises(ValueError):
-            fit_decoherence([1, 2], [0.0, 0.1])
+        for bad in ([[0.0, 0.1]], [0.0, 0.1, 0.2], np.zeros((0, 4))):
+            with pytest.raises(ValueError):
+                fit_decoherence(bad)
 
     def test_fit_ci_brackets_estimate(self):
         rng = np.random.default_rng(7)
         n = np.arange(1, 9)
-        data = 0.95 * (1 - 0.82 ** (n - 1.0)) + rng.normal(0, 0.003, 8)
-        fit = fit_decoherence(n, data)
+        table = 0.95 * (1 - 0.82 ** (n - 1.0)) + rng.normal(0, 0.003, (20, 8))
+        fit = fit_decoherence(table)
         lo, hi = fit.p_ci95
         assert lo < fit.model.p < hi
         assert fit.p_stderr > 0
 
     def test_t_quantile_matches_scipy(self):
-        for nu in range(1, 99):
+        assert _T_DOF_CAP == 1000
+        for nu in (*range(1, 99), *range(100, _T_DOF_CAP + 1, 100)):
             assert _t_quantile(0.975, nu) == pytest.approx(stats.t.ppf(0.975, nu), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -414,28 +417,66 @@ class TestDecoherenceModel:
         # reference: curve_fit on the same bounded problem, run to
         # convergence (its default xtol stops up to 2e-7 short in p). The
         # n = 1 point is 0 for every model, so it moves neither the
-        # optimum nor J^T J; the fit leaves it out of s^2 and the dof, and
-        # so does the reference, which sees only the n > 1 points.
+        # optimum nor J^T J; the reference sees only the n > 1 points.
         rng = np.random.default_rng(seed)
         n = np.arange(1, 9)
         data = 0.95 * (1 - 0.82 ** (n - 1.0)) + rng.normal(0, 0.003, 8)
-        popt, pcov = optimize.curve_fit(
+        popt, _ = optimize.curve_fit(
             _growth, n[1:], data[1:], p0=(0.2, data.max()), bounds=([0.0, 0.0], [1.0, np.inf]),
             ftol=1e-15, xtol=1e-15, gtol=1e-15,
         )
-        fit = fit_decoherence(n, data)
+        fit = fit_decoherence(data[None, :])
         assert fit.model.p == pytest.approx(popt[0], rel=1e-7)
         assert fit.model.amplitude == pytest.approx(popt[1], rel=1e-7)
-        ref_stderr = math.sqrt(pcov[0, 0])
-        assert fit.p_stderr == pytest.approx(ref_stderr, rel=1e-6)
-        tq = stats.t.ppf(0.975, 5)
-        assert fit.p_ci95 == pytest.approx((popt[0] - tq * ref_stderr, popt[0] + tq * ref_stderr))
+
+    @pytest.mark.parametrize("blocks", [2, 40, 1500])
+    def test_stderr_is_the_block_sandwich(self, blocks):
+        # reference: the sandwich (J^T J)^-1 J^T (Cov_rows / B) J (J^T J)^-1
+        # with a central-difference Jacobian and numpy's row covariance;
+        # the t quantile takes B - 1 degrees of freedom up to the cap
+        rng = np.random.default_rng(blocks)
+        n = np.arange(1, 9)
+        table = 0.95 * (1 - 0.82 ** (n - 1.0)) + rng.normal(0, 0.01, (blocks, 8))
+        fit = fit_decoherence(table)
+        p, a, h = fit.model.p, fit.model.amplitude, 1e-6
+        jac = np.column_stack(
+            [
+                (_growth(n, p + h, a) - _growth(n, p - h, a)) / (2 * h),
+                (_growth(n, p, a + h) - _growth(n, p, a - h)) / (2 * h),
+            ]
+        )
+        bread = np.linalg.inv(jac.T @ jac) @ jac.T
+        cov = bread @ (np.cov(table, rowvar=False) / blocks) @ bread.T
+        ref = math.sqrt(cov[0, 0])
+        assert fit.p_stderr == pytest.approx(ref, rel=1e-6)
+        tq = stats.t.ppf(0.975, min(blocks - 1, 1000))
+        assert fit.p_ci95 == pytest.approx((p - tq * ref, p + tq * ref), rel=1e-6)
+
+    def test_interval_covers_p_at_the_fig5_setting(self):
+        # 400 batches of 32 eight-cycle blocks (2000 ions, p = 0.18,
+        # sigma_tech = 0.1, quiet LO), cut from one 12,800-block run. The
+        # 95% interval must cover p in 380 +- 3 sigma of Binomial(400,
+        # 0.95) batches: [367, 393], fixed before the run.
+        batches, per_batch, p = 400, 32, 0.18
+        cfg = RamseyConfig(t_fp=0.1, n_cp=8, detection=DetectionConfig(p=p, sigma_tech=0.1))
+        ens = initialize_ensemble(2000, substream(2026, "ens"), batches * per_batch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            proj = run_apl_block(ens, quiet_lo(seed=2026), cfg).projected_before
+        covered = 0
+        for table in proj.reshape(batches, per_batch, 8):
+            lo, hi = fit_decoherence(table).p_ci95
+            covered += lo <= p <= hi
+        assert 367 <= covered <= 393, f"{covered} of {batches} intervals cover p"
 
     @pytest.mark.parametrize("m2, m3", [(0.17, 0.31), (0.5, 0.75), (0.02, 0.039), (0.3, 0.3)])
     def test_three_cycle_fit_is_exact_without_ci(self, m2, m3):
         # two informative points, two parameters: m2 = a p and
-        # m3 = a p (2 - p), so p = 2 - m3 / m2 and no residual dof is left
-        fit = fit_decoherence([1, 2, 3], [0.0, m2, m3])
+        # m3 = a p (2 - p), so p = 2 - m3 / m2; one block has no spread
+        # over blocks, so no interval
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_decoherence([[0.0, m2, m3]])
         p = 2.0 - m3 / m2
         assert fit.model.p == pytest.approx(p, rel=1e-10)
         assert fit.model.amplitude == pytest.approx(m2 / p, rel=1e-10)
