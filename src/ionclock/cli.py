@@ -196,13 +196,17 @@ def _fit_doc(fit):
 def _limit_table(params: StabilityParams, taus):
     taus = np.asarray(taus, dtype=float)
     header = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
-    return header, (
-        taus,
-        limit_technical(params, taus),
-        limit_apl(params, taus),
-        limit_apl_repetition(params, taus),
-        limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
-    )
+    # a product such as k * f0 * snr * tau past the float range makes a line 0 or inf
+    with np.errstate(over="ignore", divide="ignore"):
+        lines = (
+            limit_technical(params, taus),
+            limit_apl(params, taus),
+            limit_apl_repetition(params, taus),
+            limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
+        )
+    if not all(np.all((line > 0.0) & (line < math.inf)) for line in lines):
+        raise ConfigError("a limit line is 0 or not finite: k, q, f0 or snr times tau leaves the float range")
+    return header, (taus, *lines)
 
 
 def _allan_points(cfg, y, tau0):

@@ -454,10 +454,11 @@ def fit_decoherence(projected) -> DecoherenceFit:
     (J^T J)^-1 J^T (Cov_rows / B) J (J^T J)^-1 (Huber 1967; White
     1980), J the model Jacobian at the fit: the p row w of
     (J^T J)^-1 J^T gives var(rows . w) / B. The 95% interval takes the
-    t quantile on B - 1 degrees of freedom, at most _T_DOF_CAP. With
-    one block p_stderr and p_ci95 are None. An all-zero table
-    short-circuits to p = 0. A non-finite result raises
-    FitFailureError.
+    t quantile on B - 1 degrees of freedom, at most _T_DOF_CAP.
+    p_stderr and p_ci95 are None with one block, and where J^T J is
+    singular (p = 0 or amplitude 0): there p and the amplitude are not
+    separately identified. An all-zero table short-circuits to p = 0.
+    A non-finite result raises FitFailureError.
     """
     table = np.asarray(projected, dtype=float)
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 3:
@@ -488,24 +489,20 @@ def fit_decoherence(projected) -> DecoherenceFit:
     if not np.all(np.isfinite(resid)):
         raise FitFailureError(f"decoherence fit gave a non-finite result (p={p_hat}, a={a_hat})")
 
+    # Jacobian columns d/dp and d/da of the model at the optimum; the
+    # exponent is clipped at 0 where the factor n - 1 is 0 anyway
+    jac = np.column_stack(
+        [
+            a_hat * (n - 1.0) * (1.0 - p_hat) ** np.maximum(n - 2.0, 0.0),
+            _growth(n, p_hat, 1.0),
+        ]
+    )
+    jtj = jac.T @ jac
+    det = jtj[0, 0] * jtj[1, 1] - jtj[0, 1] ** 2
     stderr = ci = None
-    if blocks > 1:
-        # Jacobian columns d/dp and d/da of the model at the optimum; the
-        # exponent is clipped at 0 where the factor n - 1 is 0 anyway
-        jac = np.column_stack(
-            [
-                a_hat * (n - 1.0) * (1.0 - p_hat) ** np.maximum(n - 2.0, 0.0),
-                _growth(n, p_hat, 1.0),
-            ]
-        )
-        jtj = jac.T @ jac
-        det = jtj[0, 0] * jtj[1, 1] - jtj[0, 1] ** 2
-        if det > 0:
-            w = (jtj[1, 1] * jac[:, 0] - jtj[0, 1] * jac[:, 1]) / det
-            p_var = float(np.var(table @ w, ddof=1)) / blocks
-        else:
-            p_var = math.inf
-        stderr = math.sqrt(p_var)
+    if blocks > 1 and det > 0:
+        w = (jtj[1, 1] * jac[:, 0] - jtj[0, 1] * jac[:, 1]) / det
+        stderr = math.sqrt(float(np.var(table @ w, ddof=1)) / blocks)
         tq = _t_quantile(0.975, min(blocks - 1, _T_DOF_CAP))
         ci = (p_hat - tq * stderr, p_hat + tq * stderr)
     return DecoherenceFit(

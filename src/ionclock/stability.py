@@ -95,10 +95,6 @@ class StabilityParams:
             raise ValueError("n_atom must be at least 1")
         if not 0.0 < self.snr * self.snr < math.inf:
             raise ValueError("snr^2 must be positive and finite: max_n_cp divides by it")
-        for name in ("q", "f0"):
-            scale = self.k * getattr(self, name) * self.snr
-            if not (scale > 0.0 and 0.0 < 1.0 / scale < math.inf):
-                raise ValueError(f"the limit-line prefactor 1/(k*{name}*snr) must be positive and finite")
 
     @property
     def max_n_cp(self):

@@ -211,9 +211,11 @@ class TestCli:
             ("apl", ["diff.d_override = -1", "det.mode = beam_overlap"], 2),
             ("rabi", ["det.measurement_duration_s = 0"], 0),
             ("reproduce fig4", ["det.measurement_duration_s = 0"], 0),
-            # a limit-line prefactor that overflows to zero or past the float range
+            # a limit line that leaves the float range: in its prefactor
+            # 1/(k f0 snr) or 1/(k q snr), or only once tau multiplies in
             ("apl", ["lo.f0_hz = 1e300", "stab.snr = 1e100"], 2),
             ("apl", ["stab.k = 1e-300", "lo.f0_hz = 1e-10"], 2),
+            ("apl", ["lo.f0_hz = 1e300", "stab.snr = 1e8", "stab.q = 1", "seq.t_fp_s = 10"], 2),
         ],
     )
     def test_extreme_value_exits_without_traceback(self, tmp_path, command, lines, code):
@@ -441,7 +443,7 @@ class TestCli:
 
     def test_apl_bundle_files(self, tmp_path):
         cfg = tmp_path / "small.cfg"
-        cfg.write_text("ens.n_ions = 2000\nseq.n_cycles = 12\nlo.preset = maser\n")
+        cfg.write_text("ens.n_ions = 80\nseq.n_cycles = 12\nlo.preset = maser\n")
         out = tmp_path / "out"
         r = run_cli("apl", "--config", cfg, "--out", out)
         assert r.returncode == 0, r.stderr
@@ -458,12 +460,22 @@ class TestCli:
             assert (out / name).exists(), name
         header = (out / "apl_cycles.csv").read_text().splitlines()[2]
         assert header == "block_id,n,timestamp_s,estimate,phi_rad,delta_f_hz"
-        # three cycles over four blocks: the interval comes from the spread
-        # over blocks. 2000 ions keep the n = 3 mean below twice the n = 2
-        # mean by some 5 binomial sigma, so p lies inside (0, 1]; at a few
-        # dozen ions a block table can put the fit on the p = 0 edge, where
-        # p and the amplitude are not separately identified and the
-        # interval is infinite.
+        # at 80 ions these four blocks' means put the fit on the p = 0
+        # edge, where p and the amplitude are not separately identified:
+        # no interval
+        fit = json.loads((out / "decoherence_fit.json").read_text())
+        assert fit["p"] < 1e-6
+        assert fit["p_stderr"] is None and fit["p_ci95"] is None
+
+    def test_apl_three_cycle_interval_comes_from_the_blocks(self, tmp_path):
+        # 2000 ions keep the n = 3 mean below twice the n = 2 mean by some
+        # 5 binomial sigma, so p lies inside (0, 1] and the spread over the
+        # four blocks gives a finite interval
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("ens.n_ions = 2000\nseq.n_cycles = 12\nlo.preset = maser\n")
+        out = tmp_path / "out"
+        r = run_cli("apl", "--config", cfg, "--out", out)
+        assert r.returncode == 0, r.stderr
         fit = json.loads((out / "decoherence_fit.json").read_text())
         lo, hi = fit["p_ci95"]
         assert math.isfinite(lo) and math.isfinite(hi) and lo < fit["p"] < hi
@@ -493,6 +505,15 @@ class TestCli:
                 limit_apl_repetition(params, tau),
                 limit_technical(qpn, tau),
             )
+
+    def test_limit_lines_off_the_float_range_are_a_config_error(self):
+        # k f0 snr = 1e308 is finite, but times tau > 1.8 s it is not
+        params = replace(cli._stab_params(resolve({})), f0=1e307, snr=10.0)
+        cli._limit_table(params, [0.1, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="limit line"):
+                cli._limit_table(params, [0.1, 1.0, 10.0])
 
     def test_reproduce_projection_bundle(self, tmp_path):
         out = tmp_path / "out"

@@ -408,7 +408,6 @@ class TestDecoherenceModel:
         assert fit.p_stderr > 0
 
     def test_t_quantile_matches_scipy(self):
-        assert _T_DOF_CAP == 1000
         for nu in (*range(1, 99), *range(100, _T_DOF_CAP + 1, 100)):
             assert _t_quantile(0.975, nu) == pytest.approx(stats.t.ppf(0.975, nu), rel=1e-12)
 
@@ -449,7 +448,7 @@ class TestDecoherenceModel:
         cov = bread @ (np.cov(table, rowvar=False) / blocks) @ bread.T
         ref = math.sqrt(cov[0, 0])
         assert fit.p_stderr == pytest.approx(ref, rel=1e-6)
-        tq = stats.t.ppf(0.975, min(blocks - 1, 1000))
+        tq = stats.t.ppf(0.975, min(blocks - 1, _T_DOF_CAP))
         assert fit.p_ci95 == pytest.approx((p - tq * ref, p + tq * ref), rel=1e-6)
 
     def test_interval_covers_p_at_the_fig5_setting(self):
