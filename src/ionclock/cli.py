@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -412,16 +413,144 @@ def _line_of(path, skip, row):
         return next(itertools.islice(_data_lines(fh, skip), row, None))[0]
 
 
+def _loadtxt(path, skip, delimiter, encoding="utf-8-sig"):
+    return np.loadtxt(
+        path, delimiter=delimiter, comments="#", skiprows=skip, ndmin=2, encoding=encoding
+    )
+
+
+# files smaller than this parse sooner in one process than in two: below
+# it the fork, the copies and the pipe cost more than half the parse saves
+_SPLIT_BYTES = 1 << 20
+
+
+def _can_fork():
+    """Whether a forked parser is safe (this process runs one thread) and has a CPU of its own."""
+    try:
+        return (
+            hasattr(os, "fork")
+            and hasattr(os, "memfd_create")
+            and len(os.sched_getaffinity(0)) > 1
+            and len(os.listdir("/proc/self/task")) == 1
+        )
+    except (AttributeError, OSError):  # no sched_getaffinity, or no /proc
+        return False
+
+
+def _cut(path):
+    """The offset just past the line end nearest the middle of the file; 0 to parse it whole."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _SPLIT_BYTES or not _can_fork():
+            return 0
+        fh.seek(size // 2)
+        cut = size // 2 + len(fh.readline())
+    return cut if cut < size else 0
+
+
+def _loadtxt_part(path, start, end, skip, delimiter, encoding):
+    """np.loadtxt of bytes [start, end) of a file, copied into a memory file.
+
+    np.loadtxt parses fastest from a path, and a part that starts and
+    ends at line boundaries parses as those lines do in the whole file.
+    """
+    fd = os.memfd_create("ionclock-part")
+    try:
+        with open(path, "rb") as src:
+            while start < end:
+                sent = os.sendfile(fd, src.fileno(), start, end - start)
+                if not sent:
+                    raise OSError(f"{path} shrank while it was read")
+                start += sent
+        return _loadtxt(f"/proc/self/fd/{fd}", skip, delimiter, encoding)
+    finally:
+        os.close(fd)
+
+
+def _receive(pipe, head):
+    """head joined to the rows a child sent as their int64 shape and float64 bytes.
+
+    None when the message is short or its rows have another column count.
+    """
+    shape = np.frombuffer(pipe.read(16), np.int64)
+    if shape.size != 2 or shape[1] != head.shape[1]:
+        return None
+    data = np.empty((len(head) + shape[0], shape[1]))
+    data[: len(head)] = head
+    tail = data[len(head) :]
+    return data if pipe.readinto(tail) == tail.nbytes else None
+
+
+def _loadtxt_in_two(path, skip, delimiter, cut):
+    """The data rows parsed by this process (bytes before `cut`) and a forked child (the rest).
+
+    None on any mismatch: a half that does not parse or warns, a child
+    that fails or sends a short message, or halves whose column counts
+    differ. No process outlives the call.
+    """
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # the child only parses, silently: its warnings would change
+        # stderr, and it leaves without running the parent's exit handlers
+        status = 1
+        try:
+            os.close(r)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+            # no utf-8-sig: a byte-order mark is dropped only at the start of the file
+            tail = _loadtxt_part(path, cut, os.path.getsize(path), 0, delimiter, "utf-8")
+            with open(w, "wb") as pipe:
+                pipe.write(np.array(tail.shape, np.int64).tobytes())
+                pipe.write(tail)
+            status = 0
+        finally:
+            os._exit(status)
+    data = None
+    try:
+        os.close(w)
+        with open(r, "rb") as pipe:
+            try:
+                with warnings.catch_warnings():
+                    # a head without data rows warns where the single parse does not
+                    warnings.simplefilter("error")
+                    head = _loadtxt_part(path, 0, cut, skip, delimiter, "utf-8-sig")
+                data = _receive(pipe, head)
+            except (ValueError, OSError, Warning):
+                pass  # the single parse gives the rows or names the faulty line
+            finally:
+                pipe.read()  # drain: a child blocked on the full pipe exits only once it is read
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return None if status else data
+
+
 def _read_series(path):
+    """The fractional-frequency series of a (t, y) file; a DataError names a faulty line.
+
+    A file of at least _SPLIT_BYTES is parsed in two processes when
+    this process runs one thread and may use two CPUs: a forked child
+    parses the lines past the line end nearest the middle of the file
+    and sends its rows back through a pipe. Any mismatch parses the
+    file again in one piece, so the result and every error message are
+    those of the single parse.
+    """
     try:
         # utf-8-sig drops a byte-order mark, or the first sample would read as a header
         with open(path, encoding="utf-8-sig") as fh:
             skip, delimiter = _sniff(path, fh)
         try:
-            data = np.loadtxt(
-                path, delimiter=delimiter, comments="#", skiprows=skip, ndmin=2,
-                encoding="utf-8-sig",
-            )
+            cut = _cut(path)
+            data = _loadtxt_in_two(path, skip, delimiter, cut) if cut else None
+            if data is None:
+                data = _loadtxt(path, skip, delimiter)
         except ValueError as exc:  # numpy names the data row, not the file line
             raise _bad_line(path, skip, delimiter, exc) from None
         if data.shape[1] != 2:

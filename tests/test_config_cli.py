@@ -1,13 +1,16 @@
 """Config parsing, resolution, and the command-line harness."""
 
+import functools
 import io
 import json
 import math
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -22,13 +25,14 @@ from ionclock.oscillator import PRESETS
 from ionclock.stability import limit_apl, limit_apl_repetition, limit_technical, qpn_snr
 
 
-def run_cli(*args, cwd=None, timeout=None):
+def run_cli(*args, cwd=None, timeout=None, entry=("-m", "ionclock"), preexec_fn=None):
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ionclock", *map(str, args)],
+        [sys.executable, "-W", "error::RuntimeWarning", *entry, *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -626,3 +630,148 @@ def test_numpy_loads_with_one_blas_thread():
 def test_user_blas_thread_count_is_kept():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
     assert _threads_and_blas_variable(env)[1] == "2"
+
+
+# -- the two-process reader of large allan inputs --
+
+needs_memfd = pytest.mark.skipif(
+    not hasattr(os, "memfd_create") or not os.path.isdir("/proc/self/fd"), reason="needs memfd and /proc"
+)
+needs_two_cpus = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create"))
+    or not os.path.isdir("/proc/self/task")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs fork, memfd, two CPUs and /proc",
+)
+
+# `python -m ionclock` that prints "fork" to stdout for each fork; the CLI itself prints nothing there
+_COUNTING_FORKS = (
+    "-c",
+    "import runpy, sys; "
+    "sys.addaudithook(lambda event, args: event == 'os.fork' and print('fork')); "
+    "sys.argv[0] = 'ionclock'; runpy.run_module('ionclock', run_name='__main__')",
+)
+
+_N = 42_000  # rows of padding: about 1.1 MB, past the split size
+
+
+@functools.cache
+def _rows(start, n, delimiter=",", extra=""):
+    y = np.random.default_rng(start).normal(0.0, 1e-12, n)
+    return "".join(f"{start + i}.0{delimiter}{v:.12e}{extra}\n" for i, v in enumerate(y))
+
+
+def _insert(text, line, what):
+    """text with `what` put before its line number `line` (from 1)."""
+    at = 0
+    for _ in range(line - 1):
+        at = text.index("\n", at) + 1
+    return text[:at] + what + text[at:]
+
+
+def _split_text(head, tail):
+    """head + tail + a comment line: the reader cuts the file between head and tail."""
+    pad = len(head.encode("utf-8")) - len(tail.encode("utf-8")) - 3
+    assert pad >= 0
+    return head + tail + "#" * pad + "\n"
+
+
+# case -> (file text, exit code, a pattern of stderr). Every fault sits
+# in the second half, which the child parses.
+_SPLIT_CASES = {
+    "header_whitespace_delimiter": (lambda: "time  y\n" + _rows(0, _N, "  "), 0, ""),
+    "no_trailing_newline": (lambda: _rows(0, _N)[:-1], 0, ""),
+    "comment_line": (lambda: _insert(_rows(0, _N), 10, "# note\n"), 0, ""),
+    "blank_line": (lambda: _insert(_rows(0, _N), 10, "\n"), 0, ""),
+    "crlf": (lambda: _rows(0, _N).replace("\n", "\r\n"), 0, ""),
+    "lone_cr": (lambda: _rows(0, 10)[:-1] + "\r" + _rows(10, _N - 10), 0, ""),
+    # the first half holds no data row, so np.loadtxt warns on it
+    "comment_block_head": (lambda: "# a note on the run\n" * _N + _rows(0, _N // 2), 0, ""),
+    # each half parses, and their column counts differ
+    "wide_tail": (
+        lambda: _split_text(_rows(0, _N), _rows(_N, _N // 2, extra=",7")), 3,
+        rf":{_N + 1}: expected two columns, got 3",
+    ),
+    "one_column_head": (
+        lambda: _split_text("".join(f"{i}.0\n" for i in range(2 * _N)), _rows(2 * _N, _N // 2, " ")), 3,
+        r"series.csv:1: expected two columns, got 1",
+    ),
+    "malformed_after_bom_header": (
+        lambda: "\ufefft,y\n" + _rows(0, _N) + f"{_N}.0,oops\n", 3, rf":{_N + 2}: non-numeric sample"
+    ),
+    # U+FEFF inside the file is not a byte-order mark: that line does not parse
+    "bom_at_cut": (
+        lambda: _split_text(_rows(0, _N), "\ufeff" + _rows(_N, _N // 2)), 3, rf":{_N + 1}: non-numeric sample"
+    ),
+    "non_finite": (
+        lambda: "t,y\n" + _rows(0, _N) + f"\n{_N}.0,nan\n{_N + 1}.0,1e-12\n", 3,
+        rf":{_N + 3}: non-finite sample nan",
+    ),
+    "nan_timestamp": (
+        lambda: _rows(0, _N) + f"nan,1e-12\n{_N + 1}.0,1e-12\n", 3,
+        rf":{_N + 1}: non-uniform sample spacing \(gap nan",
+    ),
+    "nonuniform": (
+        lambda: _rows(0, _N, " ") + f"{_N + 0.5} 0.0\n", 3, rf":{_N + 1}: non-uniform sample spacing"
+    ),
+}
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_split_and_single_parse_agree(tmp_path, case):
+    text, code, message = _SPLIT_CASES[case]
+    path = tmp_path / "series.csv"
+    path.write_bytes(text().encode("utf-8"))
+    assert path.stat().st_size >= cli._SPLIT_BYTES
+    out = tmp_path / "o"  # both runs on one path: run_meta.json records it
+    cpu = min(os.sched_getaffinity(0))
+    runs = []
+    for pin in (None, lambda: os.sched_setaffinity(0, {cpu})):
+        r = run_cli("allan", path, "--out", out, entry=_COUNTING_FORKS, preexec_fn=pin, timeout=60)
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        runs.append((r.returncode, r.stderr, files, r.stdout.count("fork")))
+    (split_code, split_err, split_files, forks), pinned = runs
+    # the reader forks once, and never when pinned to one CPU
+    assert pinned == (split_code, split_err, split_files, 0)
+    assert (split_code, forks) == (code, 1), split_err
+    assert re.search(message, split_err)
+    assert bool(split_files) == (code == 0)
+
+
+@needs_memfd
+def test_halves_cut_at_a_line_end_parse_as_the_whole(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_can_fork", lambda: True)
+    path = tmp_path / "series.csv"
+    path.write_text("t,y\n" + _rows(0, _N))
+    raw = path.read_bytes()
+    cut = cli._cut(path)
+    assert cut == raw.index(b"\n", len(raw) // 2) + 1
+    head = cli._loadtxt_part(path, 0, cut, 1, ",", "utf-8-sig")
+    tail = cli._loadtxt_part(path, cut, len(raw), 0, ",", "utf-8")
+    assert np.array_equal(np.concatenate((head, tail)), cli._loadtxt(path, 1, ","))
+
+
+@needs_proc
+def test_reader_forks_only_for_a_large_file_in_a_one_thread_process(tmp_path, monkeypatch):
+    def fork():
+        pytest.fail("the reader forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    small = tmp_path / "small.csv"
+    small.write_text(_rows(0, 100))
+    assert small.stat().st_size < cli._SPLIT_BYTES
+    assert len(cli._read_series(small).y) == 100
+    large = tmp_path / "large.csv"
+    large.write_text(_rows(0, _N))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(os.listdir("/proc/self/task")) > 1
+        assert len(cli._read_series(large).y) == _N
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
