@@ -22,7 +22,6 @@ the output directory are not removed.
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -363,17 +362,24 @@ def cmd_diffusion(cfg):
     }
 
 
-def _data_lines(fh, skip=0):
-    """Yield (line number, text) of each line past `skip` that holds data."""
+def _data_lines(fh, delimiter=None, skip=0):
+    """Yield (line number, text before any `#`) of each data row past line `skip`.
+
+    As in np.loadtxt, an empty text is no row; a text of blanks is no row
+    with whitespace delimiters (None) and a row of one field with commas.
+    """
     for lineno, line in enumerate(fh, start=1):
-        text = line.split("#", 1)[0].strip()
-        if lineno > skip and text:
+        text = line.rstrip("\n").split("#", 1)[0]
+        if lineno > skip and (text if delimiter else text.strip()):
             yield lineno, text
 
 
 def _numeric(fields):
+    """Whether np.loadtxt reads each field as a number: float() does, less `_` and non-ASCII digits."""
     try:
         for f in fields:
+            if "_" in f or not f.strip().isascii():
+                return False
             float(f)
     except ValueError:
         return False
@@ -385,7 +391,7 @@ def _sniff(path, fh):
 
     A first line that is not all numbers is a header. The first data
     line picks the delimiter: a comma if it has one, otherwise
-    whitespace (None).
+    whitespace (None). Lines of blanks before any `#` are passed over.
     """
     skip = 0
     for lineno, text in _data_lines(fh):
@@ -395,22 +401,18 @@ def _sniff(path, fh):
     raise DataError(f"{path}: need at least 2 samples, got 0")
 
 
-def _bad_line(path, skip, delimiter, why):
-    """A DataError naming the first file line that is not two numbers."""
+def _bad_line(path, skip, delimiter, why, row=None):
+    """A DataError naming the line of data row `row` (from 0) with `why`, else the first line not two numbers."""
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, text in _data_lines(fh, skip):
+        for i, (lineno, text) in enumerate(_data_lines(fh, delimiter, skip)):
             fields = text.split(delimiter)
+            if i == row:
+                return DataError(f"{path}:{lineno}: {why}")
             if len(fields) != 2:
                 return DataError(f"{path}:{lineno}: expected two columns, got {len(fields)}")
             if not _numeric(fields):
                 return DataError(f"{path}:{lineno}: non-numeric sample {text!r}")
     return DataError(f"{path}: {why}")
-
-
-def _line_of(path, skip, row):
-    """The file line number of data row `row` (from 0) past `skip`."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return next(itertools.islice(_data_lines(fh, skip), row, None))[0]
 
 
 def _loadtxt(path, skip, delimiter, encoding="utf-8-sig"):
@@ -535,6 +537,8 @@ def _loadtxt_in_two(path, skip, delimiter, cut):
 def _read_series(path):
     """The fractional-frequency series of a (t, y) file; a DataError names a faulty line.
 
+    Rows (_data_lines) and numbers (_numeric) are as np.loadtxt reads
+    them, so each error numpy raises maps to the file line at fault.
     A file of at least _SPLIT_BYTES is parsed in two processes when
     this process runs one thread and may use two CPUs: a forked child
     parses the lines past the line end nearest the middle of the file
@@ -559,8 +563,7 @@ def _read_series(path):
             raise DataError(f"{path}: need at least 2 samples, got {len(data)}")
         bad = np.flatnonzero(~np.isfinite(data[:, 1]))
         if bad.size:
-            lineno = _line_of(path, skip, bad[0])
-            raise DataError(f"{path}:{lineno}: non-finite sample {data[bad[0], 1]}")
+            raise _bad_line(path, skip, delimiter, f"non-finite sample {data[bad[0], 1]}", bad[0])
         gaps = np.diff(data[:, 0])
         # the median gap; np.median would import numpy.ma on its first call
         mid = ((gaps.size - 1) // 2, gaps.size // 2)
@@ -570,11 +573,8 @@ def _read_series(path):
             raise DataError(f"{path}: timestamps must be strictly increasing")
         bad = np.flatnonzero(~(np.abs(gaps - tau0) <= 1e-6 * tau0))  # nan gaps too
         if bad.size:
-            lineno = _line_of(path, skip, bad[0] + 1)
-            raise DataError(
-                f"{path}:{lineno}: non-uniform sample spacing "
-                f"(gap {gaps[bad[0]]:.12g}, expected {tau0:.12g})"
-            )
+            why = f"non-uniform sample spacing (gap {gaps[bad[0]]:.12g}, expected {tau0:.12g})"
+            raise _bad_line(path, skip, delimiter, why, bad[0] + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return FractionalFrequencySeries(data[:, 1], tau0)

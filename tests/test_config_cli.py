@@ -377,6 +377,44 @@ class TestCli:
                 cli._read_series(path)
 
     @pytest.mark.parametrize(
+        "text, delimiter, skip, line",
+        [
+            # a line of blanks, with or without a comment, is a row of one
+            # field with commas and no row with whitespace delimiters
+            ("0.0,1e-12\n1.0,2e-12\n   \n2.0,3e-12\n3.0,1e-12\n", ",", 0, 3),
+            ("   \n0.0,1e-12\n1.0,2e-12\n2.0,3e-12\n", ",", 0, 1),
+            ("0.0,1e-12\n\t\n1.0,2e-12\n2.0,3e-12\n", ",", 0, 2),
+            ("0.0,1e-12\n1.0,2e-12\n   # note\n2.0,3e-12\n", ",", 0, 3),
+            ("0.0 1e-12\n1.0 2e-12\n   \n2.0 3e-12\n", None, 0, None),
+            # float() reads `_` separators and non-ASCII digits, np.loadtxt neither
+            ("0.0,1e-12\n1.0,2e-12\n2.0,1_0\n3.0,1e-12\n", ",", 0, 3),
+            ("t,y\n0.0,1e-12\n1.0,2e-12\n2.0,\u0663\n3.0,1e-12\n", ",", 1, 4),
+            ("0.0,\xa01e-12\xa0\n1.0,2e-12\n2.0,3e-12\n", ",", 0, None),
+            # so a first line that only float() reads as numbers is a header
+            ("1_0,1e-12\n0.0,1e-12\n1.0,2e-12\n2.0,3e-12\n", ",", 1, None),
+        ],
+        ids=["spaces", "spaces_first", "tab", "spaces_comment", "spaces_whitespace", "underscore",
+             "arabic_digit", "nbsp", "underscore_header"],
+    )
+    def test_allan_reader_reads_rows_and_numbers_as_numpy(self, tmp_path, text, delimiter, skip, line):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            ref = np.loadtxt(path, delimiter=delimiter, skiprows=skip, comments="#", encoding="utf-8")
+        except ValueError:
+            ref = None
+        assert (ref is None) == (line is not None)
+        if line is None:
+            series = cli._read_series(path)
+            assert np.array_equal(series.y, ref[:, 1])
+            assert series.tau0 == 1.0
+        else:
+            with pytest.raises(cli.DataError) as err:
+                cli._read_series(path)
+            assert str(err.value).startswith(f"{path}:{line}: ")
+            assert "at row" not in str(err.value)
+
+    @pytest.mark.parametrize(
         "times", [(0.0, 1.0, 2.0000004, 3.0000012, 4.0000014), (0.0, 1.0, 2.0000004, 3.0000012)]
     )
     def test_tau0_is_the_median_gap(self, tmp_path, times):
@@ -696,6 +734,10 @@ _SPLIT_CASES = {
         lambda: _split_text("".join(f"{i}.0\n" for i in range(2 * _N)), _rows(2 * _N, _N // 2, " ")), 3,
         r"series.csv:1: expected two columns, got 1",
     ),
+    "blank_spaces_line": (
+        lambda: _rows(0, _N) + f"   \n{_N}.0,1e-12\n", 3, rf":{_N + 1}: expected two columns, got 1"
+    ),
+    "underscore_sample": (lambda: _rows(0, _N) + f"{_N}.0,1_0\n", 3, rf":{_N + 1}: non-numeric sample"),
     "malformed_after_bom_header": (
         lambda: "\ufefft,y\n" + _rows(0, _N) + f"{_N}.0,oops\n", 3, rf":{_N + 2}: non-numeric sample"
     ),
