@@ -421,8 +421,9 @@ def _loadtxt(path, skip, delimiter, encoding="utf-8-sig"):
     )
 
 
-# files smaller than this parse sooner in one process than in two: below
-# it the fork, the copies and the pipe cost more than half the parse saves
+# files smaller than this parse sooner in one process than in two: below it
+# the fork and the copies into and out of memory files cost more than half
+# the parse saves
 _SPLIT_BYTES = 1 << 20
 
 
@@ -469,69 +470,52 @@ def _loadtxt_part(path, start, end, skip, delimiter, encoding):
         os.close(fd)
 
 
-def _receive(pipe, head):
-    """head joined to the rows a child sent as their int64 shape and float64 bytes.
-
-    None when the message is short or its rows have another column count.
-    """
-    shape = np.frombuffer(pipe.read(16), np.int64)
-    if shape.size != 2 or shape[1] != head.shape[1]:
-        return None
-    data = np.empty((len(head) + shape[0], shape[1]))
-    data[: len(head)] = head
-    tail = data[len(head) :]
-    return data if pipe.readinto(tail) == tail.nbytes else None
-
-
 def _loadtxt_in_two(path, skip, delimiter, cut):
     """The data rows parsed by this process (bytes before `cut`) and a forked child (the rest).
 
-    None on any mismatch: a half that does not parse or warns, a child
-    that fails or sends a short message, or halves whose column counts
-    differ. No process outlives the call.
+    The child saves its rows to a memory file made before the fork and
+    exits; this process parses its half, waits for the child and loads
+    them. None on any mismatch: a half that does not parse or warns, a
+    child that fails, rows that do not load, or halves whose column
+    counts differ. No process outlives the call.
     """
     try:
-        r, w = os.pipe()
+        # unbuffered: what the child writes is in the file when it exits
+        rows = open(os.memfd_create("ionclock-rows"), "r+b", buffering=0)
     except OSError:
         return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        # the child only parses, silently: its warnings would change
-        # stderr, and it leaves without running the parent's exit handlers
-        status = 1
+    with rows:
         try:
-            os.close(r)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
-            # no utf-8-sig: a byte-order mark is dropped only at the start of the file
-            tail = _loadtxt_part(path, cut, os.path.getsize(path), 0, delimiter, "utf-8")
-            with open(w, "wb") as pipe:
-                pipe.write(np.array(tail.shape, np.int64).tobytes())
-                pipe.write(tail)
-            status = 0
-        finally:
-            os._exit(status)
-    data = None
-    try:
-        os.close(w)
-        with open(r, "rb") as pipe:
+            pid = os.fork()
+        except OSError:
+            return None
+        with warnings.catch_warnings():
+            # a half without data rows warns where the single parse does not
+            warnings.simplefilter("error")
+            if pid == 0:
+                # the child leaves without running the parent's exit handlers;
+                # an exception or a warning leaves it before anything is printed
+                status = 1
+                try:
+                    # no utf-8-sig: a byte-order mark is dropped only at the start of the file
+                    np.save(rows, _loadtxt_part(path, cut, os.path.getsize(path), 0, delimiter, "utf-8"))
+                    status = 0
+                finally:
+                    os._exit(status)
             try:
-                with warnings.catch_warnings():
-                    # a head without data rows warns where the single parse does not
-                    warnings.simplefilter("error")
-                    head = _loadtxt_part(path, 0, cut, skip, delimiter, "utf-8-sig")
-                data = _receive(pipe, head)
+                head = _loadtxt_part(path, 0, cut, skip, delimiter, "utf-8-sig")
             except (ValueError, OSError, Warning):
-                pass  # the single parse gives the rows or names the faulty line
+                head = None  # the single parse gives the rows or names the faulty line
             finally:
-                pipe.read()  # drain: a child blocked on the full pipe exits only once it is read
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return None if status else data
+                status = os.waitpid(pid, 0)[1]
+        if status or head is None:
+            return None
+        rows.seek(0)
+        try:
+            tail = np.load(rows)
+        except (ValueError, OSError, EOFError):
+            return None
+    return np.concatenate((head, tail)) if tail.shape[1:] == head.shape[1:] else None
 
 
 def _read_series(path):
@@ -542,9 +526,10 @@ def _read_series(path):
     A file of at least _SPLIT_BYTES is parsed in two processes when
     this process runs one thread and may use two CPUs: a forked child
     parses the lines past the line end nearest the middle of the file
-    and sends its rows back through a pipe. Any mismatch parses the
-    file again in one piece, so the result and every error message are
-    those of the single parse.
+    and saves its rows to a memory file, which this process loads once
+    the child has exited. Any mismatch parses the file again in one
+    piece, so the result and every error message are those of the
+    single parse.
     """
     try:
         # utf-8-sig drops a byte-order mark, or the first sample would read as a header

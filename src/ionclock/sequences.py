@@ -186,7 +186,7 @@ class DecoherenceModel:
 
 @dataclass(frozen=True)
 class DecoherenceFit:
-    """A decoherence fit; p_stderr and p_ci95 are None for a single block."""
+    """A decoherence fit; p_stderr and p_ci95 are None where fit_decoherence gives no interval."""
 
     model: DecoherenceModel
     p_stderr: "float | None"
@@ -469,8 +469,8 @@ def fit_decoherence(projected) -> DecoherenceFit:
     if np.allclose(d, 0.0, atol=1e-15):
         return DecoherenceFit(
             model=DecoherenceModel(p=0.0, amplitude=0.0),
-            p_stderr=0.0,
-            p_ci95=(0.0, 0.0),
+            p_stderr=None,
+            p_ci95=None,
             residual_norm=0.0,
         )
 

@@ -795,6 +795,19 @@ def test_halves_cut_at_a_line_end_parse_as_the_whole(tmp_path, monkeypatch):
     assert np.array_equal(np.concatenate((head, tail)), cli._loadtxt(path, 1, ","))
 
 
+@needs_memfd
+def test_child_rows_that_do_not_load_fall_back_to_the_single_parse(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_can_fork", lambda: True)
+    # the forked child saves junk in place of its rows
+    monkeypatch.setattr(np, "save", lambda file, arr: file.write(b"not an array"))
+    path = tmp_path / "series.csv"
+    path.write_text("t,y\n" + _rows(0, _N))
+    assert cli._loadtxt_in_two(path, 1, ",", cli._cut(path)) is None
+    assert np.array_equal(cli._read_series(path).y, cli._loadtxt(path, 1, ",")[:, 1])
+    with pytest.raises(ChildProcessError):  # both children were reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 @needs_proc
 def test_reader_forks_only_for_a_large_file_in_a_one_thread_process(tmp_path, monkeypatch):
     def fork():

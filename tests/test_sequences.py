@@ -392,6 +392,9 @@ class TestDecoherenceModel:
         fit = fit_decoherence(np.zeros((2, 4)))
         assert fit.model.p == 0.0
         assert fit.model.amplitude == 0.0
+        # p and the amplitude are not separately identified: no interval
+        assert fit.p_stderr is None
+        assert fit.p_ci95 is None
 
     def test_fit_needs_three_points(self):
         for bad in ([[0.0, 0.1]], [0.0, 0.1, 0.2], np.zeros((0, 4))):
