@@ -13,11 +13,11 @@ byte.
 Exit codes: 0 success; 2 configuration problem (bad flag, unreadable
 or malformed config file, unknown key, a value its typed config
 rejects), raised before any simulation runs; 3 runtime or data problem
-(fit failure, empty sample, malformed input series, unwritable output
-directory). Every result is computed before the first file is opened,
-so a run that fails before writing writes nothing; each file is then
-rendered and written 512 rows at a time. Files an earlier run left in
-the output directory are not removed.
+(fit failure, empty sample, malformed input series, non-finite Allan
+point, unwritable output directory). Every result is computed before
+the first file is opened, so a run that fails before writing writes
+nothing; each file is then rendered and written 512 rows at a time.
+Files an earlier run left in the output directory are not removed.
 """
 
 import argparse
@@ -62,7 +62,7 @@ __all__ = ["main"]
 
 
 class DataError(RuntimeError):
-    """Malformed or unusable input data file."""
+    """Malformed or unusable data: an input file, or a series whose Allan deviation is not finite."""
 
 
 _CSV_CHUNK_ROWS = 512  # rows formatted and written at a time: one chunk of text is alive
@@ -149,7 +149,6 @@ def _diffusion_config(cfg) -> diff_mod.DiffusionConfig:
         temperature=cfg["diff.temperature_k"],
         mobility=cfg["diff.mobility"],
         d_override=cfg["diff.d_override"],
-        dt=cfg["diff.dt_s"],
         cloud_length=cfg["ens.cloud_length_m"],
         beam_interval=(cfg["diff.beam_lo_m"], cfg["diff.beam_hi_m"]),
     )
@@ -214,9 +213,12 @@ def _allan_points(cfg, y, tau0):
     if len(y) < 2:
         return []
     series = FractionalFrequencySeries(y, tau0)
-    return allan_deviation(
-        series, default_taus(series, cfg["allan.points_per_decade"]), cfg["allan.mode"]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # samples near the float range overflow
+        pts = allan_deviation(series, default_taus(series, cfg["allan.points_per_decade"]), cfg["allan.mode"])
+    for p in pts:
+        if not math.isfinite(p.adev):
+            raise DataError(f"the Allan deviation at tau={p.tau:.12g} s is not finite: |y| is too large")
+    return pts
 
 
 def _rabi_fit(angles, means):
@@ -312,8 +314,9 @@ def cmd_apl(cfg):
     if n_cp >= 3:
         fit_doc.update(_fit_doc(fit_decoherence(apl.projected_before)))
 
-    std_pts = _allan_points(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
-    apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
+    with np.errstate(over="ignore"):  # a tiny f0 overflows y; _allan_points rejects it
+        std_pts = _allan_points(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
+        apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
     taus = np.logspace(
         math.log10(rcfg.standard_cycle_time), math.log10(max(n_blocks, 2) * rcfg.block_time), 25
     )
@@ -338,10 +341,10 @@ def cmd_diffusion(cfg):
     z = np.zeros(n_walkers)
     msd = []
     for k in range(1, 101):
-        z = diff_mod.step_brownian(z, d_eff, dcfg.dt, rng)  # free space
+        z = diff_mod.step_brownian(z, d_eff, cfg["diff.dt_s"], rng)  # free space
         if k % 10 == 0:
             msd.append(np.mean(z * z))
-    t = np.arange(10, 101, 10) * dcfg.dt
+    t = np.arange(10, 101, 10) * cfg["diff.dt_s"]
 
     temps = np.linspace(0.01, 0.10, 10)
     d = [diff_mod.diffusion_constant(float(temp), dcfg.mobility) for temp in temps]

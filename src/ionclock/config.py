@@ -119,7 +119,7 @@ _REGISTRY = {
     "diff.temperature_k": (_as_float, DiffusionConfig.temperature, "ion temperature"),
     "diff.mobility": (_as_float, DiffusionConfig.mobility, "ion mobility for the Einstein relation"),
     "diff.d_override": (_as_float_or_none, DiffusionConfig.d_override, "diffusion constant override; 'none' derives from T and mobility"),
-    "diff.dt_s": (_as_float, DiffusionConfig.dt, "time step of the diffusion MSD curve; transport takes no sub-steps"),
+    "diff.dt_s": (_positive, 1e-5, "time step of the diffusion MSD curve; transport takes no sub-steps"),
     "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
     "diff.beam_lo_m": (_as_float, DiffusionConfig.beam_interval[0], "detection beam lower edge"),
     "diff.beam_hi_m": (_as_float, DiffusionConfig.beam_interval[1], "detection beam upper edge"),

@@ -45,16 +45,15 @@ class DiffusionConfig:
     """Transport parameters; ``d_override = None`` falls back to Einstein.
 
     ``beam_interval`` must lie inside [-cloud_length/2, +cloud_length/2].
-    ``dt`` is only the step of the ``diffusion`` bundle's MSD curve.
-    Transport takes no sub-steps: one folded step of the whole duration
-    is exact (see ``_reflect``), and ``struck_during`` decides beam
-    entries in a readout window from the two endpoints alone.
+    Transport takes no sub-steps, so there is no time step: one folded
+    step of the whole duration is exact (see ``_reflect``), and
+    ``struck_during`` decides beam entries in a readout window from the
+    two endpoints alone.
     """
 
     temperature: float = 0.05
     mobility: float = 8.62e18
     d_override: float | None = 3.5e-6
-    dt: float = 1e-5
     cloud_length: float = 3e-3
     beam_interval: tuple = (-BEAM_HALF_WIDTH, BEAM_HALF_WIDTH)
 
@@ -65,8 +64,6 @@ class DiffusionConfig:
             raise ValueError("mobility must be positive")
         if self.d_override is not None and self.d_override < 0:
             raise ValueError("d_override must be non-negative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.cloud_length <= 0:
             raise ValueError("cloud_length must be positive")
         lo, hi = self.beam_interval
@@ -125,7 +122,7 @@ def struck_during(positions, cfg: DiffusionConfig, duration, rng):
     the Brownian-bridge probability exp(-2 d0 d1 / (2 D duration)), d0
     and d1 being its distances to that edge at the two ends (Glasserman,
     Monte Carlo Methods in Financial Engineering, 2003). One normal and
-    one uniform per walker, whatever ``cfg.dt`` is.
+    one uniform per walker, however long the window.
 
     Returns (final_positions, struck_mask).
     """

@@ -142,23 +142,19 @@ class RamseyConfig:
 class CycleTable:
     """Every cycle of a phase-tracking batch, one (blocks, n_cp) array per field.
 
-    Element [b, n - 1] is cycle n of block b: its raw ``estimate`` over
-    ``n_sampled`` ions, the phase and frequency (1/n divisor) from it,
-    and the block's ever-projected fraction just before it. Iterating
-    builds the cycles, block by block, as rows of these attributes.
+    Element [b, n - 1] is cycle n of block b: its raw ``estimate``, the
+    phase and frequency (1/n divisor) from it, and the block's
+    ever-projected fraction just before it. Iterating builds the
+    cycles, block by block, as rows of these attributes.
     """
 
     block: np.ndarray
     n: np.ndarray
     timestamp: np.ndarray
     estimate: np.ndarray
-    n_sampled: np.ndarray
     phi_n: np.ndarray
     delta_f_hz: np.ndarray
     projected_before: np.ndarray
-
-    def __len__(self):
-        return self.block.size
 
     def __iter__(self):
         return map(_Cycle, *(getattr(self, f.name).ravel().tolist() for f in fields(self)))
@@ -258,7 +254,6 @@ def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyCo
     dt_free = cfg.dead_time + cfg.t_fp
     increments = phase_increments(lo, dt_free, blocks * n_cp).reshape(blocks, n_cp)
     est = np.empty((blocks, n_cp))
-    sizes = np.empty((blocks, n_cp), dtype=np.int64)
     proj = np.empty((blocks, n_cp))
 
     state = ensemble
@@ -270,7 +265,7 @@ def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyCo
         state = rotate(state, _HALF_PI, _HALF_PI)
         proj[:, i] = (n_ions - state.counts[:, 0]) / n_ions
         state, m = _measure(state, cfg)
-        est[:, i], sizes[:, i] = m.estimate, m.sample_sizes
+        est[:, i] = m.estimate
         if i + 1 < n_cp:
             state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
 
@@ -284,7 +279,6 @@ def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyCo
         # 3 pi/2 revert that closes cycle n
         timestamp=block * period + n * cfg.cycle_time - 2.0 * cfg.pi2_duration,
         estimate=est,
-        n_sampled=sizes,
         phi_n=phi,
         delta_f_hz=estimate_frequency(phi, n, cfg.t_fp),
         projected_before=proj,

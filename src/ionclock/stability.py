@@ -2,8 +2,9 @@
 
 Works on fractional frequency samples y = delta_f / f0 on a uniform
 grid. Both the non-overlapping (classic two-sample) and overlapping
-estimators are provided; the overlapping form reuses every start index
-and is computed from prefix sums so large series stay cheap.
+estimators are provided, as one second difference of prefix sums: the
+overlapping form takes it from every start index, the non-overlapping
+form from every m-th, so large series stay cheap.
 
 Limit lines: the technical/QPN floor falls as tau^(-1/2); coherent
 multi-cycle phase tracking within a block turns that into a tau^(-1)
@@ -135,33 +136,24 @@ def allan_deviation(series: FractionalFrequencySeries, taus, mode="overlapping")
     s = np.empty(n + 1)
     s[0] = 0.0
     np.cumsum(y, out=s[1:])
-    buf = np.empty(n - 1)  # the overlapping differences of every tau, in place
+    buf = np.empty(n - 1)  # the differences of every tau, in place
     out = []
     for tau in np.atleast_1d(taus):
         m = _to_m(series, float(tau))
-        if mode == "non_overlapping":
-            nb = n // m
-            if nb < 2:
-                raise InsufficientDataError(
-                    f"tau={float(tau)} needs >= 2 bins; max usable tau is {(n // 2) * series.tau0}"
-                )
-            means = (s[m * np.arange(1, nb + 1)] - s[m * np.arange(nb)]) / m
-            d = np.diff(means)
-            n_pairs = nb - 1
-        else:
-            if n < 2 * m:
-                raise InsufficientDataError(
-                    f"tau={float(tau)} needs >= 2m samples; max usable tau is {(n // 2) * series.tau0}"
-                )
-            n_pairs = n - 2 * m + 1
-            # (s[2m:] - 2 s[m:n-m+1] + s[:n_pairs]) / m
-            d = np.multiply(s[m : n - m + 1], 2.0, out=buf[:n_pairs])
-            np.subtract(s[2 * m :], d, out=d)
-            np.add(d, s[:n_pairs], out=d)
-            np.divide(d, m, out=d)
+        if n < 2 * m:
+            raise InsufficientDataError(
+                f"tau={float(tau)} needs >= 2m samples; max usable tau is {(n // 2) * series.tau0}"
+            )
+        # block-mean difference (s[i+2m] - 2 s[i+m] + s[i]) / m from every start i, or every m-th
+        step = 1 if mode == "overlapping" else m
+        n_pairs = (n - 2 * m) // step + 1
+        d = np.multiply(s[m : n - m + 1 : step], 2.0, out=buf[:n_pairs])
+        np.subtract(s[2 * m :: step], d, out=d)
+        np.add(d, s[: n - 2 * m + 1 : step], out=d)
+        np.divide(d, m, out=d)
         np.square(d, out=d)
         adev = math.sqrt(float(np.mean(d)) / 2.0)
-        out.append(AllanPoint(tau=m * series.tau0, adev=adev, n_pairs=int(n_pairs)))
+        out.append(AllanPoint(tau=m * series.tau0, adev=adev, n_pairs=n_pairs))
     return out
 
 
@@ -180,6 +172,7 @@ def confidence_interval(point: AllanPoint, level=0.68):
 
     Uses the pair count as the equivalent degrees of freedom; good
     enough for error bars, not a substitute for a noise-identified edf.
+    Needs scipy, which the package installs only with its ``test`` extra.
     """
     from scipy import stats  # loaded here only, so no CLI run imports scipy
 

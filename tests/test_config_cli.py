@@ -180,6 +180,8 @@ class TestCli:
             # max_n_cp divides by snr^2
             ("apl", "stab.snr", "1e300"),
             ("diffusion", "diff.d_override", "-1"),
+            # the MSD step is checked by the registry, so every bundle rejects it
+            ("apl", "diff.dt_s", "0"),
             # no cycle stage lasts over a day, no cloud over a metre
             ("apl", "seq.dead_time_s", "1e300"),
             ("apl", "det.measurement_duration_s", "86401"),
@@ -325,6 +327,26 @@ class TestCli:
         assert cli.main(["allan", str(bad), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {bad}:5: non-finite sample {value}")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_allan_point_that_overflows_exits_3(self, tmp_path, capsys):
+        # an allan input near the float range, and apl on a tiny carrier:
+        # y = delta_f / f0 near 3e299, whose squared differences overflow,
+        # or past the float range at a subnormal f0
+        big = tmp_path / "big.csv"
+        big.write_text("0,1e200\n1,-1e200\n2,1e200\n3,1e200\n")
+        runs = [(["allan", str(big)], "1")]
+        for f0 in ("1e-300", "1e-320"):
+            cfg = tmp_path / f"{f0}.cfg"
+            cfg.write_text(f"ens.n_ions = 200\nlo.f0_hz = {f0}\nlo.delta_f0_hz = 0.3\n")
+            runs.append((["apl", "--config", str(cfg), "--trials", "4"], "0.1025"))
+        for argv, tau in runs:
+            out = tmp_path / "o"
+            assert cli.main([*argv, "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                f"error: the Allan deviation at tau={tau} s is not finite: |y| is too large\n"
+            )
+            assert not out.exists()
 
     def test_allan_on_white_noise(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -36,8 +36,6 @@ def test_config_override_and_derived():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DiffusionConfig(dt=0.0)
-    with pytest.raises(ValueError):
         DiffusionConfig(mobility=-1.0)
     with pytest.raises(ValueError, match="d_override"):
         DiffusionConfig(d_override=-1.0)
@@ -185,14 +183,6 @@ class TestBridge:
         _, struck = struck_during(z0, cfg, duration, substream(41, "bridge", side + 1))
         expected = math.erfc(d0 / math.sqrt(4 * d * duration))
         assert abs(struck.mean() - expected) <= 4 * math.sqrt(expected * (1 - expected) / n)
-
-    def test_mask_does_not_depend_on_dt(self):
-        z0 = substream(42, "start").uniform(-1.5e-3, 1.5e-3, 5000)
-        masks = [
-            struck_during(z0, DiffusionConfig(dt=dt), 1e-3, substream(42, "bridge"))[1]
-            for dt in (1e-5, 1e-7)
-        ]
-        assert np.array_equal(masks[0], masks[1])
 
     def test_no_diffusion_keeps_the_initial_overlap(self):
         cfg = DiffusionConfig(d_override=0.0)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from ionclock import diffusion
-from ionclock.ensemble import DetectionConfig, initialize_ensemble
+from ionclock import diffusion, sequences
+from ionclock.ensemble import DetectionConfig, initialize_ensemble, partial_projection
 from ionclock.oscillator import NoiseSpec, advance, make_local_oscillator, phase_increments
 from ionclock.rng import substream
 from ionclock.sequences import (
@@ -152,20 +152,19 @@ class TestAplBlock:
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(300, substream(29, "ens"), 4)
         recs = run_apl_block(ens, quiet_lo(delta_f0=0.1, seed=29), cfg)
-        assert len(recs) == 12
         assert recs.block.tolist() == [[b] * 3 for b in range(4)]
         assert recs.n.tolist() == [[1, 2, 3]] * 4
         rows = list(recs)
-        assert len(rows) == len(recs)
+        assert len(rows) == 12
         assert not hasattr(rows[0], "measurement")
-        names = "block n timestamp estimate n_sampled phi_n delta_f_hz projected_before"
+        names = "block n timestamp estimate phi_n delta_f_hz projected_before"
         for name in names.split():
             column = getattr(recs, name)
             assert column.shape == (4, cfg.n_cp)
             values = [getattr(r, name) for r in rows]
             assert values == column.ravel().tolist()
             assert all(type(v) is type(values[0]) for v in values)
-        assert type(rows[0].n_sampled) is int and type(rows[0].estimate) is float
+        assert type(rows[0].n) is int and type(rows[0].estimate) is float
 
     def test_beam_overlap_block(self, readout_starts, first_steps):
         dcfg = diffusion.DiffusionConfig()
@@ -208,8 +207,8 @@ class TestAplBlock:
         n_ions, n_blocks = 400, 2
         ens = initialize_ensemble(n_ions, substream(27, "ens"), n_blocks)
         recs = run_apl_block(ens, quiet_lo(seed=27), cfg)
-        assert np.all(recs.n_sampled[:, 0] < n_ions)
         second = recs.projected_before[:, 1]
+        assert np.all(second < 1)
         sd = math.sqrt(0.17 * 0.83 / (n_ions * n_blocks))
         assert np.mean(second) == pytest.approx(0.17, abs=0.02 + 4 * sd)
 
@@ -242,19 +241,27 @@ class TestStandardRamsey:
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(2000, substream(31, "ens"), 60)
         recs = run_standard_ramsey(ens, quiet_lo(seed=31), cfg)
-        assert len(recs) == 60
+        assert recs.estimate.shape == (60, 1)
         assert all(r.n == 1 for r in recs)
         ests = np.array([r.estimate for r in recs])
         # full projection of 2000 ions at the equator: sd ~ 0.011
         assert np.all(np.abs(ests - 0.5) < 6 * 0.0112)
         assert abs(ests.mean() - 0.5) < 5 * 0.0112 / math.sqrt(60)
 
-    def test_full_ensemble_projected_each_cycle(self):
+    def test_full_ensemble_projected_each_cycle(self, monkeypatch):
+        sizes = []
+
+        def spy(*args, **kwargs):
+            state, m = partial_projection(*args, **kwargs)
+            sizes.append(m.sample_sizes)
+            return state, m
+
+        monkeypatch.setattr(sequences, "partial_projection", spy)
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(300, substream(32, "ens"), 2)
-        recs = run_standard_ramsey(ens, quiet_lo(seed=32), cfg)
-        assert all(r.n_sampled == 300 for r in recs)
+        run_standard_ramsey(ens, quiet_lo(seed=32), cfg)
+        assert [s.tolist() for s in sizes] == [[300, 300]]
 
     def test_recovers_static_offset(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)

@@ -78,9 +78,14 @@ class TestAllan:
             allan_deviation(series(np.zeros(10)), [1.0], "sideways")
 
     def test_insufficient_data_names_max_tau(self):
+        # both estimators need 2m samples and say so in one message
         s = series(np.zeros(10))
-        with pytest.raises(InsufficientDataError, match="5"):
-            allan_deviation(s, [6.0])
+        messages = set()
+        for mode in ("overlapping", "non_overlapping"):
+            with pytest.raises(InsufficientDataError, match="max usable tau is 5") as exc:
+                allan_deviation(s, [6.0], mode)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
 
     def test_default_taus_usable(self):
         s = series(substream(4, "wn").normal(0, 1, 3000), tau0=0.5)
@@ -100,6 +105,16 @@ class TestAllan:
             m = int(pt.tau)
             d = (s[2 * m :] - 2.0 * s[m:-m] + s[: n - 2 * m + 1]) / m
             assert pt.adev == math.sqrt(float(np.mean(d * d)) / 2.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 50, 501])
+    def test_non_overlapping_matches_block_means(self, m):
+        # 1003 samples leave a partial last bin at every m but 1, and it is dropped
+        y = substream(6, "wn").normal(0, 1, 1003)
+        nb = y.size // m
+        means = y[: nb * m].reshape(nb, m).mean(axis=1)
+        pt = allan_deviation(series(y), [float(m)], "non_overlapping")[0]
+        assert pt.n_pairs == nb - 1
+        assert pt.adev == pytest.approx(math.sqrt(np.mean(np.diff(means) ** 2) / 2.0), rel=1e-13)
 
     @pytest.mark.parametrize("n, per_decade", [(2, 4), (3, 4), (1000, 4), (54_321, 10), (10**6, 20)])
     def test_default_taus_are_the_distinct_rounded_grid(self, n, per_decade):
