@@ -16,8 +16,11 @@ rejects), raised before any simulation runs; 3 runtime or data problem
 (fit failure, empty sample, malformed input series, non-finite Allan
 point, unwritable output directory). Every result is computed before
 the first file is opened, so a run that fails before writing writes
-nothing; each file is then rendered and written 512 rows at a time.
-Files an earlier run left in the output directory are not removed.
+nothing. Each file is then rendered and written 512 rows at a time into
+a fresh hidden directory inside the output directory, and only once all
+are written does each replace its namesake; a run that fails while
+writing leaves the output directory as it was. Files an earlier run
+left there and this run does not write are not removed.
 """
 
 import argparse
@@ -25,9 +28,11 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -182,16 +187,6 @@ def _cycle_table(t):
     return header, (t.block, t.n, t.timestamp, t.estimate, t.phi_n, t.delta_f_hz)
 
 
-def _fit_doc(fit):
-    return {
-        "p": fit.model.p,
-        "amplitude": fit.model.amplitude,
-        "p_stderr": fit.p_stderr,
-        "p_ci95": fit.p_ci95,
-        "residual_norm": fit.residual_norm,
-    }
-
-
 def _limit_table(params: StabilityParams, taus):
     taus = np.asarray(taus, dtype=float)
     header = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
@@ -294,8 +289,11 @@ def cmd_apl(cfg):
     n_cp = cfg["seq.n_cp"]
     n_blocks = cfg["run.n_trials"] or max(1, cfg["seq.n_cycles"] // n_cp)
     rcfg = _ramsey_config(cfg)
-    params = _stab_params(cfg)
     f0 = cfg["lo.f0_hz"]
+    taus = np.logspace(
+        math.log10(rcfg.standard_cycle_time), math.log10(max(n_blocks, 2) * rcfg.block_time), 25
+    )
+    limits = _limit_table(_stab_params(cfg), taus)  # a bad limit line exits 2 before any draw
 
     # same substream for both oscillators: the two protocols see the
     # identical noise realization, so the comparison is apples to apples
@@ -312,14 +310,11 @@ def cmd_apl(cfg):
     sds = [df[:, n - 1].std(ddof=1) if n_blocks > 1 else 0.0 for n in ns]
     fit_doc = {"mean_projected_by_n": apl.projected_before.mean(axis=0)}
     if n_cp >= 3:
-        fit_doc.update(_fit_doc(fit_decoherence(apl.projected_before)))
+        fit_doc.update(asdict(fit_decoherence(apl.projected_before)))
 
     with np.errstate(over="ignore"):  # a tiny f0 overflows y; _allan_points rejects it
         std_pts = _allan_points(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
         apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
-    taus = np.logspace(
-        math.log10(rcfg.standard_cycle_time), math.log10(max(n_blocks, 2) * rcfg.block_time), 25
-    )
     return {
         "apl_cycles.csv": _cycle_table(apl),
         "ramsey_cycles.csv": _cycle_table(std),
@@ -327,7 +322,7 @@ def cmd_apl(cfg):
         "decoherence_fit.json": fit_doc,
         "allan_standard.csv": _allan_table(std_pts),
         "allan_apl.csv": _allan_table(apl_pts),
-        "limits.csv": _limit_table(params, taus),
+        "limits.csv": limits,
     }
 
 
@@ -589,10 +584,10 @@ def _projection_bundle(cfg):
     mean = proj.mean(axis=0)
     sd = proj.std(axis=0, ddof=1) if n_blocks > 1 else np.zeros(n_cp)
     fit = fit_decoherence(proj)
-    columns = (ns, mean, sd, predicted_projected_fraction(fit.model, ns))
+    columns = (ns, mean, sd, predicted_projected_fraction(fit.p, fit.amplitude, ns))
     return {
         "fig5_projection.csv": (("n", "mean_projected", "sd", "predicted"), columns),
-        "decoherence_fit.json": _fit_doc(fit),
+        "decoherence_fit.json": asdict(fit),
     }
 
 
@@ -676,17 +671,25 @@ def main(argv=None) -> int:
     h = config_hash(cfg)
     files["run_meta.json"] = _meta(args.command, cfg, h, list(files) + ["run_meta.json"])
     out_dir = cfg["run.output_dir"]
+    staging = None
     try:
         os.makedirs(out_dir, exist_ok=True)
+        # every file is complete before the first one replaces its namesake
+        staging = tempfile.mkdtemp(prefix=".ionclock-", dir=out_dir)
         for name, content in files.items():
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
                 if isinstance(content, dict):
                     fh.write(_json_doc(content))
                 else:
                     _write_csv(fh, h, cfg["run.seed"], *content)
+        for name in files:
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 

@@ -50,7 +50,6 @@ from .oscillator import LocalOscillatorState, phase_increments
 __all__ = [
     "RamseyConfig",
     "CycleTable",
-    "DecoherenceModel",
     "DecoherenceFit",
     "SaturationWarning",
     "FitFailureError",
@@ -169,22 +168,11 @@ def _growth(n, p, amplitude):
 
 
 @dataclass(frozen=True)
-class DecoherenceModel:
-    """Projected-fraction growth: amplitude * (1 - (1-p)^(n-1))."""
+class DecoherenceFit:
+    """A fit of amplitude * (1 - (1-p)^(n-1)); p_stderr and p_ci95 are None where it gives no interval."""
 
     p: float
     amplitude: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DecoherenceFit:
-    """A decoherence fit; p_stderr and p_ci95 are None where fit_decoherence gives no interval."""
-
-    model: DecoherenceModel
     p_stderr: "float | None"
     p_ci95: "tuple | None"
     residual_norm: float
@@ -215,35 +203,23 @@ def estimate_frequency(phi_n, n, t_fp):
     return np.asarray(phi_n) / (2.0 * math.pi * np.asarray(n) * t_fp)
 
 
-def _transport(state, cfg, duration):
-    """Move ion positions by Brownian transport when a model is attached.
+def _measure(state, cfg, free_time):
+    """One partial projection after free_time of free precession.
 
-    One folded Gaussian step over the whole duration is exact: folding
+    With a diffusion model the ions first move over the free time, then
+    the readout projects the ions the beam strikes during its window.
+    One folded Gaussian step over the whole free time is exact: folding
     onto the cloud sums the free propagator over the wall images, which
     is the transition law of Brownian motion reflected at both ends.
     Only the endpoint is needed, since nothing reads the path before the
     readout.
     """
-    if cfg.diffusion is None or duration <= 0:
-        return state
-    z = _diffusion.step_brownian(
-        state.z_pos,
-        cfg.diffusion.effective_d(),
-        duration,
-        state.rng_stream,
-        half_length=cfg.diffusion.cloud_length / 2.0,
-    )
-    return replace(state, z_pos=z)
-
-
-def _measure(state, cfg):
-    """One partial projection; with a diffusion model, of the ions the beam strikes."""
-    det = cfg.detection
-    if cfg.diffusion is None:
+    det, dcfg = cfg.detection, cfg.diffusion
+    if dcfg is None:
         return partial_projection(state, det)
-    z, struck = _diffusion.struck_during(
-        state.z_pos, cfg.diffusion, det.measurement_duration, state.rng_stream
-    )
+    half = dcfg.cloud_length / 2.0
+    z = _diffusion.step_brownian(state.z_pos, dcfg.effective_d(), free_time, state.rng_stream, half_length=half)
+    z, struck = _diffusion.struck_during(z, dcfg, det.measurement_duration, state.rng_stream)
     return partial_projection(replace(state, z_pos=z), det, sampled=struck)
 
 
@@ -261,10 +237,9 @@ def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyCo
         state = place_ions(state, cfg.diffusion.cloud_length)
     state = rotate(state, 0.0, _HALF_PI)
     for i in range(n_cp):
-        state = _transport(free_precession(state, increments[:, i]), cfg, dt_free)
-        state = rotate(state, _HALF_PI, _HALF_PI)
+        state = rotate(free_precession(state, increments[:, i]), _HALF_PI, _HALF_PI)
         proj[:, i] = (n_ions - state.counts[:, 0]) / n_ions
-        state, m = _measure(state, cfg)
+        state, m = _measure(state, cfg, dt_free)
         est[:, i] = m.estimate
         if i + 1 < n_cp:
             state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
@@ -365,12 +340,14 @@ def run_rabi_ppm(batch, lo, rotation_step, n_steps, reinitialize, det: Detection
     return est
 
 
-def predicted_projected_fraction(model: DecoherenceModel, n):
-    """Expected ever-projected fraction before the n-th measurement."""
+def predicted_projected_fraction(p, amplitude, n):
+    """Expected ever-projected fraction amplitude * (1 - (1-p)^(n-1)) before the n-th measurement."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
         raise ValueError("cycle index must be at least 1")
-    return _growth(n_arr, model.p, model.amplitude)
+    return _growth(n_arr, p, amplitude)
 
 
 def _argmin_1d(f, lo, hi):
@@ -461,12 +438,7 @@ def fit_decoherence(projected) -> DecoherenceFit:
     n = np.arange(1.0, n_cp + 1.0)
     d = table.mean(axis=0)
     if np.allclose(d, 0.0, atol=1e-15):
-        return DecoherenceFit(
-            model=DecoherenceModel(p=0.0, amplitude=0.0),
-            p_stderr=None,
-            p_ci95=None,
-            residual_norm=0.0,
-        )
+        return DecoherenceFit(p=0.0, amplitude=0.0, p_stderr=None, p_ci95=None, residual_norm=0.0)
 
     def amplitude(p):
         g = _growth(n, p, 1.0)
@@ -500,7 +472,8 @@ def fit_decoherence(projected) -> DecoherenceFit:
         tq = _t_quantile(0.975, min(blocks - 1, _T_DOF_CAP))
         ci = (p_hat - tq * stderr, p_hat + tq * stderr)
     return DecoherenceFit(
-        model=DecoherenceModel(p=p_hat, amplitude=a_hat),
+        p=p_hat,
+        amplitude=a_hat,
         p_stderr=stderr,
         p_ci95=ci,
         residual_norm=float(np.linalg.norm(resid)),

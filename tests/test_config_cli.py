@@ -1,5 +1,6 @@
 """Config parsing, resolution, and the command-line harness."""
 
+import errno
 import functools
 import io
 import json
@@ -22,7 +23,13 @@ import ionclock
 from ionclock import cli, diffusion, sequences
 from ionclock.config import DEFAULTS, ConfigError, config_hash, parse_config_file, resolve
 from ionclock.oscillator import PRESETS
-from ionclock.stability import limit_apl, limit_apl_repetition, limit_technical, qpn_snr
+from ionclock.stability import (
+    BoundViolationWarning,
+    limit_apl,
+    limit_apl_repetition,
+    limit_technical,
+    qpn_snr,
+)
 
 
 def run_cli(*args, cwd=None, timeout=None, entry=("-m", "ionclock"), preexec_fn=None):
@@ -186,6 +193,14 @@ class TestCli:
             ("apl", "seq.dead_time_s", "1e300"),
             ("apl", "det.measurement_duration_s", "86401"),
             ("diffusion", "ens.cloud_length_m", "1.5"),
+            # a limit line that leaves the float range, as in
+            # test_extreme_value_exits_without_traceback; the value's
+            # further lines set the other keys
+            ("apl", "lo.f0_hz", "1e300\nstab.snr = 1e100"),
+            ("apl", "stab.k", "1e-300\nlo.f0_hz = 1e-10"),
+            ("apl", "lo.f0_hz", "1e300\nstab.snr = 1e8\nstab.q = 1\nseq.t_fp_s = 10"),
+            # a subnormal carrier, whose y would also overflow the Allan deviation
+            ("apl", "lo.f0_hz", "1e-320\nlo.delta_f0_hz = 0.3"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -202,7 +217,10 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = {value}\n")
         out = tmp_path / "o"
-        assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+        with warnings.catch_warnings():
+            # a large stab.snr puts n_cp past its bound, which only warns in a CLI run
+            warnings.simplefilter("ignore", BoundViolationWarning)
+            assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
@@ -331,15 +349,14 @@ class TestCli:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_allan_point_that_overflows_exits_3(self, tmp_path, capsys):
         # an allan input near the float range, and apl on a tiny carrier:
-        # y = delta_f / f0 near 3e299, whose squared differences overflow,
-        # or past the float range at a subnormal f0
+        # y = delta_f / f0 near 3e299, whose squared differences overflow
+        # (a subnormal f0 puts the limit lines past the float range, which
+        # exits 2 before the simulation: test_bad_value_exits_2_before_simulating)
         big = tmp_path / "big.csv"
         big.write_text("0,1e200\n1,-1e200\n2,1e200\n3,1e200\n")
-        runs = [(["allan", str(big)], "1")]
-        for f0 in ("1e-300", "1e-320"):
-            cfg = tmp_path / f"{f0}.cfg"
-            cfg.write_text(f"ens.n_ions = 200\nlo.f0_hz = {f0}\nlo.delta_f0_hz = 0.3\n")
-            runs.append((["apl", "--config", str(cfg), "--trials", "4"], "0.1025"))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("ens.n_ions = 200\nlo.f0_hz = 1e-300\nlo.delta_f0_hz = 0.3\n")
+        runs = [(["allan", str(big)], "1"), (["apl", "--config", str(cfg), "--trials", "4"], "0.1025")]
         for argv, tau in runs:
             out = tmp_path / "o"
             assert cli.main([*argv, "--out", str(out)]) == 3
@@ -620,6 +637,27 @@ class TestCli:
         chunk = cli._CSV_CHUNK_ROWS
         cli._write_csv(Recorder(), "h", 3, ("i",), (np.arange(2 * chunk + 3),))
         assert lines == [3, chunk, chunk, 3]  # the header block, then the rows
+
+    def test_failed_write_leaves_the_output_directory_as_it_was(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o"
+        argv = ["apl", "--trials", "2", "--out", str(out)]
+        assert cli.main([*argv, "--seed", "1"]) == 0
+        (out / "notes.txt").write_text("no run writes this file\n")
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        write_csv, calls = cli._write_csv, []
+
+        def full_disk(fh, *args):
+            calls.append(fh)
+            if len(calls) == 3:
+                fh.write("# config_hash=")  # a partial file, then the disk is full
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_csv(fh, *args)
+
+        monkeypatch.setattr(cli, "_write_csv", full_disk)
+        assert cli.main([*argv, "--seed", "2"]) == 3
+        assert "cannot write outputs" in capsys.readouterr().err
+        # the same names and bytes: no file of the failed run, and no hidden .ionclock-* directory
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_chunk_size_does_not_change_the_files(self, tmp_path, monkeypatch):
         out = tmp_path / "o"

@@ -29,15 +29,22 @@ def test_spec_validation():
 
 def test_quiet_lo_is_deterministic():
     lo = make_local_oscillator(12.6e9, 0.25, NoiseSpec(), substream(1, "q"))
-    inc = advance(lo, 0.1)
+    inc = phase_increments(lo, 0.1, 1)[0]
     assert inc == pytest.approx(2 * math.pi * 0.25 * 0.1, rel=1e-15)
-    assert advance(lo, 0.1) == inc
+    assert phase_increments(lo, 0.1, 1)[0] == inc
 
 
 def test_zero_offset_quiet_lo_never_drifts():
     lo = make_local_oscillator(seed=substream(2, "q0"))
-    for _ in range(10):
-        assert advance(lo, 0.05) == 0.0
+    assert np.all(phase_increments(lo, 0.05, 10) == 0.0)
+
+
+def test_advance_is_the_one_interval_record():
+    spec = NoiseSpec(h0=1e-20, h_minus1=1e-22, h_minus2=1e-24)
+    lo = make_local_oscillator(12.6e9, 0.3, spec, substream(12, "one"))
+    twin = make_local_oscillator(12.6e9, 0.3, spec, substream(12, "one"))
+    for _ in range(3):
+        assert advance(lo, 0.1) == phase_increments(twin, 0.1, 1)[0]
 
 
 def test_white_series_level():
@@ -86,12 +93,12 @@ def test_flicker_floor_is_flat():
         NoiseSpec(h0=1e-20, h_minus1=1e-22, h_minus2=1e-24),
     ],
 )
-def test_series_is_what_advance_accumulates(spec):
+def test_series_is_what_one_interval_records_accumulate(spec):
     # one noise core: the series and the phase record are the y implied by
-    # n advance calls, also across their internal chunk boundaries
+    # n one-interval records, also across their internal chunk boundaries
     f0, dt, n = 12.6e9, 0.1, 5000
     lo = make_local_oscillator(f0, 0.0, spec, substream(11, "core"))
-    stepped = np.array([advance(lo, dt) for _ in range(n)]) / (2 * math.pi * f0 * dt)
+    stepped = np.array([phase_increments(lo, dt, 1)[0] for _ in range(n)]) / (2 * math.pi * f0 * dt)
     series = generate_y_series(spec, dt, n, substream(11, "core"))
     np.testing.assert_allclose(series, stepped, rtol=1e-9)
     lo = make_local_oscillator(f0, 0.0, spec, substream(11, "core"))
@@ -122,7 +129,7 @@ def test_maser_preset_phase_wander_small():
     # 0.1 s of free precession against a maser-grade reference stays
     # well below the invertible readout range
     lo = make_local_oscillator(12.6e9, 0.0, PRESETS["maser"], substream(9, "lo"))
-    incs = np.array([advance(lo, 0.1) for _ in range(2000)])
+    incs = phase_increments(lo, 0.1, 2000)
     sd = incs.std()
     assert 5e-4 < sd < 5e-3
     assert sd < 0.02
@@ -130,7 +137,7 @@ def test_maser_preset_phase_wander_small():
 
 def test_noisy_preset_breaks_single_cycle_tracking():
     lo = make_local_oscillator(12.6e9, 0.0, PRESETS["noisy"], substream(9, "lo2"))
-    incs = np.array([advance(lo, 0.1) for _ in range(500)])
+    incs = phase_increments(lo, 0.1, 500)
     assert incs.std() > 1.0
 
 
@@ -143,12 +150,12 @@ def test_series_reproducible_and_stream_separated():
     assert not np.array_equal(a, c)
 
 
-def test_advance_validates_dt():
+def test_record_validates_dt_and_n():
     lo = make_local_oscillator(seed=1)
     with pytest.raises(ValueError):
-        advance(lo, 0.0)
+        phase_increments(lo, 0.0, 1)
     with pytest.raises(ValueError):
-        advance(lo, -1.0)
+        phase_increments(lo, -1.0, 1)
     with pytest.raises(ValueError):
         phase_increments(lo, 0.1, 0)
 
