@@ -18,9 +18,14 @@ point, unwritable output directory). Every result is computed before
 the first file is opened, so a run that fails before writing writes
 nothing. Each file is then rendered and written 512 rows at a time into
 a fresh hidden directory inside the output directory, and only once all
-are written does each replace its namesake; a run that fails while
-writing leaves the output directory as it was. Files an earlier run
-left there and this run does not write are not removed.
+are written does each replace its namesake, so a run that fails while
+writing leaves the earlier files as they were. Two caveats: an output
+directory the run created stays behind, empty, and the replace step is
+one rename per file, not atomic as a whole, so a failure between two
+renames leaves old and new files side by side. A rename swaps out an
+output that is a symlink or a read-only file rather than writing
+through it. Files an earlier run left there and this run does not write
+are not removed.
 """
 
 import argparse
@@ -28,7 +33,6 @@ import functools
 import json
 import math
 import os
-import shutil
 import sys
 import tempfile
 import warnings
@@ -190,8 +194,10 @@ def _cycle_table(t):
 def _limit_table(params: StabilityParams, taus):
     taus = np.asarray(taus, dtype=float)
     header = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
-    # a product such as k * f0 * snr * tau past the float range makes a line 0 or inf
-    with np.errstate(over="ignore", divide="ignore"):
+    # a product such as k * f0 * snr * tau past the float range makes a line 0 or inf;
+    # a warning (n_cp past its bound) is held back until the lines are accepted
+    with np.errstate(over="ignore", divide="ignore"), warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("always")
         lines = (
             limit_technical(params, taus),
             limit_apl(params, taus),
@@ -200,6 +206,8 @@ def _limit_table(params: StabilityParams, taus):
         )
     if not all(np.all((line > 0.0) & (line < math.inf)) for line in lines):
         raise ConfigError("a limit line is 0 or not finite: k, q, f0 or snr times tau leaves the float range")
+    for w in held:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return header, (taus, *lines)
 
 
@@ -671,25 +679,21 @@ def main(argv=None) -> int:
     h = config_hash(cfg)
     files["run_meta.json"] = _meta(args.command, cfg, h, list(files) + ["run_meta.json"])
     out_dir = cfg["run.output_dir"]
-    staging = None
     try:
         os.makedirs(out_dir, exist_ok=True)
         # every file is complete before the first one replaces its namesake
-        staging = tempfile.mkdtemp(prefix=".ionclock-", dir=out_dir)
-        for name, content in files.items():
-            with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
-                if isinstance(content, dict):
-                    fh.write(_json_doc(content))
-                else:
-                    _write_csv(fh, h, cfg["run.seed"], *content)
-        for name in files:
-            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        with tempfile.TemporaryDirectory(prefix=".ionclock-", dir=out_dir, ignore_cleanup_errors=True) as staging:
+            for name, content in files.items():
+                with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
+                    if isinstance(content, dict):
+                        fh.write(_json_doc(content))
+                    else:
+                        _write_csv(fh, h, cfg["run.seed"], *content)
+            for name in files:
+                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if staging is not None:
-            shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 

@@ -217,12 +217,18 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = {value}\n")
         out = tmp_path / "o"
-        with warnings.catch_warnings():
-            # a large stab.snr puts n_cp past its bound, which only warns in a CLI run
-            warnings.simplefilter("ignore", BoundViolationWarning)
-            assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+        assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    def test_limit_line_warning_is_issued_once_the_lines_are_accepted(self, tmp_path):
+        # n_cp past n_atom / snr^2 = 2e-5 warns, but the lines stay finite and the run succeeds
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stab.snr = 1e4\n")
+        with pytest.warns(BoundViolationWarning, match="information bound") as record:
+            assert cli.main(["apl", "--trials", "2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(record) == 1
+        assert record[0].filename == cli.__file__  # still points at the limit-line call
 
     @pytest.mark.parametrize(
         "command, lines, code",
