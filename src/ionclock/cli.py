@@ -11,21 +11,21 @@ command with the same config and seed reproduces every file byte for
 byte.
 
 Exit codes: 0 success; 2 configuration problem (bad flag, unreadable
-or malformed config file, unknown key, a value its typed config
-rejects), raised before any simulation runs; 3 runtime or data problem
-(fit failure, empty sample, malformed input series, non-finite Allan
-point, unwritable output directory). Every result is computed before
-the first file is opened, so a run that fails before writing writes
-nothing. Each file is then rendered and written 512 rows at a time into
-a fresh hidden directory inside the output directory, and only once all
-are written does each replace its namesake, so a run that fails while
-writing leaves the earlier files as they were. Two caveats: an output
-directory the run created stays behind, empty, and the replace step is
-one rename per file, not atomic as a whole, so a failure between two
-renames leaves old and new files side by side. A rename swaps out an
-output that is a symlink or a read-only file rather than writing
-through it. Files an earlier run left there and this run does not write
-are not removed.
+or malformed config file, unknown key, a value that ``resolve`` or a
+typed config it builds rejects), raised before any simulation runs; 3
+runtime or data problem (fit failure, empty sample, malformed input
+series, non-finite Allan point, unwritable output directory). Every
+result is computed before the first file is opened, so a run that fails
+before writing writes nothing. Each file is then rendered and written
+512 rows at a time into a fresh hidden directory inside the output
+directory, and only once all are written does each replace its
+namesake, so a run that fails while writing leaves the earlier files as
+they were and removes the directories it created. One caveat: the
+replace step is one rename per file, not atomic as a whole, so a
+failure between two renames leaves old and new files side by side. A
+rename swaps out an output that is a symlink or a read-only file rather
+than writing through it. Files an earlier run left there and this run
+does not write are not removed.
 """
 
 import argparse
@@ -42,8 +42,9 @@ import numpy as np
 
 from . import diffusion as diff_mod
 from .config import ConfigError, config_hash, parse_config_file, resolve
-from .ensemble import DetectionConfig, EmptySampleError, initialize_ensemble
-from .oscillator import NoiseSpec, make_local_oscillator
+from .config import _detection, _diffusion_config, _noise_spec, _ramsey_config, _stab_params
+from .ensemble import EmptySampleError, initialize_ensemble
+from .oscillator import make_local_oscillator
 from .rng import substream
 from .sequences import (
     FitFailureError,
@@ -111,69 +112,8 @@ def _meta(command, cfg, h, outputs):
     }
 
 
-def _builds_config(build):
-    """Report the ValueError of a typed config's own checks as a ConfigError."""
-
-    @functools.wraps(build)
-    def checked(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    return checked
-
-
-@_builds_config
-def _detection(cfg) -> DetectionConfig:
-    return DetectionConfig(
-        p=cfg["det.p"],
-        sigma_tech=cfg["det.sigma_tech"],
-        measurement_duration=cfg["det.measurement_duration_s"],
-    )
-
-
-@_builds_config
 def _local_oscillator(cfg, rng):
-    spec = NoiseSpec(h0=cfg["lo.h0"], h_minus1=cfg["lo.h_minus1"], h_minus2=cfg["lo.h_minus2"])
-    return make_local_oscillator(cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], spec, rng)
-
-
-@_builds_config
-def _stab_params(cfg) -> StabilityParams:
-    return StabilityParams(
-        q=cfg["stab.q"],
-        snr=cfg["stab.snr"],
-        t_c=cfg["stab.t_c_s"],
-        k=cfg["stab.k"],
-        f0=cfg["lo.f0_hz"],
-        n_cp=cfg["seq.n_cp"],
-        n_atom=cfg["stab.n_atom"],
-    )
-
-
-@_builds_config
-def _diffusion_config(cfg) -> diff_mod.DiffusionConfig:
-    return diff_mod.DiffusionConfig(
-        temperature=cfg["diff.temperature_k"],
-        mobility=cfg["diff.mobility"],
-        d_override=cfg["diff.d_override"],
-        cloud_length=cfg["ens.cloud_length_m"],
-        beam_interval=(cfg["diff.beam_lo_m"], cfg["diff.beam_hi_m"]),
-    )
-
-
-@_builds_config
-def _ramsey_config(cfg) -> RamseyConfig:
-    beam = cfg["det.mode"] == "beam_overlap"
-    return RamseyConfig(
-        t_fp=cfg["seq.t_fp_s"],
-        pi2_duration=cfg["seq.pi2_duration_s"],
-        n_cp=cfg["seq.n_cp"],
-        detection=_detection(cfg),
-        dead_time=cfg["seq.dead_time_s"],
-        diffusion=_diffusion_config(cfg) if beam else None,
-    )
+    return make_local_oscillator(cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], _noise_spec(cfg), rng)
 
 
 def _tracking_blocks(cfg, rcfg: RamseyConfig, lo, n_blocks):
@@ -259,9 +199,7 @@ def cmd_rabi(cfg):
     if cfg["det.mode"] != "fixed_fraction":
         raise ConfigError(f"the probe bundle needs det.mode = fixed_fraction, got {cfg['det.mode']}")
     trials = cfg["run.n_trials"]
-    # built before either batch, so a bad lo.* value exits 2 before any
-    # draw; only the accumulated batch reads it
-    lo = _local_oscillator(cfg, substream(seed, "rabi-lo"))
+    lo = _local_oscillator(cfg, substream(seed, "rabi-lo"))  # only the accumulated batch reads it
 
     ks = np.arange(n_steps + 1)
     tables = []  # the CSV columns of each mode
@@ -572,10 +510,9 @@ def _read_series(path):
 
 
 def cmd_allan(cfg, input_path):
-    params = _stab_params(cfg)
     series = _read_series(input_path)
     pts = _allan_points(cfg, series.y, series.tau0)
-    return {"allan.csv": _allan_table(pts), "limits.csv": _limit_table(params, [p.tau for p in pts])}
+    return {"allan.csv": _allan_table(pts), "limits.csv": _limit_table(_stab_params(cfg), [p.tau for p in pts])}
 
 
 def _projection_bundle(cfg):
@@ -679,6 +616,11 @@ def main(argv=None) -> int:
     h = config_hash(cfg)
     files["run_meta.json"] = _meta(args.command, cfg, h, list(files) + ["run_meta.json"])
     out_dir = cfg["run.output_dir"]
+    created = []  # the directories this run makes, deepest first
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        created.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out_dir, exist_ok=True)
         # every file is complete before the first one replaces its namesake
@@ -692,6 +634,11 @@ def main(argv=None) -> int:
             for name in files:
                 os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     except OSError as exc:
+        for path in created:
+            try:
+                os.rmdir(path)  # only while empty: nothing another process put there goes
+            except OSError:
+                break
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 3
     return 0

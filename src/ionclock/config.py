@@ -13,9 +13,10 @@ the resolved values plus the seed so identical hashes imply identical
 runs.
 
 resolve() checks each value's type and the bounds its registry entry
-declares (counts at least 1, lengths positive, ...); other domains are
-checked by the typed config (DetectionConfig, RamseyConfig, ...) that a
-command builds from the value.
+declares (counts at least 1, integers within int64, lengths positive,
+...), then builds every typed config (DetectionConfig, RamseyConfig,
+...) once, so a value one of them rejects is a ConfigError too: a run
+config is valid or invalid as a whole, whichever command runs it.
 """
 
 import hashlib
@@ -24,8 +25,8 @@ from types import MappingProxyType
 
 from .diffusion import DiffusionConfig
 from .ensemble import DetectionConfig
-from .oscillator import PRESETS
-from .sequences import RamseyConfig, cycle_duration
+from .oscillator import PRESETS, NoiseSpec
+from .sequences import RamseyConfig
 from .stability import StabilityParams
 
 __all__ = ["ConfigError", "resolve", "parse_config_file", "config_hash", "DEFAULTS"]
@@ -73,7 +74,12 @@ def _bounded(conv, low=-math.inf, strict=False, high=math.inf):
     return check
 
 
-_count = _bounded(_as_int, 1)
+def _integer(low=-math.inf):
+    # numpy sizes and counts are int64; run.seed alone takes any integer
+    return _bounded(_as_int, low, high=2**63 - 1)
+
+
+_count = _integer(1)
 _positive = _bounded(_as_float, 0.0, strict=True)
 # No stage of a clock cycle lasts a day, and no trapped cloud is a metre
 # long; past these the limit lines and the beam-hit probabilities overflow.
@@ -93,7 +99,7 @@ def _as_choice(*options):
 # key -> (converter, default, help); a key that sets a typed config field takes its default
 _REGISTRY = {
     "run.seed": (_as_int, 12345, "master seed for every derived stream"),
-    "run.n_trials": (_bounded(_as_int, 0), 0, "trial count override; 0 keeps the per-command default"),
+    "run.n_trials": (_integer(0), 0, "trial count override; 0 keeps the per-command default"),
     "run.output_dir": (str, "runs", "directory for emitted CSV/JSON"),
     "ens.n_ions": (_count, 2000, "ions in the ensemble"),
     "ens.cloud_length_m": (_bounded(_as_float, 0.0, strict=True, high=1.0), DiffusionConfig.cloud_length, "axial cloud extent"),
@@ -113,7 +119,7 @@ _REGISTRY = {
     "seq.n_cycles": (_count, 300, "cycles per protocol in apl when run.n_trials is 0; blocks = n_cycles // n_cp"),
     "seq.dead_time_s": (_duration, RamseyConfig.dead_time, "extra free evolution per cycle"),
     "seq.rabi_step_rad": (_positive, math.pi / 6.0, "rotation per Rabi step"),
-    "seq.rabi_n_steps": (_bounded(_as_int, 2), 12, "Rabi steps after the baseline point"),
+    "seq.rabi_n_steps": (_integer(2), 12, "Rabi steps after the baseline point"),
     "seq.rabi_repeats_standard": (_count, 10, "re-initialized Rabi repeats"),
     "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
     "diff.temperature_k": (_as_float, DiffusionConfig.temperature, "ion temperature"),
@@ -129,7 +135,7 @@ _REGISTRY = {
     "stab.q": (_as_float, 0.0, "line quality factor; 0 derives f0 * 2 * t_fp"),
     "stab.snr": (_as_float, 0.0, "single-cycle SNR; 0 derives from the detection noise budget"),
     "stab.t_c_s": (_as_float, 0.0, "cycle time; 0 derives from the sequence timing"),
-    "stab.n_atom": (_as_int, 0, "atom number for the information bound; 0 uses ens.n_ions"),
+    "stab.n_atom": (_integer(), 0, "atom number for the information bound; 0 uses ens.n_ions"),
     "allan.mode": (_as_choice("overlapping", "non_overlapping"), "overlapping", "Allan estimator variant"),
     "allan.points_per_decade": (_count, 4, "tau grid density"),
 }
@@ -165,17 +171,66 @@ def resolve(values: dict) -> MappingProxyType:
         except OverflowError:
             raise ConfigError(f"det.sigma_tech = {sigma!r} is too large to derive stab.snr") from None
         merged["stab.snr"] = 0.5 / math.sqrt(var)
-    if merged["stab.t_c_s"] == 0.0:
-        merged["stab.t_c_s"] = cycle_duration(
-            merged["seq.t_fp_s"],
-            merged["seq.pi2_duration_s"],
-            merged["det.measurement_duration_s"],
-            merged["seq.dead_time_s"],
-        )
     if merged["stab.n_atom"] == 0:
         merged["stab.n_atom"] = merged["ens.n_ions"]
 
+    # every typed config is built once here, whatever the command reads
+    try:
+        _diffusion_config(merged)
+        _noise_spec(merged)
+        cycle_time = _ramsey_config(merged).cycle_time
+        if merged["stab.t_c_s"] == 0.0:
+            merged["stab.t_c_s"] = cycle_time
+        _stab_params(merged)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return MappingProxyType(merged)
+
+
+def _detection(cfg) -> DetectionConfig:
+    return DetectionConfig(
+        p=cfg["det.p"],
+        sigma_tech=cfg["det.sigma_tech"],
+        measurement_duration=cfg["det.measurement_duration_s"],
+    )
+
+
+def _diffusion_config(cfg) -> DiffusionConfig:
+    return DiffusionConfig(
+        temperature=cfg["diff.temperature_k"],
+        mobility=cfg["diff.mobility"],
+        d_override=cfg["diff.d_override"],
+        cloud_length=cfg["ens.cloud_length_m"],
+        beam_interval=(cfg["diff.beam_lo_m"], cfg["diff.beam_hi_m"]),
+    )
+
+
+def _ramsey_config(cfg) -> RamseyConfig:
+    beam = cfg["det.mode"] == "beam_overlap"
+    return RamseyConfig(
+        t_fp=cfg["seq.t_fp_s"],
+        pi2_duration=cfg["seq.pi2_duration_s"],
+        n_cp=cfg["seq.n_cp"],
+        detection=_detection(cfg),
+        dead_time=cfg["seq.dead_time_s"],
+        diffusion=_diffusion_config(cfg) if beam else None,
+    )
+
+
+def _noise_spec(cfg) -> NoiseSpec:
+    return NoiseSpec(h0=cfg["lo.h0"], h_minus1=cfg["lo.h_minus1"], h_minus2=cfg["lo.h_minus2"])
+
+
+def _stab_params(cfg) -> StabilityParams:
+    return StabilityParams(
+        q=cfg["stab.q"],
+        snr=cfg["stab.snr"],
+        t_c=cfg["stab.t_c_s"],
+        k=cfg["stab.k"],
+        f0=cfg["lo.f0_hz"],
+        n_cp=cfg["seq.n_cp"],
+        n_atom=cfg["stab.n_atom"],
+    )
 
 
 def parse_config_file(path) -> dict:

@@ -60,7 +60,6 @@ __all__ = [
     "estimate_frequency",
     "predicted_projected_fraction",
     "fit_decoherence",
-    "cycle_duration",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -74,16 +73,6 @@ class SaturationWarning(UserWarning):
 
 class FitFailureError(RuntimeError):
     """Least-squares fit did not converge; carries solver diagnostics."""
-
-
-def cycle_duration(t_fp, pi2_duration, measurement_duration, dead_time, pi2_pulses=4):
-    """Wall-clock length of one cycle.
-
-    Dead time, free precession, ``pi2_pulses`` pi/2-pulse durations and
-    the readout window. A tracking cycle spends 4 (the pi/2 readout
-    pulse and the 3 pi/2 revert), a standard Ramsey cycle 2.
-    """
-    return dead_time + t_fp + pi2_pulses * pi2_duration + measurement_duration
 
 
 @dataclass(frozen=True)
@@ -115,21 +104,17 @@ class RamseyConfig:
 
     @property
     def cycle_time(self):
-        """Wall-clock length of one phase-tracking cycle."""
-        return cycle_duration(
-            self.t_fp, self.pi2_duration, self.detection.measurement_duration, self.dead_time
-        )
+        """Wall-clock length of one phase-tracking cycle.
+
+        Dead time, free precession, four pi/2-pulse durations (the pi/2
+        readout pulse and the 3 pi/2 revert) and the readout window.
+        """
+        return self.dead_time + self.t_fp + 4 * self.pi2_duration + self.detection.measurement_duration
 
     @property
     def standard_cycle_time(self):
-        """Wall-clock length of one standard (two-pulse) Ramsey cycle."""
-        return cycle_duration(
-            self.t_fp,
-            self.pi2_duration,
-            self.detection.measurement_duration,
-            self.dead_time,
-            pi2_pulses=2,
-        )
+        """Wall-clock length of one standard Ramsey cycle: as a tracking cycle, with two pi/2 pulses."""
+        return self.dead_time + self.t_fp + 2 * self.pi2_duration + self.detection.measurement_duration
 
     @property
     def block_time(self):

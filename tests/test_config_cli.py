@@ -43,12 +43,14 @@ def run_cli(*args, cwd=None, timeout=None, entry=("-m", "ionclock"), preexec_fn=
     )
 
 
-# every number key at 0 and -1, and every float key and the two integer
-# keys that size a loop (cycles, Rabi steps) at 1e300
+# every number key at 0 and -1, every float key and the two integer keys
+# that size a loop (cycles, Rabi steps) at 1e300, and every integer key
+# just past int64 and far past it
 _EDGE_VALUES = sorted(
     {(k, v) for k, d in DEFAULTS.items() if type(d) in (int, float) for v in ("0", "-1")}
     | {(k, "1e300") for k, d in DEFAULTS.items() if type(d) is float}
     | {("seq.n_cp", "1e300"), ("seq.rabi_n_steps", "1e300")}
+    | {(k, v) for k, d in DEFAULTS.items() if type(d) is int for v in (str(2**63), "1" + "0" * 400)}
 )
 
 
@@ -94,6 +96,7 @@ class TestResolve:
         cfg = resolve({})
         assert cfg["stab.q"] == pytest.approx(2.52e9)
         assert cfg["stab.t_c_s"] == pytest.approx(0.1 + 4 * 7.5e-4 + 1e-3)
+        assert cfg["stab.t_c_s"] == sequences.RamseyConfig().cycle_time
         assert cfg["stab.n_atom"] == 2000
 
     def test_derived_snr_from_noise_budget(self):
@@ -131,6 +134,25 @@ class TestResolve:
             resolve({"lo.preset": "quartz"})
         with pytest.raises(ConfigError):
             resolve({"nope": "1"})
+        # a value that a typed config rejects, whether or not a given command reads it
+        for key, value in (
+            ("det.p", "1.5"),
+            ("seq.t_fp_s", "0"),
+            ("lo.h0", "-1"),
+            ("stab.snr", "1e300"),
+            ("diff.beam_lo_m", "-0.01"),
+        ):
+            with pytest.raises(ConfigError):
+                resolve({key: value})
+
+    def test_integers_fit_in_int64(self):
+        for key in (k for k, d in DEFAULTS.items() if type(d) is int and k != "run.seed"):
+            assert resolve({key: str(2**63 - 1)})[key] == 2**63 - 1
+            for value in (str(2**63), 10**400):
+                with pytest.raises(ConfigError, match=f"^{key}: expected a value <= 9223372036854775807, got "):
+                    resolve({key: value})
+        # substream masks the seed to 64 bits
+        assert resolve({"run.seed": 10**400})["run.seed"] == 10**400
 
     def test_snr_derivation_that_overflows_is_a_config_error(self):
         with pytest.raises(ConfigError, match="det.sigma_tech"):
@@ -201,6 +223,15 @@ class TestCli:
             ("apl", "lo.f0_hz", "1e300\nstab.snr = 1e8\nstab.q = 1\nseq.t_fp_s = 10"),
             # a subnormal carrier, whose y would also overflow the Allan deviation
             ("apl", "lo.f0_hz", "1e-320\nlo.delta_f0_hz = 0.3"),
+            # a run config is valid or invalid whichever command runs it:
+            # each of these bundles reads none of these values; allan
+            # exits 2 before it would find that its input is missing
+            ("rabi", "stab.snr", "1e300"),
+            ("diffusion", "lo.h0", "-1"),
+            ("allan missing.csv", "det.p", "1.5"),
+            # the default beam no longer fits inside the cloud
+            ("apl", "ens.cloud_length_m", "1e-4"),
+            ("reproduce fig5", "diff.beam_lo_m", "-0.01"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -236,8 +267,8 @@ class TestCli:
             # the probe-curve fit searches a bracket where floats are coarser than its tolerance
             ("rabi", ["seq.rabi_step_rad = 1000"], 0),
             ("rabi", ["seq.rabi_step_rad = 1e300"], 0),
-            # rabi does not read stab.snr, which apl rejects
-            ("rabi", ["stab.snr = 1e300"], 0),
+            # rabi does not read stab.snr, but the run config is invalid whatever command runs it
+            ("rabi", ["stab.snr = 1e300"], 2),
             ("apl", ["diff.d_override = -1", "det.mode = beam_overlap"], 2),
             ("rabi", ["det.measurement_duration_s = 0"], 0),
             ("reproduce fig4", ["det.measurement_duration_s = 0"], 0),
@@ -664,6 +695,27 @@ class TestCli:
         assert "cannot write outputs" in capsys.readouterr().err
         # the same names and bytes: no file of the failed run, and no hidden .ionclock-* directory
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_failed_write_removes_the_directories_it_created(self, tmp_path, monkeypatch, capsys):
+        write_csv, calls = cli._write_csv, []
+
+        def full_disk(fh, *args):
+            calls.append(fh)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_csv(fh, *args)
+
+        monkeypatch.setattr(cli, "_write_csv", full_disk)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["apl", "--trials", "2", "--out", "fresh/a/b"]) == 3
+        assert "cannot write outputs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # a directory that was there before the run stays, though empty
+        (tmp_path / "kept").mkdir()
+        calls.clear()
+        assert cli.main(["apl", "--trials", "2", "--out", "kept/a"]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
 
     def test_chunk_size_does_not_change_the_files(self, tmp_path, monkeypatch):
         out = tmp_path / "o"
