@@ -10,22 +10,22 @@ all floats are printed with a fixed %.12g format, so re-running a
 command with the same config and seed reproduces every file byte for
 byte.
 
-Exit codes: 0 success; 2 configuration problem (bad flag, unreadable
-or malformed config file, unknown key, a value that ``resolve`` or a
-typed config it builds rejects), raised before any simulation runs; 3
-runtime or data problem (fit failure, empty sample, malformed input
-series, non-finite Allan point, unwritable output directory). Every
-result is computed before the first file is opened, so a run that fails
-before writing writes nothing. Each file is then rendered and written
-512 rows at a time into a fresh hidden directory inside the output
-directory, and only once all are written does each replace its
-namesake, so a run that fails while writing leaves the earlier files as
-they were and removes the directories it created. One caveat: the
-replace step is one rename per file, not atomic as a whole, so a
-failure between two renames leaves old and new files side by side. A
-rename swaps out an output that is a symlink or a read-only file rather
-than writing through it. Files an earlier run left there and this run
-does not write are not removed.
+Exit codes: 0 success; 2 configuration problem (bad flag, unreadable or
+malformed config file, unknown key, a value that ``resolve`` or a typed
+config it builds rejects, work past WORK_CEILING), raised before any
+simulation runs; 3 runtime or data problem (fit failure, empty sample,
+malformed input series, non-finite Allan point, unwritable output
+directory). Every result is computed before the first file is opened,
+so a run that fails before writing writes nothing. Each file is then
+rendered and written 512 rows at a time into a fresh hidden directory
+inside the output directory, and only once all are written does each
+replace its namesake, so a run that fails while writing leaves the
+earlier files as they were and removes the directories it created. One
+caveat: the replace step is one rename per file, not atomic as a whole,
+so a failure between two renames leaves old and new files side by side.
+A rename swaps out an output that is a symlink or a read-only file
+rather than writing through it. Files an earlier run left there and
+this run does not write are not removed.
 """
 
 import argparse
@@ -44,7 +44,7 @@ from . import diffusion as diff_mod
 from .config import ConfigError, config_hash, parse_config_file, resolve
 from .config import _detection, _diffusion_config, _noise_spec, _ramsey_config, _stab_params
 from .ensemble import EmptySampleError, initialize_ensemble
-from .oscillator import make_local_oscillator
+from .oscillator import make_local_oscillator, phase_increments
 from .rng import substream
 from .sequences import (
     FitFailureError,
@@ -76,6 +76,18 @@ class DataError(RuntimeError):
 
 
 _CSV_CHUNK_ROWS = 512  # rows formatted and written at a time: one chunk of text is alive
+
+# The most units of work a bundle may ask for: LO intervals, ion positions
+# of beam detection, Rabi readout points, or walker-durations of the
+# struck-fraction grid. Fixed, so that an exit code never depends on the
+# host; at 8 bytes a unit, an array of that many is 800 MB.
+WORK_CEILING = 10**8
+
+
+def _check_work(n, what):
+    """A ConfigError naming the keys in ``what`` if their product n exceeds WORK_CEILING."""
+    if n > WORK_CEILING:
+        raise ConfigError(f"{what} = {n} exceeds the work ceiling of {WORK_CEILING}")
 
 
 def _write_csv(fh, h, seed, header, columns):
@@ -112,18 +124,31 @@ def _meta(command, cfg, h, outputs):
     }
 
 
-def _local_oscillator(cfg, rng):
-    return make_local_oscillator(cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], _noise_spec(cfg), rng)
+def _lo_record(cfg, label, dt, shape):
+    """The block-major phase record of the run's `label` LO over intervals of dt; at dt = 0, zeros and no draw."""
+    if dt == 0:
+        return np.zeros(shape)
+    rng = substream(cfg["run.seed"], label)
+    lo = make_local_oscillator(cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], _noise_spec(cfg), rng)
+    return phase_increments(lo, dt, math.prod(shape)).reshape(shape)
 
 
-def _tracking_blocks(cfg, rcfg: RamseyConfig, lo, n_blocks):
-    """The CycleTable of n_blocks consecutive tracking blocks: (n_blocks, n_cp) arrays.
+def _check_blocks(cfg, n_blocks, blocks_from):
+    """Bound the LO record of n_blocks tracking blocks and, with beam detection, their ion positions."""
+    _check_work(n_blocks * cfg["seq.n_cp"], f"{blocks_from} blocks x seq.n_cp cycles")
+    if cfg["det.mode"] == "beam_overlap":
+        _check_work(n_blocks * cfg["ens.n_ions"], f"{blocks_from} blocks x ens.n_ions ions")
+
+
+def _tracking_blocks(cfg, rcfg: RamseyConfig, n_blocks):
+    """The (n_blocks, n_cp) LO record of n_blocks consecutive tracking blocks, and their CycleTable.
 
     Every block starts from a fresh ensemble of one batch drawn from
     one stream; the LO runs on across blocks.
     """
+    record = _lo_record(cfg, "lo", rcfg.free_time, (n_blocks, rcfg.n_cp))
     ens = initialize_ensemble(cfg["ens.n_ions"], substream(cfg["run.seed"], "apl-ens"), n_blocks)
-    return run_apl_block(ens, lo, rcfg)
+    return record, run_apl_block(ens, record, rcfg)
 
 
 def _cycle_table(t):
@@ -145,7 +170,8 @@ def _limit_table(params: StabilityParams, taus):
             limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
         )
     if not all(np.all((line > 0.0) & (line < math.inf)) for line in lines):
-        raise ConfigError("a limit line is 0 or not finite: k, q, f0 or snr times tau leaves the float range")
+        why = "stab.k, stab.q, lo.f0_hz or stab.snr times tau leaves the float range"
+        raise ConfigError(f"a limit line is 0 or not finite: {why}")
     for w in held:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return header, (taus, *lines)
@@ -198,19 +224,19 @@ def cmd_rabi(cfg):
     det = _detection(cfg)
     if cfg["det.mode"] != "fixed_fraction":
         raise ConfigError(f"the probe bundle needs det.mode = fixed_fraction, got {cfg['det.mode']}")
-    trials = cfg["run.n_trials"]
-    lo = _local_oscillator(cfg, substream(seed, "rabi-lo"))  # only the accumulated batch reads it
+    repeats = {mode: cfg["run.n_trials"] or cfg[f"seq.rabi_repeats_{mode}"] for mode in ("standard", "ppm")}
+    for mode, reps in repeats.items():
+        _check_work(reps * (n_steps + 1), f"run.n_trials (or seq.rabi_repeats_{mode}) x seq.rabi_n_steps + 1")
 
     ks = np.arange(n_steps + 1)
     tables = []  # the CSV columns of each mode
     curves = {}
-    for mode, reps, reinit in (
-        ("standard", trials or cfg["seq.rabi_repeats_standard"], True),
-        ("ppm", trials or cfg["seq.rabi_repeats_ppm"], False),
-    ):
+    for mode, reps in repeats.items():
+        reinit = mode == "standard"
         # one block per repeat: row r of the estimates is repeat r
         batch = initialize_ensemble(cfg["ens.n_ions"], substream(seed, f"rabi-{mode}"), reps)
-        est = run_rabi_ppm(batch, lo, step, n_steps, reinit, det)
+        drift = None if reinit else _lo_record(cfg, "rabi-lo", det.measurement_duration, (reps, ks.size))
+        est = run_rabi_ppm(batch, drift, step, n_steps, reinit, det)
         mean = est.mean(axis=0)
         sd = est.std(axis=0, ddof=1) if reps > 1 else np.zeros(n_steps + 1)
         curves[mode] = mean
@@ -234,6 +260,7 @@ def cmd_apl(cfg):
     seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
     n_blocks = cfg["run.n_trials"] or max(1, cfg["seq.n_cycles"] // n_cp)
+    _check_blocks(cfg, n_blocks, "run.n_trials (or seq.n_cycles // seq.n_cp)")
     rcfg = _ramsey_config(cfg)
     f0 = cfg["lo.f0_hz"]
     taus = np.logspace(
@@ -241,14 +268,10 @@ def cmd_apl(cfg):
     )
     limits = _limit_table(_stab_params(cfg), taus)  # a bad limit line exits 2 before any draw
 
-    # same substream for both oscillators: the two protocols see the
-    # identical noise realization, so the comparison is apples to apples
-    lo_apl = _local_oscillator(cfg, substream(seed, "lo"))
-    lo_std = _local_oscillator(cfg, substream(seed, "lo"))
-
-    apl = _tracking_blocks(cfg, rcfg, lo_apl, n_blocks)
+    # one record for both protocols: one noise realization, so the comparison is apples to apples
+    record, apl = _tracking_blocks(cfg, rcfg, n_blocks)
     std_ens = initialize_ensemble(cfg["ens.n_ions"], substream(seed, "std-ens"), n_blocks * n_cp)
-    std = run_standard_ramsey(std_ens, lo_std, rcfg)
+    std = run_standard_ramsey(std_ens, record.reshape(-1, 1), rcfg)
     df = apl.delta_f_hz
 
     ns = np.arange(1, n_cp + 1)
@@ -276,6 +299,7 @@ def cmd_diffusion(cfg):
     seed = cfg["run.seed"]
     dcfg = _diffusion_config(cfg)
     n_walkers = cfg["diff.n_walkers"]
+    _check_work(n_walkers * cfg["diff.n_durations"], "diff.n_walkers x diff.n_durations")
     d_eff = dcfg.effective_d()
 
     rng = substream(seed, "diff-msd")
@@ -516,14 +540,13 @@ def cmd_allan(cfg, input_path):
 
 
 def _projection_bundle(cfg):
-    seed = cfg["run.seed"]
     n_cp = cfg["seq.n_cp"]
     if n_cp < 3:
         raise ConfigError(f"the projected-fraction fit needs seq.n_cp >= 3, got {n_cp}")
     n_blocks = cfg["run.n_trials"] or 32
+    _check_blocks(cfg, n_blocks, "run.n_trials (or 32)")
     rcfg = _ramsey_config(cfg)
-    lo = _local_oscillator(cfg, substream(seed, "lo"))
-    proj = _tracking_blocks(cfg, rcfg, lo, n_blocks).projected_before
+    proj = _tracking_blocks(cfg, rcfg, n_blocks)[1].projected_before
 
     ns = np.arange(1, n_cp + 1)
     mean = proj.mean(axis=0)

@@ -16,7 +16,8 @@ resolve() checks each value's type and the bounds its registry entry
 declares (counts at least 1, integers within int64, lengths positive,
 ...), then builds every typed config (DetectionConfig, RamseyConfig,
 ...) once, so a value one of them rejects is a ConfigError too: a run
-config is valid or invalid as a whole, whichever command runs it.
+config is valid or invalid as a whole, whichever command runs it. Every
+ConfigError of resolve() names the key or keys at fault.
 """
 
 import hashlib
@@ -175,17 +176,50 @@ def resolve(values: dict) -> MappingProxyType:
         merged["stab.n_atom"] = merged["ens.n_ions"]
 
     # every typed config is built once here, whatever the command reads
-    try:
-        _diffusion_config(merged)
-        _noise_spec(merged)
-        cycle_time = _ramsey_config(merged).cycle_time
-        if merged["stab.t_c_s"] == 0.0:
-            merged["stab.t_c_s"] = cycle_time
-        _stab_params(merged)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _build(_diffusion_config, merged)
+    _build(_noise_spec, merged)
+    cycle_time = _build(_ramsey_config, merged).cycle_time
+    if merged["stab.t_c_s"] == 0.0:
+        merged["stab.t_c_s"] = cycle_time
+    _build(_stab_params, merged)
     return MappingProxyType(merged)
 
+
+class _Reads(dict):
+    """A run config that records the keys read from it, in order."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.keys_read = {}
+
+    def __getitem__(self, key):
+        self.keys_read[key] = None
+        return super().__getitem__(key)
+
+
+def _fails(builder, cfg):
+    try:
+        builder(cfg)
+    except ValueError:
+        return True
+    return False
+
+
+def _build(builder, merged):
+    """builder(merged), with a ValueError turned into a ConfigError that names the keys at fault.
+
+    Of the keys the builder reads, those at fault differ from the default
+    config, and each one alone makes the default config fail too; if none
+    does alone, all that differ are named.
+    """
+    cfg = _Reads(merged)
+    try:
+        return builder(cfg)
+    except ValueError as exc:
+        ref = resolve({})  # the defaults, which every builder accepts
+        changed = [k for k in cfg.keys_read if merged[k] != ref[k]]
+        alone = [k for k in changed if _fails(builder, {**ref, k: merged[k]})]
+        raise ConfigError(f"{', '.join(alone or changed)}: {exc}") from exc
 
 def _detection(cfg) -> DetectionConfig:
     return DetectionConfig(

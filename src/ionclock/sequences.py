@@ -14,10 +14,9 @@ Three protocols are implemented on top of the ensemble primitives:
   blocks that read every ion.
 
 The blocks of a batch run back to back on one LO, whose phase
-increments for all of them are drawn as one record. The tracking
-protocols return a ``CycleTable`` of (blocks, n_cp) arrays, Rabi
-probing a (blocks, n_steps + 1) array of estimates: no Python object
-per cycle or point.
+increments the caller draws as one block-major record shaped like the
+result: a ``CycleTable`` of (blocks, n_cp) arrays from the tracking
+protocols, a (blocks, n_steps + 1) array of estimates from Rabi probing.
 
 Phase convention: the tracked angle is the LO phase relative to the
 atomic transition, so a positive frequency offset gives a positive
@@ -45,7 +44,6 @@ from .ensemble import (
     reset_to_ground,
     rotate,
 )
-from .oscillator import LocalOscillatorState, phase_increments
 
 __all__ = [
     "RamseyConfig",
@@ -103,18 +101,23 @@ class RamseyConfig:
             raise ValueError("durations must be non-negative")
 
     @property
+    def free_time(self):
+        """Free evolution per cycle, dead time and free precession: the interval of each LO increment."""
+        return self.dead_time + self.t_fp
+
+    @property
     def cycle_time(self):
         """Wall-clock length of one phase-tracking cycle.
 
         Dead time, free precession, four pi/2-pulse durations (the pi/2
         readout pulse and the 3 pi/2 revert) and the readout window.
         """
-        return self.dead_time + self.t_fp + 4 * self.pi2_duration + self.detection.measurement_duration
+        return self.free_time + 4 * self.pi2_duration + self.detection.measurement_duration
 
     @property
     def standard_cycle_time(self):
         """Wall-clock length of one standard Ramsey cycle: as a tracking cycle, with two pi/2 pulses."""
-        return self.dead_time + self.t_fp + 2 * self.pi2_duration + self.detection.measurement_duration
+        return self.free_time + 2 * self.pi2_duration + self.detection.measurement_duration
 
     @property
     def block_time(self):
@@ -188,8 +191,8 @@ def estimate_frequency(phi_n, n, t_fp):
     return np.asarray(phi_n) / (2.0 * math.pi * np.asarray(n) * t_fp)
 
 
-def _measure(state, cfg, free_time):
-    """One partial projection after free_time of free precession.
+def _measure(state, cfg):
+    """One partial projection after cfg.free_time of free precession.
 
     With a diffusion model the ions first move over the free time, then
     the readout projects the ions the beam strikes during its window.
@@ -203,17 +206,17 @@ def _measure(state, cfg, free_time):
     if dcfg is None:
         return partial_projection(state, det)
     half = dcfg.cloud_length / 2.0
-    z = _diffusion.step_brownian(state.z_pos, dcfg.effective_d(), free_time, state.rng_stream, half_length=half)
+    z = _diffusion.step_brownian(state.z_pos, dcfg.effective_d(), cfg.free_time, state.rng_stream, half_length=half)
     z, struck = _diffusion.struck_during(z, dcfg, det.measurement_duration, state.rng_stream)
     return partial_projection(replace(state, z_pos=z), det, sampled=struck)
 
 
-def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig, period):
+def _run_blocks(ensemble: EnsembleState, increments, cfg: RamseyConfig, period):
     """The CycleTable of cfg.n_cp cycles of each block b of a fresh batch, from b * period."""
     blocks, n_cp = len(ensemble.counts), cfg.n_cp
     n_ions = ensemble.counts.sum(axis=1)
-    dt_free = cfg.dead_time + cfg.t_fp
-    increments = phase_increments(lo, dt_free, blocks * n_cp).reshape(blocks, n_cp)
+    if np.shape(increments) != (blocks, n_cp):
+        raise ValueError(f"need a {(blocks, n_cp)} LO record, got shape {np.shape(increments)}")
     est = np.empty((blocks, n_cp))
     proj = np.empty((blocks, n_cp))
 
@@ -224,7 +227,7 @@ def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyCo
     for i in range(n_cp):
         state = rotate(free_precession(state, increments[:, i]), _HALF_PI, _HALF_PI)
         proj[:, i] = (n_ions - state.counts[:, 0]) / n_ions
-        state, m = _measure(state, cfg, dt_free)
+        state, m = _measure(state, cfg)
         est[:, i] = m.estimate
         if i + 1 < n_cp:
             state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
@@ -245,13 +248,13 @@ def _run_blocks(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyCo
     )
 
 
-def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
+def run_apl_block(ensemble: EnsembleState, increments, cfg: RamseyConfig):
     """A phase-tracking block of cfg.n_cp cycles on every ensemble of a batch.
 
     The ensemble batch must be freshly prepared (all ions ground); with
     a diffusion model its ions get their positions here. The blocks run
-    back to back on the LO, block b from b * cfg.block_time, and
-    the LO's phase increments for all of them are drawn as one record.
+    back to back on the LO, block b from b * cfg.block_time; the array
+    ``increments`` is their (blocks, cfg.n_cp) LO phase over each cfg.free_time.
     Sequence per block: one pi/2 at phase 0, then per cycle free
     precession over t_fp (plus any dead time), pi/2 at 90 degrees,
     partial projection, 3 pi/2 at 90 degrees to revert the unprojected
@@ -264,34 +267,34 @@ def run_apl_block(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: Ramsey
     delta_f_hz uses the 1/n phase divisor. Empty-sample errors from the
     projection propagate to the caller.
     """
-    return _run_blocks(ensemble, lo, cfg, cfg.block_time)
+    return _run_blocks(ensemble, increments, cfg, cfg.block_time)
 
 
-def run_standard_ramsey(ensemble: EnsembleState, lo: LocalOscillatorState, cfg: RamseyConfig):
+def run_standard_ramsey(ensemble: EnsembleState, increments, cfg: RamseyConfig):
     """One independent Ramsey cycle with destructive readout per block of a batch.
 
     Each cycle is a one-cycle block on its re-prepared ensemble that
-    reads every ion (sampling fraction 1, no transport), started every
-    cfg.standard_cycle_time; the table's arrays are (blocks, 1), each
-    an n=1 estimate. Technical noise follows cfg.detection.sigma_tech.
+    reads every ion (sampling fraction 1, no transport, technical noise
+    cfg.detection.sigma_tech), started every cfg.standard_cycle_time.
+    ``increments`` and the table's arrays are (blocks, 1): n=1 each.
     """
     whole = replace(cfg, n_cp=1, detection=replace(cfg.detection, p=1.0), diffusion=None)
-    return _run_blocks(reset_to_ground(ensemble), lo, whole, cfg.standard_cycle_time)
+    return _run_blocks(reset_to_ground(ensemble), increments, whole, cfg.standard_cycle_time)
 
 
-def run_rabi_ppm(batch, lo, rotation_step, n_steps, reinitialize, det: DetectionConfig):
+def run_rabi_ppm(batch, increments, rotation_step, n_steps, reinitialize, det: DetectionConfig):
     """Rabi probing of every block of a batch, with or without state reuse.
 
     reinitialize=True re-prepares the ground state before every point k
     and probes with the cumulative pulse area k * rotation_step; the
     readout is the full-cloud mean plus technical noise (the state is
     discarded afterwards, so no collapse is needed and the noiseless
-    trace is exact), and the LO is not read. reinitialize=False applies
-    one rotation_step per point to the same ensembles and partially
-    projects after each step, accumulating measurement back-action; the
-    LO keeps precessing during each readout window. The blocks run back
-    to back on the LO, and the drift over the n_steps + 1 readout
-    windows of all of them is drawn as one record.
+    trace is exact), and ``increments`` is not read (pass None).
+    reinitialize=False applies one rotation_step per point to the same
+    ensembles and partially projects after each step, accumulating
+    measurement back-action; the array ``increments`` is the (blocks,
+    n_steps + 1) LO drift over each readout window, the blocks back to
+    back, and step k turns by window k - 1 (the last is unread).
 
     Returns the (blocks, n_steps + 1) array of estimates: row b is block
     b, column k point k, where k = 0 is the unrotated baseline.
@@ -312,14 +315,11 @@ def run_rabi_ppm(batch, lo, rotation_step, n_steps, reinitialize, det: Detection
             est += state.rng_stream.normal(0.0, det.sigma_tech, shape)
         return est
 
-    # LO-atom phase drift across each readout window, zero on resonance and
-    # when it has no length; the last window's advances the LO, unread
-    drift = np.zeros(shape)
-    if det.measurement_duration > 0:
-        drift = phase_increments(lo, det.measurement_duration, est.size).reshape(shape)
+    if np.shape(increments) != shape:
+        raise ValueError(f"need a {shape} LO record, got shape {np.shape(increments)}")
     for k in range(n_steps + 1):
         if k:
-            state = rotate(free_precession(state, drift[:, k - 1]), 0.0, rotation_step)
+            state = rotate(free_precession(state, increments[:, k - 1]), 0.0, rotation_step)
         state, m = partial_projection(state, det)
         est[:, k] = m.estimate
     return est

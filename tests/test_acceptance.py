@@ -20,7 +20,7 @@ from scipy import stats
 
 from ionclock.diffusion import DiffusionConfig, fraction_struck, step_brownian
 from ionclock.ensemble import DetectionConfig, initialize_ensemble
-from ionclock.oscillator import NoiseSpec, generate_y_series, make_local_oscillator
+from ionclock.oscillator import NoiseSpec, generate_y_series, make_local_oscillator, phase_increments
 from ionclock.rng import substream
 from ionclock.sequences import (
     RamseyConfig,
@@ -46,19 +46,21 @@ N_BLOCKS = 10_000
 N_STD_CYCLES = 12_000
 
 
-def quiet_lo(seed_path, delta_f0=0.0):
-    return make_local_oscillator(12.6e9, delta_f0, NoiseSpec(), substream(*seed_path))
+def quiet_record(seed_path, dt, shape):
+    """The block-major phase increments of a noiseless LO over consecutive intervals of dt."""
+    lo = make_local_oscillator(12.6e9, 0.0, NoiseSpec(), substream(*seed_path))
+    return phase_increments(lo, dt, math.prod(shape)).reshape(shape)
 
 
 @pytest.fixture(scope="module")
 def tracked_blocks():
     """10^4 three-cycle tracking blocks, noiseless LO, frozen seed."""
     cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=DET)
-    lo = quiet_lo((TRACK_SEED, "lo"))
+    record = quiet_record((TRACK_SEED, "lo"), cfg.free_time, (N_BLOCKS, 3))
     ens = initialize_ensemble(N_IONS, substream(TRACK_SEED, "ens"), N_BLOCKS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        recs = run_apl_block(ens, lo, cfg)
+        recs = run_apl_block(ens, record, cfg)
     df = np.array([r.delta_f_hz for r in recs]).reshape(N_BLOCKS, 3)
     return cfg, df
 
@@ -67,11 +69,11 @@ def tracked_blocks():
 def standard_cycles():
     """12000 independent full-projection cycles on the same noise level."""
     cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=DET)
-    lo = quiet_lo((TRACK_SEED, "lo"))
+    record = quiet_record((TRACK_SEED, "lo"), cfg.free_time, (N_STD_CYCLES, 1))
     ens = initialize_ensemble(N_IONS, substream(TRACK_SEED, "std-ens"), N_STD_CYCLES)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        recs = run_standard_ramsey(ens, lo, cfg)
+        recs = run_standard_ramsey(ens, record, cfg)
     y = np.array([r.delta_f_hz for r in recs]) / 12.6e9
     return cfg, FractionalFrequencySeries(y, cfg.standard_cycle_time)
 
@@ -82,11 +84,11 @@ def test_projected_fraction_matches_prediction_and_fit_recovers_p():
     t_start = time.monotonic()
     seed = 1
     cfg = RamseyConfig(t_fp=0.1, n_cp=8, detection=DET)
-    lo = quiet_lo((seed, "lo"))
+    record = quiet_record((seed, "lo"), cfg.free_time, (32, 8))
     ens = initialize_ensemble(N_IONS, substream(seed, "ens"), 32)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        recs = run_apl_block(ens, lo, cfg)
+        recs = run_apl_block(ens, record, cfg)
     proj = np.array([r.projected_before for r in recs]).reshape(32, 8)
     mean = proj.mean(axis=0)
     n = np.arange(1, 9)
@@ -140,7 +142,8 @@ def test_partial_projection_rabi_true_to_three_points_then_deviates():
     n_steps = 6
     reps = 600
     batch = initialize_ensemble(N_IONS, substream(seed, "rabi"), reps)
-    est = run_rabi_ppm(batch, quiet_lo((seed, "rabi-lo")), step, n_steps, False, DET)
+    drift = quiet_record((seed, "rabi-lo"), DET.measurement_duration, (reps, n_steps + 1))
+    est = run_rabi_ppm(batch, drift, step, n_steps, False, DET)
     mean = est.mean(axis=0)
     per_trial_sd = est.std(axis=0, ddof=1)
     ideal = (1 - np.cos(np.arange(n_steps + 1) * step)) / 2

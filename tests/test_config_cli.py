@@ -232,6 +232,16 @@ class TestCli:
             # the default beam no longer fits inside the cloud
             ("apl", "ens.cloud_length_m", "1e-4"),
             ("reproduce fig5", "diff.beam_lo_m", "-0.01"),
+            # work past the ceiling: an LO record of 2^62 intervals, 10^8 beam
+            # ion positions per block, 10^8 Rabi points or walkers per duration
+            ("apl", "seq.n_cp", str(2**62)),
+            ("reproduce fig6", "seq.n_cp", str(2**62)),
+            ("reproduce fig5", "seq.n_cp", str(2**62)),
+            ("apl", "ens.n_ions", "100000000\ndet.mode = beam_overlap"),
+            ("rabi", "seq.rabi_n_steps", "100000000"),
+            ("reproduce fig4", "seq.rabi_repeats_standard", "100000000"),
+            ("rabi", "seq.rabi_repeats_ppm", "100000000"),
+            ("diffusion", "diff.n_walkers", "100000000"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -241,15 +251,36 @@ class TestCli:
             raise AssertionError("simulation ran before the config was checked")
 
         # the first draw of each simulation: the ensemble batch, the LO
-        # record of a protocol and a Brownian step
+        # record of a bundle and a Brownian step
         monkeypatch.setattr(cli, "initialize_ensemble", simulated)
-        monkeypatch.setattr(sequences, "phase_increments", simulated)
+        monkeypatch.setattr(cli, "phase_increments", simulated)
         monkeypatch.setattr(diffusion, "step_brownian", simulated)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = {value}\n")
         out = tmp_path / "o"
         assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err, err
+        assert not out.exists()
+
+    def test_work_ceiling(self):
+        # a product of keys is checked against one fixed ceiling, the keys named
+        cli._check_work(cli.WORK_CEILING, "a x b")
+        with pytest.raises(ConfigError, match=r"^a x b = 100000001 exceeds the work ceiling of 100000000$"):
+            cli._check_work(cli.WORK_CEILING + 1, "a x b")
+
+    def test_lo_record_past_the_ceiling_exits_2_at_once(self, tmp_path):
+        # 2^62 cycles per block pass the int64 ceiling; drawn 512 at a time,
+        # their LO record would run for ever
+        cfg = tmp_path / "ncp.cfg"
+        cfg.write_text(f"seq.n_cp = {2**62}\n")
+        out = tmp_path / "o"
+        r = run_cli("apl", "--config", cfg, "--trials", 2, "--out", out, timeout=60)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == (
+            "config error: run.n_trials (or seq.n_cycles // seq.n_cp) blocks x seq.n_cp cycles"
+            f" = {2 * 2**62} exceeds the work ceiling of 100000000\n"
+        )
         assert not out.exists()
 
     def test_limit_line_warning_is_issued_once_the_lines_are_accepted(self, tmp_path):
@@ -293,7 +324,7 @@ class TestCli:
         ids=" ".join,
     )
     @pytest.mark.parametrize("key, value", _EDGE_VALUES)
-    def test_every_key_at_its_edges_keeps_the_exit_contract(self, tmp_path, bundle, key, value):
+    def test_every_key_at_its_edges_keeps_the_exit_contract(self, tmp_path, capsys, bundle, key, value):
         raw = {"ens.n_ions": "50", "diff.n_walkers": "50", key: value}
         if bundle[-1] == "beam":
             bundle, raw["det.mode"] = ["apl"], "beam_overlap"
@@ -308,6 +339,8 @@ class TestCli:
             code = cli.main([*bundle, "--config", str(cfg), "--out", str(out), "--trials", "2"])
         assert code in (0, 2, 3)
         assert out.exists() == (code == 0)
+        if code == 2:  # a rejection names the key
+            assert key in capsys.readouterr().err
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -608,6 +641,52 @@ class TestCli:
             lines = (out / name).read_text().splitlines()
             assert len(lines) == 3 and lines[2] == "tau_s,adev,n_pairs", name
         assert len((out / "ramsey_cycles.csv").read_text().splitlines()) == 3 + 1
+
+    @pytest.mark.parametrize("argv", [["apl"], ["reproduce", "fig6"]], ids=" ".join)
+    def test_both_protocols_of_apl_share_one_lo_record(self, tmp_path, monkeypatch, argv):
+        # the tracked blocks and the standard cycles see one noise realization:
+        # one LO, one record of n_blocks * n_cp intervals, drawn once
+        made, drawn, read = [], [], {}
+        make_local_oscillator, phase_increments = cli.make_local_oscillator, cli.phase_increments
+
+        def make(*args):
+            made.append(args)
+            return make_local_oscillator(*args)
+
+        def draw(lo, dt, n):
+            drawn.append((dt, n))
+            return phase_increments(lo, dt, n)
+
+        def spy(name, run):
+            def wrapped(ensemble, increments, cfg):
+                read[name] = np.array(increments)
+                return run(ensemble, increments, cfg)
+
+            monkeypatch.setattr(cli, name, wrapped)
+
+        monkeypatch.setattr(cli, "make_local_oscillator", make)
+        monkeypatch.setattr(cli, "phase_increments", draw)
+        spy("run_apl_block", cli.run_apl_block)
+        spy("run_standard_ramsey", cli.run_standard_ramsey)
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text("lo.preset = maser\nseq.dead_time_s = 0.01\n")
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--config", str(cfg), "--trials", "5", "--out", str(out)]) == 0
+        rcfg = cli._ramsey_config(resolve({"seq.dead_time_s": "0.01"}))
+        assert len(made) == 1 and drawn == [(rcfg.free_time, 5 * 3)]
+        assert read["run_apl_block"].shape == (5, 3) and read["run_standard_ramsey"].shape == (15, 1)
+        assert np.array_equal(read["run_apl_block"].ravel(), read["run_standard_ramsey"].ravel())
+        assert np.unique(read["run_apl_block"]).size == 15  # a noisy LO: no two intervals alike
+
+    def test_zero_readout_window_drifts_by_nothing(self, monkeypatch):
+        # a zero-length window draws no LO record, whatever the LO's noise
+        def drawn(*args):
+            raise AssertionError("an LO record was drawn")
+
+        monkeypatch.setattr(cli, "make_local_oscillator", drawn)
+        monkeypatch.setattr(cli, "phase_increments", drawn)
+        cfg = resolve({"lo.preset": "noisy", "lo.delta_f0_hz": "0.3", "det.measurement_duration_s": "0"})
+        assert np.array_equal(cli._lo_record(cfg, "rabi-lo", 0.0, (3, 7)), np.zeros((3, 7)))
 
     def test_limit_rows_equal_the_scalar_lines(self):
         params = cli._stab_params(resolve({}))

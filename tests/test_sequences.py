@@ -31,8 +31,15 @@ from ionclock.sequences import (
 TWO_PI = 2 * math.pi
 
 
-def quiet_lo(delta_f0=0.0, seed=1):
-    return make_local_oscillator(12.6e9, delta_f0, NoiseSpec(), substream(seed, "lo"))
+def lo_record(shape, dt, delta_f0=0.0, spec=NoiseSpec(), seed=1):
+    """The block-major phase increments of an LO over consecutive intervals of dt."""
+    lo = make_local_oscillator(12.6e9, delta_f0, spec, substream(seed, "lo"))
+    return phase_increments(lo, dt, math.prod(shape)).reshape(shape)
+
+
+def quiet_record(cfg, blocks, delta_f0=0.0, cycles=None):
+    """The (blocks, cycles or cfg.n_cp) record of a noiseless LO over each cfg.free_time."""
+    return lo_record((blocks, cycles or cfg.n_cp), cfg.free_time, delta_f0)
 
 
 @pytest.fixture
@@ -110,7 +117,7 @@ class TestAplBlock:
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(4000, substream(21, "ens"))
-        recs = run_apl_block(ens, quiet_lo(delta_f0=0.25, seed=21), cfg)
+        recs = run_apl_block(ens, quiet_record(cfg, 1, 0.25), cfg)
         assert recs.n.tolist() == [[1, 2, 3]]
         # QPN on ~720 sampled ions gives phase sd ~ 0.037 rad
         assert np.all(np.abs(recs.phi_n - TWO_PI * 0.25 * 0.1 * recs.n) <= 0.2)
@@ -120,14 +127,14 @@ class TestAplBlock:
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=4, detection=det)
         ens = initialize_ensemble(8000, substream(22, "ens"))
-        recs = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=22), cfg)
+        recs = run_apl_block(ens, quiet_record(cfg, 1, 0.2), cfg)
         assert np.all(np.diff(recs.phi_n[0]) > 0)
 
     def test_projected_fraction_grows_geometrically(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=5, detection=det)
         ens = initialize_ensemble(6000, substream(23, "ens"))
-        recs = run_apl_block(ens, quiet_lo(seed=23), cfg)
+        recs = run_apl_block(ens, quiet_record(cfg, 1), cfg)
         expected = 1.0 - 0.82 ** (recs.n - 1)
         sd = np.sqrt(np.maximum(expected * (1 - expected), 1e-9) / 6000)
         assert np.all(np.abs(recs.projected_before - expected) <= np.maximum(4 * sd, 1e-9))
@@ -138,7 +145,7 @@ class TestAplBlock:
             t_fp=0.1, pi2_duration=7.5e-4, n_cp=2, detection=det, dead_time=0.01
         )
         ens = initialize_ensemble(500, substream(24, "ens"))
-        recs = run_apl_block(ens, quiet_lo(seed=24), cfg)
+        recs = run_apl_block(ens, quiet_record(cfg, 1), cfg)
         first = 7.5e-4 + 0.11 + 7.5e-4 + 1e-3
         assert recs.timestamp[0, 0] == pytest.approx(first, rel=1e-12)
         assert recs.timestamp[0, 1] == pytest.approx(first + cfg.cycle_time, rel=1e-12)
@@ -147,7 +154,7 @@ class TestAplBlock:
         det = DetectionConfig(p=0.18, sigma_tech=0.1)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(300, substream(29, "ens"), 4)
-        recs = run_apl_block(ens, quiet_lo(delta_f0=0.1, seed=29), cfg)
+        recs = run_apl_block(ens, quiet_record(cfg, 4, 0.1), cfg)
         assert recs.block.tolist() == [[b] * 3 for b in range(4)]
         assert recs.n.tolist() == [[1, 2, 3]] * 4
         rows = list(recs)
@@ -168,7 +175,7 @@ class TestAplBlock:
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, diffusion=dcfg)
         n_ions, n_blocks = 400, 2
         ens = initialize_ensemble(n_ions, substream(26, "ens"), n_blocks)
-        recs = run_apl_block(ens, quiet_lo(seed=26), cfg)
+        recs = run_apl_block(ens, quiet_record(cfg, n_blocks), cfg)
         assert recs.block.ravel().tolist() == [0, 0, 0, 1, 1, 1]
         assert recs.projected_before[:, 0].tolist() == [0.0] * n_blocks
         second = recs.projected_before[:, 1]
@@ -202,7 +209,7 @@ class TestAplBlock:
         )
         n_ions, n_blocks = 400, 2
         ens = initialize_ensemble(n_ions, substream(27, "ens"), n_blocks)
-        recs = run_apl_block(ens, quiet_lo(seed=27), cfg)
+        recs = run_apl_block(ens, quiet_record(cfg, n_blocks), cfg)
         second = recs.projected_before[:, 1]
         assert np.all(second < 1)
         sd = math.sqrt(0.17 * 0.83 / (n_ions * n_blocks))
@@ -213,7 +220,7 @@ class TestAplBlock:
         det = DetectionConfig(sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, diffusion=dcfg)
         ens = initialize_ensemble(400, substream(28, "ens"), 2)
-        run_apl_block(ens, quiet_lo(seed=28), cfg)
+        run_apl_block(ens, quiet_record(cfg, 2), cfg)
         assert len(readout_starts) == cfg.n_cp
         for z in readout_starts:
             assert np.all(np.abs(z) <= 0.5e-3)
@@ -224,7 +231,7 @@ class TestAplBlock:
 
         def run():
             ens = initialize_ensemble(1000, substream(25, "ens"))
-            return run_apl_block(ens, quiet_lo(delta_f0=0.1, seed=25), cfg)
+            return run_apl_block(ens, quiet_record(cfg, 1, 0.1), cfg)
 
         a, b = run(), run()
         assert np.array_equal(a.estimate, b.estimate)
@@ -236,7 +243,7 @@ class TestStandardRamsey:
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(2000, substream(31, "ens"), 60)
-        recs = run_standard_ramsey(ens, quiet_lo(seed=31), cfg)
+        recs = run_standard_ramsey(ens, quiet_record(cfg, 60, cycles=1), cfg)
         assert recs.estimate.shape == (60, 1)
         assert np.all(recs.n == 1)
         ests = recs.estimate[:, 0]
@@ -256,14 +263,14 @@ class TestStandardRamsey:
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(300, substream(32, "ens"), 2)
-        run_standard_ramsey(ens, quiet_lo(seed=32), cfg)
+        run_standard_ramsey(ens, quiet_record(cfg, 2, cycles=1), cfg)
         assert [s.tolist() for s in sizes] == [[300, 300]]
 
     def test_recovers_static_offset(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
         ens = initialize_ensemble(2000, substream(33, "ens"), 200)
-        recs = run_standard_ramsey(ens, quiet_lo(delta_f0=0.3, seed=33), cfg)
+        recs = run_standard_ramsey(ens, quiet_record(cfg, 200, 0.3, cycles=1), cfg)
         dfs = recs.delta_f_hz[:, 0]
         assert dfs.mean() == pytest.approx(0.3, abs=0.02)
 
@@ -272,7 +279,7 @@ class TestStandardRamsey:
         for dead_time in (0.0, 0.01):
             cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det, dead_time=dead_time)
             ens = initialize_ensemble(200, substream(34, "ens"), 5)
-            recs = run_standard_ramsey(ens, quiet_lo(seed=34), cfg)
+            recs = run_standard_ramsey(ens, quiet_record(cfg, 5, cycles=1), cfg)
             gaps = np.diff(recs.timestamp[:, 0])
             # the spacing is the tau0 of the standard series in allan_standard.csv
             assert cfg.standard_cycle_time == pytest.approx(0.1 + dead_time + 2 * 7.5e-4 + 1e-3)
@@ -283,7 +290,7 @@ class TestRabi:
     def test_reinitialized_noiseless_traces_ideal_curve(self):
         det = DetectionConfig(p=1.0, sigma_tech=0.0)
         batch = initialize_ensemble(100, substream(41, "ens"))
-        est = run_rabi_ppm(batch, quiet_lo(seed=41), math.pi / 5, 10, True, det)
+        est = run_rabi_ppm(batch, None, math.pi / 5, 10, True, det)
         ideal = (1 - np.cos(np.arange(11) * math.pi / 5)) / 2
         assert est.shape == (1, 11)
         assert est[0] == pytest.approx(ideal, abs=1e-12)
@@ -291,7 +298,7 @@ class TestRabi:
     def test_reinitialized_blocks_trace_one_curve(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         batch = initialize_ensemble(100, substream(46, "ens"), 3)
-        est = run_rabi_ppm(batch, quiet_lo(seed=46), 0.4, 7, True, det)
+        est = run_rabi_ppm(batch, None, 0.4, 7, True, det)
         ideal = (1 - np.cos(np.arange(8) * 0.4)) / 2
         assert est.shape == (3, 8)
         assert np.array_equal(est[0], est[1]) and np.array_equal(est[0], est[2])
@@ -300,7 +307,7 @@ class TestRabi:
     def test_zero_rotation_baseline_reads_zero(self):
         det = DetectionConfig(p=1.0, sigma_tech=0.0)
         batch = initialize_ensemble(50, substream(42, "ens"))
-        est = run_rabi_ppm(batch, quiet_lo(seed=42), 0.3, 2, True, det)
+        est = run_rabi_ppm(batch, None, 0.3, 2, True, det)
         assert est[0, 0] == 0.0
 
     def test_ppm_mode_shrinks_contrast(self):
@@ -309,46 +316,56 @@ class TestRabi:
         reps = 200
         k = 5
         batch = initialize_ensemble(2000, substream(43, "ens"), reps)
-        lo = make_local_oscillator(12.6e9, 0.0, NoiseSpec(), substream(43, "lo"))
-        mean = run_rabi_ppm(batch, lo, math.pi / 6, k, False, det).mean(axis=0)
+        drift = lo_record((reps, k + 1), det.measurement_duration)
+        mean = run_rabi_ppm(batch, drift, math.pi / 6, k, False, det).mean(axis=0)
         frozen = [0.0669872981, 0.2275, 0.4255651165, 0.60612825, 0.7283123687]
         for i, expect in enumerate(frozen, start=1):
             assert mean[i] == pytest.approx(expect, abs=0.01)
 
-    def test_ppm_batch_draws_one_lo_record(self):
-        # the blocks run back to back: B (n_steps + 1) readout windows of one record
+    def test_ppm_step_k_turns_by_readout_window_k_minus_1(self):
+        # the blocks run back to back: row b of the (B, n_steps + 1) record is
+        # block b; step k reads window k - 1, and the last window is unread
         det = DetectionConfig(p=0.18, sigma_tech=0.1, measurement_duration=2e-3)
         blocks, n_steps = 4, 6
         spec = NoiseSpec(h0=1e-22, h_minus1=1e-23, h_minus2=1e-24)
-        lo = make_local_oscillator(12.6e9, 0.3, spec, substream(47, "lo"))
-        twin = make_local_oscillator(12.6e9, 0.3, spec, substream(47, "lo"))
-        batch = initialize_ensemble(500, substream(47, "ens"), blocks)
-        est = run_rabi_ppm(batch, lo, 0.5, n_steps, False, det)
-        assert est.shape == (blocks, n_steps + 1)
-        phase_increments(twin, det.measurement_duration, blocks * (n_steps + 1))
-        assert phase_increments(lo, 0.1, 1) == phase_increments(twin, 0.1, 1)
+        drift = lo_record((blocks, n_steps + 1), det.measurement_duration, 30.0, spec, seed=47)
+        last_changed = drift.copy()
+        last_changed[:, -1] += 1.0
 
-    def test_zero_readout_window_drifts_by_nothing(self):
-        # a zero-length window draws no LO record: the same estimates as a
-        # quiet, zero-offset LO over a positive window
-        spec = NoiseSpec(h0=1e-22, h_minus1=1e-23, h_minus2=1e-24)
-        est = {}
-        for duration, lo in (
-            (0.0, make_local_oscillator(12.6e9, 0.3, spec, substream(48, "lo"))),
-            (1e-3, quiet_lo(seed=48)),
-        ):
-            det = DetectionConfig(p=0.18, sigma_tech=0.1, measurement_duration=duration)
-            batch = initialize_ensemble(500, substream(48, "ens"), 3)
-            est[duration] = run_rabi_ppm(batch, lo, 0.5, 6, False, det)
-        assert np.array_equal(est[0.0], est[1e-3])
+        def run(record):
+            batch = initialize_ensemble(500, substream(47, "ens"), blocks)
+            return run_rabi_ppm(batch, record, 0.5, n_steps, False, det)
+
+        est = run(drift)
+        assert est.shape == (blocks, n_steps + 1)
+        assert np.array_equal(run(last_changed), est)
+        assert not np.array_equal(run(np.zeros_like(drift)), est)
 
     def test_rotation_step_must_be_positive(self):
         det = DetectionConfig(p=0.18, sigma_tech=0.0)
         batch = initialize_ensemble(10, substream(45, "ens"))
         with pytest.raises(ValueError):
-            run_rabi_ppm(batch, quiet_lo(seed=45), 0.0, 3, True, det)
+            run_rabi_ppm(batch, None, 0.0, 3, True, det)
         with pytest.raises(ValueError):
-            run_rabi_ppm(batch, quiet_lo(seed=45), 0.5, 0, True, det)
+            run_rabi_ppm(batch, None, 0.5, 0, True, det)
+
+
+def test_a_record_of_the_wrong_shape_is_a_value_error():
+    # each protocol takes one LO increment per entry of the table it returns
+    det = DetectionConfig(p=0.18, sigma_tech=0.0)
+    cfg = RamseyConfig(t_fp=0.1, n_cp=3, detection=det)
+    batch = initialize_ensemble(100, substream(71, "ens"), 2)
+    for shape in ((2, 2), (2, 4), (3, 3), (6,), (2, 3, 1)):
+        with pytest.raises(ValueError, match=r"need a \(2, 3\) LO record"):
+            run_apl_block(batch, np.zeros(shape), cfg)
+    for shape in ((2,), (1, 1), (2, 3)):
+        with pytest.raises(ValueError, match=r"need a \(2, 1\) LO record"):
+            run_standard_ramsey(batch, np.zeros(shape), cfg)
+    for record in (np.zeros((2, 6)), np.zeros((2, 8)), np.zeros(14), None):
+        with pytest.raises(ValueError, match=r"need a \(2, 7\) LO record"):
+            run_rabi_ppm(batch, record, 0.5, 6, False, det)
+    # the re-initialized mode never reads the LO
+    assert run_rabi_ppm(batch, None, 0.5, 6, True, det).shape == (2, 7)
 
 
 def test_argmin_ends_where_floats_are_coarser_than_its_tolerance():
@@ -464,7 +481,7 @@ class TestDecoherenceModel:
         ens = initialize_ensemble(2000, substream(2026, "ens"), batches * per_batch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SaturationWarning)
-            proj = run_apl_block(ens, quiet_lo(seed=2026), cfg).projected_before
+            proj = run_apl_block(ens, quiet_record(cfg, batches * per_batch), cfg).projected_before
         covered = 0
         for table in proj.reshape(batches, per_batch, 8):
             lo, hi = fit_decoherence(table).p_ci95
@@ -503,9 +520,9 @@ def test_dead_time_lengthens_cycles_and_phase():
     base = RamseyConfig(t_fp=0.1, n_cp=1, detection=det)
     slow = replace(base, dead_time=0.1)
     ens = initialize_ensemble(6000, substream(51, "ens"))
-    fast_recs = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), base)
+    fast_recs = run_apl_block(ens, quiet_record(base, 1, 0.2), base)
     ens = initialize_ensemble(6000, substream(51, "ens"))
-    slow_recs = run_apl_block(ens, quiet_lo(delta_f0=0.2, seed=51), slow)
+    slow_recs = run_apl_block(ens, quiet_record(slow, 1, 0.2), slow)
     # twice the free evolution, same estimator divisor t_fp
     assert slow_recs.phi_n[0, 0] == pytest.approx(2 * fast_recs.phi_n[0, 0], abs=0.12)
     assert slow_recs.timestamp[0, 0] - fast_recs.timestamp[0, 0] == pytest.approx(0.1, rel=1e-9)
@@ -525,7 +542,7 @@ def test_tracked_estimates_under_read_by_the_response():
     offset = theta / (TWO_PI * t_fp)
     cfg = RamseyConfig(t_fp=t_fp, n_cp=n_cp, detection=DetectionConfig(p=p, sigma_tech=0.0))
     ens = initialize_ensemble(n_ions, substream(61, "ens"), blocks)
-    recs = run_apl_block(ens, quiet_lo(delta_f0=offset, seed=61), cfg)
+    recs = run_apl_block(ens, quiet_record(cfg, blocks, offset), cfg)
     ratio = recs.delta_f_hz.mean(axis=0) / offset
     for n in range(1, n_cp + 1):
         r_n = (1 - p) ** (n - 1) + sum(k * p * (1 - p) ** (k - 1) for k in range(1, n)) / n
