@@ -1,22 +1,20 @@
 """Measurement protocols and estimators.
 
-Three protocols are implemented on top of the ensemble primitives:
+Each protocol is a list of steps that one loop runs on a batch of
+ensembles, one block per ensemble, the blocks back to back on one LO.
+A step is a pulse (microwave phase, angle), a free precession by the
+next column of the caller's (blocks, free steps) LO record, or a
+readout (a partial projection). Steps after the last readout are not
+applied, since nothing reads the state after them.
 
-* ``run_rabi_ppm``: Rabi probing on every block of a batch, either
-  re-prepared each point (standard) or accumulated rotations with a
-  partial projection after every step.
-* ``run_apl_block``: phase tracking on every block of a batch. Each
-  ensemble is prepared once; each cycle runs free precession, a pi/2
-  readout pulse at 90 degrees, a partial projection, and a 3 pi/2 pulse
-  that reverts the unprojected ions, so the accumulated phase survives
-  across cycles and the n-th estimate divides its phase by n.
-* ``run_standard_ramsey``: the limiting case, a batch of one-cycle
+* ``run_apl_block``, phase tracking: [pi/2 at 0] + [free, pi/2 at 90
+  degrees, read, 3 pi/2 at 90 degrees] x n_cp. The 3 pi/2 pulse reverts
+  the unprojected ions, so the accumulated phase survives across
+  cycles and the n-th estimate divides its phase by n.
+* ``run_standard_ramsey``: the same list with n_cp = 1, on one-cycle
   blocks that read every ion.
-
-The blocks of a batch run back to back on one LO, whose phase
-increments the caller draws as one block-major record shaped like the
-result: a ``CycleTable`` of (blocks, n_cp) arrays from the tracking
-protocols, a (blocks, n_steps + 1) array of estimates from Rabi probing.
+* ``run_rabi_ppm``, accumulated mode: [read] + [free, rotation_step at
+  0, read] x n_steps + [free]. Its re-initialized mode is analytic.
 
 Phase convention: the tracked angle is the LO phase relative to the
 atomic transition, so a positive frequency offset gives a positive
@@ -61,6 +59,7 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+_FREE, _READ = "free", "read"  # the step-list markers of a free precession and a readout
 # The t quantile's series is O(nu); at 1000 dof t_0.975 is within 0.13% of its normal limit
 _T_DOF_CAP = 1000
 
@@ -211,26 +210,39 @@ def _measure(state, cfg):
     return partial_projection(replace(state, z_pos=z), det, sampled=struck)
 
 
-def _run_blocks(ensemble: EnsembleState, increments, cfg: RamseyConfig, period):
-    """The CycleTable of cfg.n_cp cycles of each block b of a fresh batch, from b * period."""
-    blocks, n_cp = len(ensemble.counts), cfg.n_cp
-    n_ions = ensemble.counts.sum(axis=1)
-    if np.shape(increments) != (blocks, n_cp):
-        raise ValueError(f"need a {(blocks, n_cp)} LO record, got shape {np.shape(increments)}")
-    est = np.empty((blocks, n_cp))
-    proj = np.empty((blocks, n_cp))
+def _run_steps(state: EnsembleState, steps, increments, cfg: RamseyConfig):
+    """The (blocks, readouts) estimates and ever-projected fractions of a step list run on a batch."""
+    blocks = len(state.counts)
+    shape = (blocks, steps.count(_FREE))
+    if np.shape(increments) != shape:
+        raise ValueError(f"need a {shape} LO record, got shape {np.shape(increments)}")
+    n_ions = state.counts.sum(axis=1)
+    est = np.empty((blocks, steps.count(_READ)))
+    proj = np.empty_like(est)
+    free = read = 0
+    for step in steps:
+        if read == est.shape[1]:
+            break
+        if step is _FREE:
+            state = free_precession(state, increments[:, free])
+            free += 1
+        elif step is _READ:
+            proj[:, read] = (n_ions - state.counts[:, 0]) / n_ions
+            state, m = _measure(state, cfg)
+            est[:, read] = m.estimate
+            read += 1
+        else:
+            state = rotate(state, *step)
+    return est, proj
 
+
+def _run_blocks(ensemble: EnsembleState, increments, cfg: RamseyConfig, period):
+    """The CycleTable of cfg.n_cp tracking cycles of each block b of a fresh batch, from b * period."""
     state = ensemble
     if cfg.diffusion is not None:
         state = place_ions(state, cfg.diffusion.cloud_length)
-    state = rotate(state, 0.0, _HALF_PI)
-    for i in range(n_cp):
-        state = rotate(free_precession(state, increments[:, i]), _HALF_PI, _HALF_PI)
-        proj[:, i] = (n_ions - state.counts[:, 0]) / n_ions
-        state, m = _measure(state, cfg)
-        est[:, i] = m.estimate
-        if i + 1 < n_cp:
-            state = rotate(state, _HALF_PI, 3.0 * _HALF_PI)
+    cycle = [_FREE, (_HALF_PI, _HALF_PI), _READ, (_HALF_PI, 3.0 * _HALF_PI)]
+    est, proj = _run_steps(state, [(0.0, _HALF_PI)] + cycle * cfg.n_cp, increments, cfg)
 
     block, n = np.indices(est.shape)
     n += 1  # cycles count from 1
@@ -255,12 +267,6 @@ def run_apl_block(ensemble: EnsembleState, increments, cfg: RamseyConfig):
     a diffusion model its ions get their positions here. The blocks run
     back to back on the LO, block b from b * cfg.block_time; the array
     ``increments`` is their (blocks, cfg.n_cp) LO phase over each cfg.free_time.
-    Sequence per block: one pi/2 at phase 0, then per cycle free
-    precession over t_fp (plus any dead time), pi/2 at 90 degrees,
-    partial projection, 3 pi/2 at 90 degrees to revert the unprojected
-    ions. The revert after the last cycle is not applied, since nothing
-    reads the state after it, but its duration still counts towards the
-    block time.
 
     Returns a CycleTable whose arrays are (blocks, cfg.n_cp): row b
     holds the cycles of block b, and column n - 1 the n-th cycle, whose
@@ -290,11 +296,10 @@ def run_rabi_ppm(batch, increments, rotation_step, n_steps, reinitialize, det: D
     readout is the full-cloud mean plus technical noise (the state is
     discarded afterwards, so no collapse is needed and the noiseless
     trace is exact), and ``increments`` is not read (pass None).
-    reinitialize=False applies one rotation_step per point to the same
-    ensembles and partially projects after each step, accumulating
-    measurement back-action; the array ``increments`` is the (blocks,
-    n_steps + 1) LO drift over each readout window, the blocks back to
-    back, and step k turns by window k - 1 (the last is unread).
+    reinitialize=False runs the accumulated step list on the same
+    ensembles, so measurement back-action accumulates; the array
+    ``increments`` is the (blocks, n_steps + 1) LO drift over each
+    readout window, the blocks back to back.
 
     Returns the (blocks, n_steps + 1) array of estimates: row b is block
     b, column k point k, where k = 0 is the unrotated baseline.
@@ -305,24 +310,18 @@ def run_rabi_ppm(batch, increments, rotation_step, n_steps, reinitialize, det: D
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     state = reset_to_ground(batch)
-    shape = (len(state.counts), n_steps + 1)
-    est = np.empty(shape)
 
     if reinitialize:
+        shape = (len(state.counts), n_steps + 1)
+        est = np.empty(shape)
         for k in range(n_steps + 1):
             est[:, k] = excited_population(rotate(state, 0.0, k * rotation_step))
         if det.sigma_tech > 0:
             est += state.rng_stream.normal(0.0, det.sigma_tech, shape)
         return est
 
-    if np.shape(increments) != shape:
-        raise ValueError(f"need a {shape} LO record, got shape {np.shape(increments)}")
-    for k in range(n_steps + 1):
-        if k:
-            state = rotate(free_precession(state, increments[:, k - 1]), 0.0, rotation_step)
-        state, m = partial_projection(state, det)
-        est[:, k] = m.estimate
-    return est
+    steps = [_READ] + [_FREE, (0.0, rotation_step), _READ] * n_steps + [_FREE]
+    return _run_steps(state, steps, increments, RamseyConfig(detection=det))[0]
 
 
 def predicted_projected_fraction(p, amplitude, n):

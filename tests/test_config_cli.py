@@ -242,6 +242,9 @@ class TestCli:
             ("reproduce fig4", "seq.rabi_repeats_standard", "100000000"),
             ("rabi", "seq.rabi_repeats_ppm", "100000000"),
             ("diffusion", "diff.n_walkers", "100000000"),
+            # a tau grid of 2^62 points per decade
+            ("apl", "allan.points_per_decade", str(2**62)),
+            ("reproduce fig6", "allan.points_per_decade", str(2**62)),
         ],
     )
     def test_bad_value_exits_2_before_simulating(
@@ -282,6 +285,19 @@ class TestCli:
             f" = {2 * 2**62} exceeds the work ceiling of 100000000\n"
         )
         assert not out.exists()
+
+    def test_allan_tau_grid_past_the_ceiling_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the series sets the decades, so the grid is checked once it is read:
+        # 5 samples pair up to m = 2; np.logspace cannot allocate 2^62 points a decade
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "series.csv").write_text("0,1e-12\n1,-2e-12\n2,3e-12\n3,1e-12\n4,0\n")
+        (tmp_path / "ppd.cfg").write_text(f"allan.points_per_decade = {2**62}\n")
+        assert cli.main(["allan", "series.csv", "--config", "ppd.cfg", "--out", "o"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: tau grid points (allan.points_per_decade x 0.30103 decades)"
+            " = 1388255822130839297 exceeds the work ceiling of 100000000\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_limit_line_warning_is_issued_once_the_lines_are_accepted(self, tmp_path):
         # n_cp past n_atom / snr^2 = 2e-5 warns, but the lines stay finite and the run succeeds

@@ -10,7 +10,7 @@ from scipy import optimize, stats
 
 from ionclock import diffusion, sequences
 from ionclock.ensemble import DetectionConfig, initialize_ensemble, partial_projection
-from ionclock.oscillator import NoiseSpec, make_local_oscillator, phase_increments
+from ionclock.oscillator import PRESETS, NoiseSpec, make_local_oscillator, phase_increments
 from ionclock.rng import substream
 from ionclock.sequences import (
     _T_DOF_CAP,
@@ -366,6 +366,51 @@ def test_a_record_of_the_wrong_shape_is_a_value_error():
             run_rabi_ppm(batch, record, 0.5, 6, False, det)
     # the re-initialized mode never reads the LO
     assert run_rabi_ppm(batch, None, 0.5, 6, True, det).shape == (2, 7)
+
+
+_TRACKING = RamseyConfig(t_fp=1e-3, n_cp=3, detection=DetectionConfig(p=0.18, sigma_tech=0.1))
+_BEAM = replace(_TRACKING, detection=DetectionConfig(sigma_tech=0.1), diffusion=diffusion.DiffusionConfig())
+_PROBE = DetectionConfig(p=0.18, sigma_tech=0.1)
+
+
+def _noisy(shape):
+    """A record of the noisy preset, whose phase stays inside the arcsine branch over 1 ms steps."""
+    return lo_record(shape, 1e-3, 0.0, PRESETS["noisy"], seed=81)
+
+
+# protocol -> (its run on a fresh (3 blocks, 300 ions) batch, its first, middle and last estimate)
+FROZEN_DRAWS = {
+    "tracking": (
+        lambda b: run_apl_block(b, _noisy((3, 3)), _TRACKING),
+        [0.32855448119988206, 0.4771141223771512, 0.7989924653720984],
+    ),
+    "beam": (
+        lambda b: run_apl_block(b, quiet_record(_BEAM, 3, 0.2), _BEAM),
+        [0.45468661928800863, 0.33669134900098463, 0.24378945826135573],
+    ),
+    "standard": (
+        lambda b: run_standard_ramsey(b, _noisy((3, 1)), _TRACKING),
+        [0.2629981801457559, 0.4608024559127233, 0.884410936794475],
+    ),
+    "rabi-reinitialized": (
+        lambda b: run_rabi_ppm(b, None, 0.4, 4, True, _PROBE),
+        [0.017119516111287283, 0.034515318264808234, 0.3945004969380685],
+    ),
+    "rabi-accumulated": (
+        lambda b: run_rabi_ppm(b, _noisy((3, 5)), 0.4, 4, False, _PROBE),
+        [-0.09000327482848651, 0.21118221478890248, 0.4886792768955336],
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", FROZEN_DRAWS)
+def test_draws_are_frozen(protocol):
+    # every draw of a protocol stays where it was: a change to the step loop
+    # that reorders, adds or drops one moves these entries
+    run, frozen = FROZEN_DRAWS[protocol]
+    result = run(initialize_ensemble(300, substream(81, protocol), 3))
+    est = getattr(result, "estimate", result)
+    assert est.ravel()[[0, est.size // 2, -1]].tolist() == pytest.approx(frozen, rel=1e-9)
 
 
 def test_argmin_ends_where_floats_are_coarser_than_its_tolerance():
