@@ -12,8 +12,9 @@ byte.
 
 Exit codes: 0 success; 2 configuration problem (bad flag, unreadable or
 malformed config file, unknown key, a value that ``resolve`` or a typed
-config it builds rejects, work past WORK_CEILING), raised before any
-simulation runs; 3 runtime or data problem (fit failure, empty sample,
+config it builds rejects, work past WORK_CEILING, a non-finite LO
+record), raised before any draw but the LO record, so before any
+ensemble or file; 3 runtime or data problem (fit failure, empty sample,
 malformed input series, non-finite Allan point, unwritable output
 directory). Every result is computed before the first file is opened,
 so a run that fails before writing writes nothing. Each file is then
@@ -49,8 +50,8 @@ from .rng import substream
 from .sequences import (
     FitFailureError,
     RamseyConfig,
-    _argmin_1d,
     fit_decoherence,
+    fit_probe_curve,
     predicted_projected_fraction,
     run_apl_block,
     run_rabi_ppm,
@@ -130,7 +131,12 @@ def _lo_record(cfg, label, dt, shape):
         return np.zeros(shape)
     rng = substream(cfg["run.seed"], label)
     lo = make_local_oscillator(cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], _noise_spec(cfg), rng)
-    return phase_increments(lo, dt, math.prod(shape)).reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # 2 pi delta_f0 can overflow before dt multiplies in
+        record = phase_increments(lo, dt, math.prod(shape)).reshape(shape)
+    if not np.all(np.isfinite(record)):
+        keys = "lo.f0_hz, lo.delta_f0_hz, lo.h0, lo.h_minus1, lo.h_minus2"
+        raise ConfigError(f"the LO phase record is not finite: {keys} take it past the float range")
+    return record
 
 
 def _check_blocks(cfg, n_blocks, blocks_from):
@@ -177,7 +183,7 @@ def _limit_table(params: StabilityParams, taus):
             limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
         )
     if not all(np.all((line > 0.0) & (line < math.inf)) for line in lines):
-        why = "stab.k, stab.q, lo.f0_hz or stab.snr times tau leaves the float range"
+        why = "stab.k, stab.q, lo.f0_hz, stab.snr or stab.t_c_s times tau leaves the float range"
         raise ConfigError(f"a limit line is 0 or not finite: {why}")
     for w in held:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
@@ -197,33 +203,6 @@ def _allan_points(cfg, y, tau0):
     return pts
 
 
-def _rabi_fit(angles, means):
-    # contrast/offset/step fit of the probe response c + a (1 - cos(k w)) / 2;
-    # linear in (c, a) for fixed w, which is searched around the nominal step
-    ks = np.arange(len(means), dtype=float)
-    step0 = angles[1]
-
-    def solve(w):
-        basis = np.column_stack([np.ones_like(ks), (1.0 - np.cos(ks * w)) / 2.0])
-        coef = np.linalg.lstsq(basis, means, rcond=None)[0]
-        return coef, means - basis @ coef
-
-    def cost(w):
-        resid = solve(w)[1]
-        return float(resid @ resid)
-
-    step = _argmin_1d(cost, 0.5 * step0, 1.5 * step0)
-    (offset, amplitude), resid = solve(step)
-    if not np.all(np.isfinite(resid)):
-        raise FitFailureError(f"probe-curve fit gave a non-finite result (c={offset}, a={amplitude})")
-    return {
-        "offset": offset,
-        "amplitude": amplitude,
-        "step_rad": step,
-        "residual_norm": np.linalg.norm(resid),
-    }
-
-
 def cmd_rabi(cfg):
     seed = cfg["run.seed"]
     n_steps = cfg["seq.rabi_n_steps"]
@@ -231,9 +210,12 @@ def cmd_rabi(cfg):
     det = _detection(cfg)
     if cfg["det.mode"] != "fixed_fraction":
         raise ConfigError(f"the probe bundle needs det.mode = fixed_fraction, got {cfg['det.mode']}")
+    if not math.isfinite(1.5 * step * n_steps):  # the far end of the probe-curve fit's step search
+        raise ConfigError(f"1.5 x seq.rabi_step_rad x seq.rabi_n_steps = 1.5 x {step!r} x {n_steps} is not finite")
     repeats = {mode: cfg["run.n_trials"] or cfg[f"seq.rabi_repeats_{mode}"] for mode in ("standard", "ppm")}
     for mode, reps in repeats.items():
         _check_work(reps * (n_steps + 1), f"run.n_trials (or seq.rabi_repeats_{mode}) x seq.rabi_n_steps + 1")
+    drift = _lo_record(cfg, "rabi-lo", det.measurement_duration, (repeats["ppm"], n_steps + 1))
 
     ks = np.arange(n_steps + 1)
     tables = []  # the CSV columns of each mode
@@ -242,8 +224,7 @@ def cmd_rabi(cfg):
         reinit = mode == "standard"
         # one block per repeat: row r of the estimates is repeat r
         batch = initialize_ensemble(cfg["ens.n_ions"], substream(seed, f"rabi-{mode}"), reps)
-        drift = None if reinit else _lo_record(cfg, "rabi-lo", det.measurement_duration, (reps, ks.size))
-        est = run_rabi_ppm(batch, drift, step, n_steps, reinit, det)
+        est = run_rabi_ppm(batch, None if reinit else drift, step, n_steps, reinit, det)
         mean = est.mean(axis=0)
         sd = est.std(axis=0, ddof=1) if reps > 1 else np.zeros(n_steps + 1)
         curves[mode] = mean
@@ -256,7 +237,7 @@ def cmd_rabi(cfg):
             [np.concatenate(c) for c in zip(*tables)],
         ),
         "rabi_fit.json": {
-            "fits": {m: _rabi_fit(ks * step, c) for m, c in curves.items()},
+            "fits": {m: fit_probe_curve(ks * step, c) for m, c in curves.items()},
             "deviation_by_step": deviation,
             "max_abs_deviation": deviation.max(),
         },

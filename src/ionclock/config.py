@@ -66,6 +66,8 @@ def _bounded(conv, low=-math.inf, strict=False, high=math.inf):
 
     def check(raw):
         val = conv(raw)
+        if val is None:  # "none" of _as_float_or_none
+            return val
         if not (val > low if strict else val >= low):
             raise ConfigError(f"expected a value {'>' if strict else '>='} {low}, got {val!r}")
         if not val <= high:
@@ -82,9 +84,11 @@ def _integer(low=-math.inf):
 
 _count = _integer(1)
 _positive = _bounded(_as_float, 0.0, strict=True)
-# No stage of a clock cycle lasts a day, and no trapped cloud is a metre
-# long; past these the limit lines and the beam-hit probabilities overflow.
-_duration = _bounded(_as_float, high=86400.0)
+# No stage of a clock cycle lasts a day, no trapped cloud is a metre long,
+# and no ion diffuses a square metre a second (the calibrated D is 3.5e-6);
+# past these the limit lines, the beam-hit probabilities and the walks overflow.
+_DAY = 86400.0
+_duration = _bounded(_as_float, high=_DAY)
 
 
 def _as_choice(*options):
@@ -125,17 +129,17 @@ _REGISTRY = {
     "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
     "diff.temperature_k": (_as_float, DiffusionConfig.temperature, "ion temperature"),
     "diff.mobility": (_as_float, DiffusionConfig.mobility, "ion mobility for the Einstein relation"),
-    "diff.d_override": (_as_float_or_none, DiffusionConfig.d_override, "diffusion constant override; 'none' derives from T and mobility"),
-    "diff.dt_s": (_positive, 1e-5, "time step of the diffusion MSD curve; transport takes no sub-steps"),
+    "diff.d_override": (_bounded(_as_float_or_none, high=1.0), DiffusionConfig.d_override, "diffusion constant override; 'none' derives from T and mobility"),
+    "diff.dt_s": (_bounded(_as_float, 0.0, strict=True, high=_DAY), 1e-5, "time step of the diffusion MSD curve; transport takes no sub-steps"),
     "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
     "diff.beam_lo_m": (_as_float, DiffusionConfig.beam_interval[0], "detection beam lower edge"),
     "diff.beam_hi_m": (_as_float, DiffusionConfig.beam_interval[1], "detection beam upper edge"),
-    "diff.duration_max_s": (_bounded(_as_float, 0.0), 2e-3, "longest struck-fraction window"),
+    "diff.duration_max_s": (_bounded(_as_float, 0.0, high=_DAY), 2e-3, "longest struck-fraction window"),
     "diff.n_durations": (_count, 11, "points on the struck-fraction duration grid"),
     "stab.k": (_as_float, StabilityParams.k, "limit-line prefactor"),
     "stab.q": (_as_float, 0.0, "line quality factor; 0 derives f0 * 2 * t_fp"),
     "stab.snr": (_as_float, 0.0, "single-cycle SNR; 0 derives from the detection noise budget"),
-    "stab.t_c_s": (_as_float, 0.0, "cycle time; 0 derives from the sequence timing"),
+    "stab.t_c_s": (_duration, 0.0, "cycle time; 0 derives from the sequence timing"),
     "stab.n_atom": (_integer(), 0, "atom number for the information bound; 0 uses ens.n_ions"),
     "allan.mode": (_as_choice("overlapping", "non_overlapping"), "overlapping", "Allan estimator variant"),
     "allan.points_per_decade": (_count, 4, "tau grid density"),

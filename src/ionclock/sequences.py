@@ -1,4 +1,4 @@
-"""Measurement protocols and estimators.
+"""Measurement protocols, estimators and curve fits.
 
 Each protocol is a list of steps that one loop runs on a batch of
 ensembles, one block per ensemble, the blocks back to back on one LO.
@@ -23,6 +23,10 @@ readout, estimate = (1 + sin phi)/2. Pulses and readout windows are
 treated as instantaneous for the spin dynamics (ideal rotations, no
 detuning during the pulse); their wall-clock durations only enter the
 cycle timestamps.
+
+Both curve fits, ``fit_decoherence`` and ``fit_probe_curve``, are
+variable projections (Golub & Pereyra 1973): ``_profile_fit`` searches
+the one nonlinear parameter, solving the linear ones exactly at each.
 """
 
 import math
@@ -56,6 +60,7 @@ __all__ = [
     "estimate_frequency",
     "predicted_projected_fraction",
     "fit_decoherence",
+    "fit_probe_curve",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -362,6 +367,20 @@ def _argmin_1d(f, lo, hi):
     return float(0.5 * (a + b))
 
 
+def _profile_fit(name, solve, lo, hi):
+    """The x in [lo, hi] minimizing the squared residual of solve(x) -> (coefficients, residual), and solve(x)."""
+
+    def cost(x):
+        resid = solve(x)[1]
+        return float(resid @ resid)
+
+    x = _argmin_1d(cost, lo, hi)
+    coef, resid = solve(x)
+    if not np.all(np.isfinite(resid)):
+        raise FitFailureError(f"{name} fit gave a non-finite result (x={x}, coefficients={coef})")
+    return x, coef, resid
+
+
 def _t_quantile(q, nu):
     """Quantile q > 1/2 of Student's t with integer nu degrees of freedom.
 
@@ -401,10 +420,8 @@ def fit_decoherence(projected) -> DecoherenceFit:
     projected : (blocks, n_cp) array of the ever-projected fraction
         before cycle n = 1 .. n_cp of each block; n_cp >= 3
 
-    The model is fitted to the column means d. It is linear in the
-    amplitude, so for each p the amplitude is the least-squares
-    projection max(g.d / g.g, 0) of d on g = 1 - (1-p)^(n-1), and p
-    itself is a bounded 1-D search on [0, 1] (variable projection).
+    The model is fitted to the column means d: for each p the amplitude
+    is max(g.d / g.g, 0), g = 1 - (1-p)^(n-1), and p is searched on [0, 1].
     The B blocks are independent, so the variance of p is the sandwich
     (J^T J)^-1 J^T (Cov_rows / B) J (J^T J)^-1 (Huber 1967; White
     1980), J the model Jacobian at the fit: the p row w of
@@ -424,20 +441,13 @@ def fit_decoherence(projected) -> DecoherenceFit:
     if np.allclose(d, 0.0, atol=1e-15):
         return DecoherenceFit(p=0.0, amplitude=0.0, p_stderr=None, p_ci95=None, residual_norm=0.0)
 
-    def amplitude(p):
+    def solve(p):
         g = _growth(n, p, 1.0)
         gg = float(g @ g)
-        return max(float(g @ d) / gg, 0.0) if gg > 0 else 0.0
+        a = max(float(g @ d) / gg, 0.0) if gg > 0 else 0.0
+        return a, d - _growth(n, p, a)
 
-    def cost(p):
-        resid = d - _growth(n, p, amplitude(p))
-        return float(resid @ resid)
-
-    p_hat = _argmin_1d(cost, 0.0, 1.0)
-    a_hat = amplitude(p_hat)
-    resid = d - _growth(n, p_hat, a_hat)
-    if not np.all(np.isfinite(resid)):
-        raise FitFailureError(f"decoherence fit gave a non-finite result (p={p_hat}, a={a_hat})")
+    p_hat, a_hat, resid = _profile_fit("decoherence", solve, 0.0, 1.0)
 
     # Jacobian columns d/dp and d/da of the model at the optimum; the
     # exponent is clipped at 0 where the factor n - 1 is 0 anyway
@@ -462,3 +472,17 @@ def fit_decoherence(projected) -> DecoherenceFit:
         p_ci95=ci,
         residual_norm=float(np.linalg.norm(resid)),
     )
+
+
+def fit_probe_curve(angles, means):
+    """Fit offset + amplitude (1 - cos(k w)) / 2 to probe means, w in [w0/2, 3 w0/2] with w0 = angles[1]."""
+    ks = np.arange(len(means), dtype=float)
+    step0 = angles[1]
+
+    def solve(w):
+        basis = np.column_stack([np.ones_like(ks), (1.0 - np.cos(ks * w)) / 2.0])
+        coef = np.linalg.lstsq(basis, means, rcond=None)[0]
+        return coef, means - basis @ coef
+
+    step, (offset, amplitude), resid = _profile_fit("probe-curve", solve, 0.5 * step0, 1.5 * step0)
+    return dict(offset=offset, amplitude=amplitude, step_rad=step, residual_norm=np.linalg.norm(resid))

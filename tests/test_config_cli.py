@@ -44,11 +44,12 @@ def run_cli(*args, cwd=None, timeout=None, entry=("-m", "ionclock"), preexec_fn=
 
 
 # every number key at 0 and -1, every float key and the two integer keys
-# that size a loop (cycles, Rabi steps) at 1e300, and every integer key
-# just past int64 and far past it
+# that size a loop (cycles, Rabi steps) at 1e300, every float key at both
+# ends of the float range, and every integer key just past int64 and far
+# past it
 _EDGE_VALUES = sorted(
     {(k, v) for k, d in DEFAULTS.items() if type(d) in (int, float) for v in ("0", "-1")}
-    | {(k, "1e300") for k, d in DEFAULTS.items() if type(d) is float}
+    | {(k, v) for k, d in DEFAULTS.items() if type(d) is float for v in ("1e300", "1e308", "-1e308")}
     | {("seq.n_cp", "1e300"), ("seq.rabi_n_steps", "1e300")}
     | {(k, v) for k, d in DEFAULTS.items() if type(d) is int for v in (str(2**63), "1" + "0" * 400)}
 )
@@ -314,6 +315,9 @@ class TestCli:
             # the probe-curve fit searches a bracket where floats are coarser than its tolerance
             ("rabi", ["seq.rabi_step_rad = 1000"], 0),
             ("rabi", ["seq.rabi_step_rad = 1e300"], 0),
+            # past the float range, 1.5 x the step is inf: LAPACK would print
+            # its argument errors on stdout and the fit's SVD fail
+            ("rabi", ["seq.rabi_step_rad = 1e308"], 2),
             # rabi does not read stab.snr, but the run config is invalid whatever command runs it
             ("rabi", ["stab.snr = 1e300"], 2),
             ("apl", ["diff.d_override = -1", "det.mode = beam_overlap"], 2),
@@ -331,7 +335,7 @@ class TestCli:
         cfg.write_text("\n".join(["ens.n_ions = 50", *lines]) + "\n")
         out = tmp_path / "o"
         r = run_cli(*command.split(), "--config", cfg, "--out", out, "--trials", 2, timeout=60)
-        assert (r.returncode, "Traceback" in r.stderr) == (code, False), r.stderr
+        assert (r.returncode, "Traceback" in r.stderr, r.stdout) == (code, False, ""), r.stderr
         assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize(
@@ -570,7 +574,7 @@ class TestCli:
             (c, a, w), _ = curve_fit(
                 model, ks, means, p0=(0.0, 1.0, angles[1]), ftol=1e-15, xtol=1e-15, gtol=1e-15
             )
-            fit = cli._rabi_fit(angles, means)
+            fit = sequences.fit_probe_curve(angles, means)
             assert fit["step_rad"] == pytest.approx(w, rel=1e-7)
             assert fit["amplitude"] == pytest.approx(a, rel=1e-7)
             # the offset is judged on the scale of the curve it shifts
