@@ -106,11 +106,6 @@ def _json_doc(payload):
     return json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
 
 
-def _allan_table(points):
-    columns = ([p.tau for p in points], [p.adev for p in points], [p.n_pairs for p in points])
-    return ("tau_s", "adev", "n_pairs"), columns
-
-
 def _meta(command, cfg, h, outputs):
     from . import __version__
 
@@ -190,17 +185,19 @@ def _limit_table(params: StabilityParams, taus):
     return header, (taus, *lines)
 
 
-def _allan_points(cfg, y, tau0):
-    """Allan deviation of y on the configured grid; no points below two samples."""
-    if len(y) < 2:
-        return []
-    series = FractionalFrequencySeries(y, tau0)
-    with np.errstate(over="ignore", invalid="ignore"):  # samples near the float range overflow
-        pts = allan_deviation(series, default_taus(series, cfg["allan.points_per_decade"]), cfg["allan.mode"])
+def _allan_table(cfg, y, tau0):
+    """The Allan deviation of y on the configured grid, as a CSV table; no rows below two samples."""
+    pts = []
+    if len(y) >= 2:
+        series = FractionalFrequencySeries(y, tau0)
+        taus = default_taus(series, cfg["allan.points_per_decade"])
+        with np.errstate(over="ignore", invalid="ignore"):  # samples near the float range overflow
+            pts = allan_deviation(series, taus, cfg["allan.mode"])
     for p in pts:
         if not math.isfinite(p.adev):
             raise DataError(f"the Allan deviation at tau={p.tau:.12g} s is not finite: |y| is too large")
-    return pts
+    columns = ([p.tau for p in pts], [p.adev for p in pts], [p.n_pairs for p in pts])
+    return ("tau_s", "adev", "n_pairs"), columns
 
 
 def cmd_rabi(cfg):
@@ -270,16 +267,16 @@ def cmd_apl(cfg):
     if n_cp >= 3:
         fit_doc.update(asdict(fit_decoherence(apl.projected_before)))
 
-    with np.errstate(over="ignore"):  # a tiny f0 overflows y; _allan_points rejects it
-        std_pts = _allan_points(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
-        apl_pts = _allan_points(cfg, df[:, -1] / f0, rcfg.block_time)
+    with np.errstate(over="ignore"):  # a tiny f0 overflows y; _allan_table rejects it
+        allan_std = _allan_table(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
+        allan_apl = _allan_table(cfg, df[:, -1] / f0, rcfg.block_time)
     return {
         "apl_cycles.csv": _cycle_table(apl),
         "ramsey_cycles.csv": _cycle_table(std),
         "apl_sd.csv": (("n", "sd_delta_f_hz", "n_blocks"), (ns, sds, [n_blocks] * n_cp)),
         "decoherence_fit.json": fit_doc,
-        "allan_standard.csv": _allan_table(std_pts),
-        "allan_apl.csv": _allan_table(apl_pts),
+        "allan_standard.csv": allan_std,
+        "allan_apl.csv": allan_apl,
         "limits.csv": limits,
     }
 
@@ -525,8 +522,8 @@ def _read_series(path):
 def cmd_allan(cfg, input_path):
     series = _read_series(input_path)
     _check_taus(cfg, len(series))
-    pts = _allan_points(cfg, series.y, series.tau0)
-    return {"allan.csv": _allan_table(pts), "limits.csv": _limit_table(_stab_params(cfg), [p.tau for p in pts])}
+    table = _allan_table(cfg, series.y, series.tau0)
+    return {"allan.csv": table, "limits.csv": _limit_table(_stab_params(cfg), table[1][0])}
 
 
 def _projection_bundle(cfg):

@@ -66,8 +66,6 @@ def _bounded(conv, low=-math.inf, strict=False, high=math.inf):
 
     def check(raw):
         val = conv(raw)
-        if val is None:  # "none" of _as_float_or_none
-            return val
         if not (val > low if strict else val >= low):
             raise ConfigError(f"expected a value {'>' if strict else '>='} {low}, got {val!r}")
         if not val <= high:
@@ -84,8 +82,7 @@ def _integer(low=-math.inf):
 
 _count = _integer(1)
 _positive = _bounded(_as_float, 0.0, strict=True)
-# No stage of a clock cycle lasts a day, no trapped cloud is a metre long,
-# and no ion diffuses a square metre a second (the calibrated D is 3.5e-6);
+# No stage of a clock cycle lasts a day and no trapped cloud is a metre long;
 # past these the limit lines, the beam-hit probabilities and the walks overflow.
 _DAY = 86400.0
 _duration = _bounded(_as_float, high=_DAY)
@@ -129,7 +126,7 @@ _REGISTRY = {
     "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
     "diff.temperature_k": (_as_float, DiffusionConfig.temperature, "ion temperature"),
     "diff.mobility": (_as_float, DiffusionConfig.mobility, "ion mobility for the Einstein relation"),
-    "diff.d_override": (_bounded(_as_float_or_none, high=1.0), DiffusionConfig.d_override, "diffusion constant override; 'none' derives from T and mobility"),
+    "diff.d_override": (_as_float_or_none, DiffusionConfig.d_override, "diffusion constant override; 'none' derives from T and mobility"),
     "diff.dt_s": (_bounded(_as_float, 0.0, strict=True, high=_DAY), 1e-5, "time step of the diffusion MSD curve; transport takes no sub-steps"),
     "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
     "diff.beam_lo_m": (_as_float, DiffusionConfig.beam_interval[0], "detection beam lower edge"),

@@ -44,6 +44,8 @@ K_BOLTZMANN = 1.380649e-23  # J/K, exact by the 2019 SI definition
 class DiffusionConfig:
     """Transport parameters; ``d_override = None`` falls back to Einstein.
 
+    The D the walks use, ``effective_d()``, must be at most 1 m^2/s however
+    it is set; past that the walks overflow (the calibrated D is 3.5e-6).
     ``beam_interval`` must lie inside [-cloud_length/2, +cloud_length/2].
     Transport takes no sub-steps, so there is no time step: one folded
     step of the whole duration is exact (see ``_reflect``), and
@@ -58,12 +60,11 @@ class DiffusionConfig:
     beam_interval: tuple = (-BEAM_HALF_WIDTH, BEAM_HALF_WIDTH)
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        if self.mobility <= 0:
-            raise ValueError("mobility must be positive")
+        diffusion_constant(self.temperature, self.mobility)  # checks both, even under an override
         if self.d_override is not None and self.d_override < 0:
             raise ValueError("d_override must be non-negative")
+        if not self.effective_d() <= 1.0:
+            raise ValueError(f"the diffusion constant must be at most 1 m^2/s, got {self.effective_d()!r}")
         if self.cloud_length <= 0:
             raise ValueError("cloud_length must be positive")
         lo, hi = self.beam_interval

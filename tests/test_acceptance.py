@@ -61,7 +61,7 @@ def tracked_blocks():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
         recs = run_apl_block(ens, record, cfg)
-    df = np.array([r.delta_f_hz for r in recs]).reshape(N_BLOCKS, 3)
+    df = recs.delta_f_hz
     return cfg, df
 
 
@@ -74,7 +74,7 @@ def standard_cycles():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
         recs = run_standard_ramsey(ens, record, cfg)
-    y = np.array([r.delta_f_hz for r in recs]) / 12.6e9
+    y = recs.delta_f_hz[:, 0] / 12.6e9
     return cfg, FractionalFrequencySeries(y, cfg.standard_cycle_time)
 
 
@@ -89,7 +89,7 @@ def test_projected_fraction_matches_prediction_and_fit_recovers_p():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
         recs = run_apl_block(ens, record, cfg)
-    proj = np.array([r.projected_before for r in recs]).reshape(32, 8)
+    proj = recs.projected_before
     mean = proj.mean(axis=0)
     n = np.arange(1, 9)
     expected = 1.0 - 0.82 ** (n - 1.0)

@@ -246,6 +246,11 @@ class TestCli:
             # a tau grid of 2^62 points per decade
             ("apl", "allan.points_per_decade", str(2**62)),
             ("reproduce fig6", "allan.points_per_decade", str(2**62)),
+            # a derived diffusion constant past 1 m^2/s, on a command that
+            # walks and on one that does not
+            ("diffusion", "diff.temperature_k", "1e308\ndiff.d_override = none"),
+            ("rabi", "diff.temperature_k", "1e308\ndiff.d_override = none"),
+            ("apl", "diff.mobility", "1e300\ndiff.d_override = none\ndet.mode = beam_overlap"),
         ],
     )
     def test_bad_value_exits_2_before_simulating(

@@ -47,6 +47,21 @@ def test_config_validation():
         DiffusionConfig(cloud_length=1e-4, beam_interval=(-1e-4, 1e-4))
 
 
+def test_config_bounds_the_diffusion_constant_however_it_is_set():
+    # past 1 m^2/s the walks overflow, whether the override sets D or Einstein derives it
+    too_large = [
+        {"d_override": 1.5},
+        {"d_override": None, "temperature": 1e308},
+        {"d_override": None, "mobility": 1e300},
+    ]
+    for kwargs in too_large:
+        with pytest.raises(ValueError, match=r"^the diffusion constant must be at most 1 m\^2/s, got "):
+            DiffusionConfig(**kwargs)
+    assert DiffusionConfig(d_override=1.0).effective_d() == 1.0
+    # the override alone sets D: a temperature that would derive too large a D is accepted
+    assert DiffusionConfig(temperature=1e308).effective_d() == 3.5e-6
+
+
 def test_free_step_variance():
     rng = substream(3, "steps")
     d, dt = 3.5e-6, 1e-5
