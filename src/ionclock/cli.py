@@ -141,13 +141,6 @@ def _check_blocks(cfg, n_blocks, blocks_from):
         _check_work(n_blocks * cfg["ens.n_ions"], f"{blocks_from} blocks x ens.n_ions ions")
 
 
-def _check_taus(cfg, n_samples):
-    """Bound the tau grid that default_taus lays over a series of n_samples."""
-    decades = math.log10(max(n_samples // 2, 1))
-    n_taus = int(decades * cfg["allan.points_per_decade"]) + 1
-    _check_work(n_taus, f"tau grid points (allan.points_per_decade x {decades:.6g} decades)")
-
-
 def _tracking_blocks(cfg, rcfg: RamseyConfig, n_blocks):
     """The (n_blocks, n_cp) LO record of n_blocks consecutive tracking blocks, and their CycleTable.
 
@@ -246,7 +239,6 @@ def cmd_apl(cfg):
     n_cp = cfg["seq.n_cp"]
     n_blocks = cfg["run.n_trials"] or max(1, cfg["seq.n_cycles"] // n_cp)
     _check_blocks(cfg, n_blocks, "run.n_trials (or seq.n_cycles // seq.n_cp)")
-    _check_taus(cfg, n_blocks * n_cp)  # the standard series, the longer of the two
     rcfg = _ramsey_config(cfg)
     f0 = cfg["lo.f0_hz"]
     taus = np.logspace(
@@ -521,7 +513,6 @@ def _read_series(path):
 
 def cmd_allan(cfg, input_path):
     series = _read_series(input_path)
-    _check_taus(cfg, len(series))
     table = _allan_table(cfg, series.y, series.tau0)
     return {"allan.csv": table, "limits.csv": _limit_table(_stab_params(cfg), table[1][0])}
 

@@ -374,8 +374,9 @@ def _profile_fit(name, solve, lo, hi):
         resid = solve(x)[1]
         return float(resid @ resid)
 
-    x = _argmin_1d(cost, lo, hi)
-    coef, resid = solve(x)
+    with np.errstate(all="ignore"):  # non-finite data make non-finite costs; the check below rejects them
+        x = _argmin_1d(cost, lo, hi)
+        coef, resid = solve(x)
     if not np.all(np.isfinite(resid)):
         raise FitFailureError(f"{name} fit gave a non-finite result (x={x}, coefficients={coef})")
     return x, coef, resid

@@ -147,13 +147,27 @@ class TestResolve:
                 resolve({key: value})
 
     def test_integers_fit_in_int64(self):
-        for key in (k for k, d in DEFAULTS.items() if type(d) is int and k != "run.seed"):
+        ppd = "allan.points_per_decade"
+        for key in (k for k, d in DEFAULTS.items() if type(d) is int and k not in ("run.seed", ppd)):
             assert resolve({key: str(2**63 - 1)})[key] == 2**63 - 1
             for value in (str(2**63), 10**400):
                 with pytest.raises(ConfigError, match=f"^{key}: expected a value <= 9223372036854775807, got "):
                     resolve({key: value})
         # substream masks the seed to 64 bits
         assert resolve({"run.seed": 10**400})["run.seed"] == 10**400
+        # the tau grid has a lower ceiling of its own: Allan work grows with its density
+        assert resolve({ppd: "100"})[ppd] == 100
+        with pytest.raises(ConfigError, match=f"^{ppd}: expected a value <= 100, got 101$"):
+            resolve({ppd: "101"})
+
+    def test_integer_keys_take_no_float_or_bool(self):
+        # a library caller's value is read as a config file's text would be:
+        # "2.5" is no integer there, so 2.5 is none here, nor is True 1
+        for value in (math.inf, -math.inf, math.nan, 2.5, 1999.9, 2.0, True, False, None):
+            for key in ("seq.n_cp", "ens.n_ions", "run.seed"):
+                with pytest.raises(ConfigError, match=f"^{key}: expected an integer, got {re.escape(repr(value))}$"):
+                    resolve({key: value})
+        assert resolve({"seq.n_cp": np.int64(5)})["seq.n_cp"] == 5
 
     def test_snr_derivation_that_overflows_is_a_config_error(self):
         with pytest.raises(ConfigError, match="det.sigma_tech"):
@@ -243,7 +257,10 @@ class TestCli:
             ("reproduce fig4", "seq.rabi_repeats_standard", "100000000"),
             ("rabi", "seq.rabi_repeats_ppm", "100000000"),
             ("diffusion", "diff.n_walkers", "100000000"),
-            # a tau grid of 2^62 points per decade
+            # a tau grid past 100 points per decade, rejected by resolve, so
+            # before allan reads its input (here missing)
+            ("apl", "allan.points_per_decade", "101"),
+            ("allan missing.csv", "allan.points_per_decade", "101"),
             ("apl", "allan.points_per_decade", str(2**62)),
             ("reproduce fig6", "allan.points_per_decade", str(2**62)),
             # a derived diffusion constant past 1 m^2/s, on a command that
@@ -293,17 +310,19 @@ class TestCli:
         assert not out.exists()
 
     def test_allan_tau_grid_past_the_ceiling_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the series sets the decades, so the grid is checked once it is read:
-        # 5 samples pair up to m = 2; np.logspace cannot allocate 2^62 points a decade
+        # the registry bounds the grid's density, whatever the series;
+        # np.logspace cannot allocate 2^62 points a decade
         monkeypatch.chdir(tmp_path)
         (tmp_path / "series.csv").write_text("0,1e-12\n1,-2e-12\n2,3e-12\n3,1e-12\n4,0\n")
-        (tmp_path / "ppd.cfg").write_text(f"allan.points_per_decade = {2**62}\n")
-        assert cli.main(["allan", "series.csv", "--config", "ppd.cfg", "--out", "o"]) == 2
-        assert capsys.readouterr().err == (
-            "config error: tau grid points (allan.points_per_decade x 0.30103 decades)"
-            " = 1388255822130839297 exceeds the work ceiling of 100000000\n"
-        )
-        assert not (tmp_path / "o").exists()
+        for value in (101, 2**62):
+            (tmp_path / "ppd.cfg").write_text(f"allan.points_per_decade = {value}\n")
+            assert cli.main(["allan", "series.csv", "--config", "ppd.cfg", "--out", "o"]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: allan.points_per_decade: expected a value <= 100, got {value}\n"
+            )
+            assert not (tmp_path / "o").exists()
+        (tmp_path / "ppd.cfg").write_text("allan.points_per_decade = 100\n")
+        assert cli.main(["allan", "series.csv", "--config", "ppd.cfg", "--out", "o"]) == 0
 
     def test_limit_line_warning_is_issued_once_the_lines_are_accepted(self, tmp_path):
         # n_cp past n_atom / snr^2 = 2e-5 warns, but the lines stay finite and the run succeeds
@@ -399,6 +418,19 @@ class TestCli:
         bad.write_text("0.0,0.1\n1.0,x\n2.0,0.3\n", encoding="utf-8-sig")
         with pytest.raises(cli.DataError, match=r"bad.csv:2: non-numeric sample"):
             cli._read_series(bad)
+
+    @pytest.mark.parametrize(
+        "text, got",
+        [("", 0), ("t,y\n# no samples\n", 0), ("0.0,1e-12\n", 1), ("t,y\n0.0,1e-12\n", 1)],
+        ids=["empty", "header_and_comment", "one_row", "header_and_one_row"],
+    )
+    def test_allan_input_too_short_exits_3(self, tmp_path, capsys, text, got):
+        short = tmp_path / "short.csv"
+        short.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["allan", str(short), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {short}: need at least 2 samples, got {got}\n"
+        assert not out.exists()
 
     def test_missing_allan_input_exits_3(self, tmp_path):
         r = run_cli("allan", tmp_path / "nope.csv", "--out", tmp_path / "o")

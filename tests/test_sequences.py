@@ -463,6 +463,22 @@ class TestDecoherenceModel:
             with pytest.raises(ValueError):
                 fit_decoherence(bad)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_fits_of_non_finite_data_raise_fit_failure(self, bad):
+        # the profile search meets inf * 0 and the like; it must not warn
+        # first, which the RuntimeWarning filter would raise instead
+        n = np.arange(1, 5)
+        data = 0.9 * (1 - 0.82 ** (n - 1.0))
+        data[2] = bad
+        with pytest.raises(sequences.FitFailureError, match="^decoherence fit gave a non-finite result"):
+            fit_decoherence(data[None, :])
+        ks = np.arange(6)
+        means = 0.1 + 0.8 * (1 - np.cos(ks * 0.5)) / 2
+        means[3] = bad
+        with pytest.raises(sequences.FitFailureError, match="^probe-curve fit gave a non-finite result"):
+            sequences.fit_probe_curve(ks * 0.5, means)
+
     def test_fit_ci_brackets_estimate(self):
         rng = np.random.default_rng(7)
         n = np.arange(1, 9)
