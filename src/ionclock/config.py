@@ -5,12 +5,8 @@ comments and blank lines ignored. Keys are namespaced with dots and
 validated against a closed registry; an unknown key is an error, not a
 warning, so typos cannot silently fall back to defaults.
 
-Several keys accept 0 (or "none") as "derive from the rest of the
-config": stab.q from f0 and t_fp, stab.snr from the detection noise
-budget, stab.t_c_s from the cycle timing, stab.n_atom from the
-ensemble size. Resolution happens once, in resolve(); the hash covers
-the resolved values plus the seed so identical hashes imply identical
-runs.
+Resolution happens once, in resolve(); the hash covers the resolved
+values plus the seed so identical hashes imply identical runs.
 
 resolve() checks each value's type and the bounds its registry entry
 declares (counts at least 1, integers within int64, lengths positive,
@@ -23,7 +19,10 @@ ConfigError of resolve() names the key or keys at fault.
 import hashlib
 import math
 import operator
+import sys
 from types import MappingProxyType
+
+import numpy as np
 
 from .diffusion import DiffusionConfig
 from .ensemble import DetectionConfig
@@ -40,9 +39,9 @@ class ConfigError(ValueError):
 
 def _as_float(raw):
     try:
-        if math.isfinite(val := float(raw)):
+        if not isinstance(raw, (bool, np.bool_)) and math.isfinite(val := float(raw)):  # as in _as_int, True is not 1
             return val
-    except ValueError:
+    except (ValueError, TypeError):
         pass
     raise ConfigError(f"expected a finite number, got {raw!r}")
 
@@ -118,7 +117,8 @@ _REGISTRY = {
     "det.p": (_as_float, DetectionConfig.p, "sampling fraction per measurement"),
     "det.sigma_tech": (_as_float, DetectionConfig.sigma_tech, "technical noise sd added to the population estimate"),
     "det.measurement_duration_s": (_duration, DetectionConfig.measurement_duration, "readout window length"),
-    "seq.t_fp_s": (_duration, RamseyConfig.t_fp, "free precession time per cycle"),
+    # below the least normal float, the frequency estimates 1/(4 n t_fp) overflow
+    "seq.t_fp_s": (_bounded(_as_float, sys.float_info.min, high=_DAY), RamseyConfig.t_fp, "free precession time per cycle"),
     "seq.pi2_duration_s": (_duration, RamseyConfig.pi2_duration, "pi/2 pulse length"),
     "seq.n_cp": (_count, RamseyConfig.n_cp, "cycles per tracking block"),
     "seq.n_cycles": (_count, 300, "cycles per protocol in apl when run.n_trials is 0; blocks = n_cycles // n_cp"),
@@ -136,11 +136,6 @@ _REGISTRY = {
     "diff.beam_hi_m": (_as_float, DiffusionConfig.beam_interval[1], "detection beam upper edge"),
     "diff.duration_max_s": (_bounded(_as_float, 0.0, high=_DAY), 2e-3, "longest struck-fraction window"),
     "diff.n_durations": (_count, 11, "points on the struck-fraction duration grid"),
-    "stab.k": (_as_float, StabilityParams.k, "limit-line prefactor"),
-    "stab.q": (_as_float, 0.0, "line quality factor; 0 derives f0 * 2 * t_fp"),
-    "stab.snr": (_as_float, 0.0, "single-cycle SNR; 0 derives from the detection noise budget"),
-    "stab.t_c_s": (_duration, 0.0, "cycle time; 0 derives from the sequence timing"),
-    "stab.n_atom": (_integer(), 0, "atom number for the information bound; 0 uses ens.n_ions"),
     "allan.mode": (_as_choice("overlapping", "non_overlapping"), "overlapping", "Allan estimator variant"),
     # Allan work grows as the grid's points times the series length; at 100 a
     # decade adjacent taus lie 2.3% apart, and the work is about 25x the default's
@@ -151,7 +146,7 @@ DEFAULTS = {k: v[1] for k, v in _REGISTRY.items()}
 
 
 def resolve(values: dict) -> MappingProxyType:
-    """Fill derived defaults; return a read-only mapping keyed by registry name."""
+    """Fill defaults and presets; return a read-only mapping keyed by registry name."""
     merged = dict(DEFAULTS)
     for key, raw in values.items():
         if key not in _REGISTRY:
@@ -167,26 +162,10 @@ def resolve(values: dict) -> MappingProxyType:
             spec.h0, spec.h_minus1, spec.h_minus2
         )
 
-    if merged["stab.q"] == 0.0:
-        merged["stab.q"] = merged["lo.f0_hz"] * 2.0 * merged["seq.t_fp_s"]
-    if merged["stab.snr"] == 0.0:
-        p = merged["det.p"]
-        n = merged["ens.n_ions"]
-        sigma = merged["det.sigma_tech"]
-        try:
-            var = sigma**2 + 0.25 / max(p * n, 1.0)
-        except OverflowError:
-            raise ConfigError(f"det.sigma_tech = {sigma!r} is too large to derive stab.snr") from None
-        merged["stab.snr"] = 0.5 / math.sqrt(var)
-    if merged["stab.n_atom"] == 0:
-        merged["stab.n_atom"] = merged["ens.n_ions"]
-
     # every typed config is built once here, whatever the command reads
     _build(_diffusion_config, merged)
     _build(_noise_spec, merged)
-    cycle_time = _build(_ramsey_config, merged).cycle_time
-    if merged["stab.t_c_s"] == 0.0:
-        merged["stab.t_c_s"] = cycle_time
+    _build(_ramsey_config, merged)
     _build(_stab_params, merged)
     return MappingProxyType(merged)
 
@@ -262,14 +241,23 @@ def _noise_spec(cfg) -> NoiseSpec:
 
 
 def _stab_params(cfg) -> StabilityParams:
+    """The limit-line inputs, each derived from the run config.
+
+    q is f0 * 2 * t_fp, the SNR that of the readout noise budget, t_c the
+    tracking cycle time and n_atom the ensemble size.
+    """
+    sigma = cfg["det.sigma_tech"]
+    try:
+        var = sigma**2 + 0.25 / max(cfg["det.p"] * cfg["ens.n_ions"], 1.0)
+    except OverflowError:
+        raise ValueError(f"sigma_tech = {sigma!r} is too large to derive the snr") from None
     return StabilityParams(
-        q=cfg["stab.q"],
-        snr=cfg["stab.snr"],
-        t_c=cfg["stab.t_c_s"],
-        k=cfg["stab.k"],
+        q=cfg["lo.f0_hz"] * 2.0 * cfg["seq.t_fp_s"],
+        snr=0.5 / math.sqrt(var),
+        t_c=_ramsey_config(cfg).cycle_time,
         f0=cfg["lo.f0_hz"],
         n_cp=cfg["seq.n_cp"],
-        n_atom=cfg["stab.n_atom"],
+        n_atom=cfg["ens.n_ions"],
     )
 
 

@@ -54,6 +54,49 @@ _EDGE_VALUES = sorted(
     | {(k, v) for k, d in DEFAULTS.items() if type(d) is int for v in (str(2**63), "1" + "0" * 400)}
 )
 
+# The limit-line inputs are derived, so their edges are reached through the
+# keys they derive from: q = 2 f0 t_fp and the cycle time with the free
+# precession (and the other stages) at their least and at a day; the snr at
+# its least (the largest det.sigma_tech whose square is finite), at the
+# projection limit and at 1 (under one ion sampled); n_atom = ens.n_ions at 1.
+# Each is run at the default carrier and with lo.f0_hz at either end of the
+# float range.
+_DAY = "86400"
+_T_FP_LEAST = repr(sys.float_info.min)
+_STAGES = ("seq.t_fp_s", "seq.dead_time_s", "seq.pi2_duration_s", "det.measurement_duration_s")
+_LINE_INPUT_EDGES = {
+    "t_fp-least": {"seq.t_fp_s": _T_FP_LEAST},
+    "t_fp-day": {"seq.t_fp_s": _DAY},
+    "cycle-least": {"seq.t_fp_s": _T_FP_LEAST, **{k: "0" for k in _STAGES[1:]}},
+    "cycle-longest": {k: _DAY for k in _STAGES},
+    "snr-least": {"det.sigma_tech": "1e154"},
+    "snr-projection": {"det.sigma_tech": "0", "det.p": "1"},
+    "snr-one": {"det.sigma_tech": "0", "det.p": "1e-300"},
+    "n_atom-one": {"ens.n_ions": "1"},
+    "n_atom-one-snr-projection": {"ens.n_ions": "1", "det.sigma_tech": "0", "det.p": "1"},
+}
+_LINE_INPUT_CASES = [
+    pytest.param({**keys, **f0}, id=name + "".join(f"-f0={v}" for v in f0.values()))
+    for f0 in ({}, {"lo.f0_hz": "1e-308"}, {"lo.f0_hz": "1e308"})
+    for name, keys in _LINE_INPUT_EDGES.items()
+]
+
+_BUNDLES = [["apl"], ["apl", "beam"], ["rabi"], ["diffusion"], ["reproduce", "fig5"]]
+
+
+def _run_bundle(tmp_path, bundle, settings):
+    """The exit code of `bundle` on a small config with `settings`, as a CLI child run with -W error::RuntimeWarning."""
+    raw = {"ens.n_ions": "50", "diff.n_walkers": "50", **settings}
+    if bundle[-1] == "beam":
+        bundle, raw["det.mode"] = ["apl"], "beam_overlap"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    with warnings.catch_warnings():
+        # a saturated readout or a bound past its limit only warns there
+        warnings.simplefilter("ignore")
+        warnings.simplefilter("error", RuntimeWarning)
+        return cli.main([*bundle, "--config", str(cfg), "--out", str(tmp_path / "o"), "--trials", "2"])
+
 
 class TestConfigFile:
     def test_parse_with_comments_and_blanks(self, tmp_path):
@@ -94,21 +137,26 @@ class TestResolve:
         assert cfg["seq.n_cp"] == DEFAULTS["seq.n_cp"]
 
     def test_derived_quality_factor_and_cycle_time(self):
-        cfg = resolve({})
-        assert cfg["stab.q"] == pytest.approx(2.52e9)
-        assert cfg["stab.t_c_s"] == pytest.approx(0.1 + 4 * 7.5e-4 + 1e-3)
-        assert cfg["stab.t_c_s"] == sequences.RamseyConfig().cycle_time
-        assert cfg["stab.n_atom"] == 2000
+        params = cli._stab_params(resolve({}))
+        assert params.q == pytest.approx(2.52e9)
+        assert params.t_c == pytest.approx(0.1 + 4 * 7.5e-4 + 1e-3)
+        assert params.t_c == sequences.RamseyConfig().cycle_time
+        assert params.n_atom == 2000
+        assert (params.k, params.f0, params.n_cp) == (1.0, 12.6e9, 3)
 
     def test_derived_snr_from_noise_budget(self):
-        cfg = resolve({})
+        params = cli._stab_params(resolve({}))
         var = 0.1**2 + 0.25 / (0.18 * 2000)
-        assert cfg["stab.snr"] == pytest.approx(0.5 / math.sqrt(var), rel=1e-12)
+        assert params.snr == pytest.approx(0.5 / math.sqrt(var), rel=1e-12)
 
-    def test_explicit_values_win_over_derivation(self):
-        cfg = resolve({"stab.q": "1e9", "stab.snr": "5"})
-        assert cfg["stab.q"] == 1e9
-        assert cfg["stab.snr"] == 5.0
+    def test_limit_line_inputs_follow_the_keys_they_derive_from(self):
+        cfg = resolve({"lo.f0_hz": "1e9", "seq.t_fp_s": "0.2", "ens.n_ions": "500", "det.sigma_tech": "0"})
+        params = cli._stab_params(cfg)
+        assert params.q == pytest.approx(4e8)
+        assert params.t_c == cli._ramsey_config(cfg).cycle_time == pytest.approx(0.2 + 4 * 7.5e-4 + 1e-3)
+        assert params.n_atom == 500
+        assert params.snr == pytest.approx(math.sqrt(0.18 * 500), rel=1e-12)  # projection noise alone
+        assert set(cfg) == set(DEFAULTS)  # nothing derived is stored in the run config
 
     def test_preset_sets_noise_levels(self):
         cfg = resolve({"lo.preset": "maser"})
@@ -140,7 +188,7 @@ class TestResolve:
             ("det.p", "1.5"),
             ("seq.t_fp_s", "0"),
             ("lo.h0", "-1"),
-            ("stab.snr", "1e300"),
+            ("lo.f0_hz", "0"),
             ("diff.beam_lo_m", "-0.01"),
         ):
             with pytest.raises(ConfigError):
@@ -172,7 +220,21 @@ class TestResolve:
     def test_snr_derivation_that_overflows_is_a_config_error(self):
         with pytest.raises(ConfigError, match="det.sigma_tech"):
             resolve({"det.sigma_tech": "1e300"})
-        assert resolve({"det.sigma_tech": "1e300", "stab.snr": "2"})["stab.snr"] == 2.0
+        # a sigma_tech whose square is still finite derives a tiny snr, not an error
+        assert cli._stab_params(resolve({"det.sigma_tech": "1e150"})).snr == pytest.approx(5e-151)
+
+    def test_float_keys_take_no_bool_or_non_number(self):
+        # as for the integer keys: True is no number in a config file, and
+        # a value float() cannot read is a ConfigError naming the key
+        for value in (True, False, np.True_, None, [1.0], {}):
+            for key in ("det.p", "lo.h0", "seq.t_fp_s"):
+                with pytest.raises(ConfigError, match=f"^{key}: expected a finite number, got {re.escape(repr(value))}$"):
+                    resolve({key: value})
+        assert resolve({"det.p": np.float64(0.5), "lo.h0": 0})["det.p"] == 0.5
+        for value in (None, "none", "null", " None "):
+            assert resolve({"diff.d_override": value})["diff.d_override"] is None
+        with pytest.raises(ConfigError, match="^diff.d_override: expected a finite number, got True$"):
+            resolve({"diff.d_override": True})
 
     def test_hash_ignores_output_dir_but_not_seed(self):
         a = resolve({"run.output_dir": "x"})
@@ -183,12 +245,16 @@ class TestResolve:
 
 
 class TestCli:
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    # the limit-line inputs are derived, not keys
+    @pytest.mark.parametrize("line", ["does.not.exist = 1", "stab.snr = 1e4"])
+    def test_unknown_config_key_exits_2(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("does.not.exist = 1\n")
-        r = run_cli("apl", "--config", cfg)
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "o"
+        r = run_cli("apl", "--config", cfg, "--out", out)
         assert r.returncode == 2
         assert "unknown config key" in r.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -196,7 +262,7 @@ class TestCli:
             ("apl", "det.p", "1.5"),
             ("rabi", "det.p", "1.5"),
             ("apl", "seq.t_fp_s", "0"),
-            ("apl", "stab.k", "0"),
+            ("apl", "lo.f0_hz", "-1"),
             ("diffusion", "diff.beam_lo_m", "-0.01"),
             ("reproduce fig5", "seq.n_cp", "2"),
             ("rabi", "ens.cloud_length_m", "0"),
@@ -217,12 +283,10 @@ class TestCli:
             ("reproduce fig4", "det.mode", "beam_overlap"),
             ("rabi", "lo.f0_hz", "0"),
             ("reproduce fig4", "lo.f0_hz", "0"),
-            # the derived stab.snr would square an overflowing sigma_tech
+            # the derived snr would square an overflowing sigma_tech
             ("apl", "det.sigma_tech", "1e300"),
             ("diffusion", "det.sigma_tech", "1e300"),
             ("rabi", "det.sigma_tech", "1e300"),
-            # max_n_cp divides by snr^2
-            ("apl", "stab.snr", "1e300"),
             ("diffusion", "diff.d_override", "-1"),
             # the MSD step is checked by the registry, so every bundle rejects it
             ("apl", "diff.dt_s", "0"),
@@ -231,17 +295,16 @@ class TestCli:
             ("apl", "det.measurement_duration_s", "86401"),
             ("diffusion", "ens.cloud_length_m", "1.5"),
             # a limit line that leaves the float range, as in
-            # test_extreme_value_exits_without_traceback; the value's
-            # further lines set the other keys
-            ("apl", "lo.f0_hz", "1e300\nstab.snr = 1e100"),
-            ("apl", "stab.k", "1e-300\nlo.f0_hz = 1e-10"),
-            ("apl", "lo.f0_hz", "1e300\nstab.snr = 1e8\nstab.q = 1\nseq.t_fp_s = 10"),
+            # test_extreme_value_exits_without_traceback: 1e307 only once
+            # tau runs to the 100 default blocks
+            ("apl", "lo.f0_hz", "1e308"),
+            ("apl", "lo.f0_hz", "1e-308"),
+            ("apl", "lo.f0_hz", "1e307"),
             # a subnormal carrier, whose y would also overflow the Allan deviation
             ("apl", "lo.f0_hz", "1e-320\nlo.delta_f0_hz = 0.3"),
             # a run config is valid or invalid whichever command runs it:
             # each of these bundles reads none of these values; allan
             # exits 2 before it would find that its input is missing
-            ("rabi", "stab.snr", "1e300"),
             ("diffusion", "lo.h0", "-1"),
             ("allan missing.csv", "det.p", "1.5"),
             # the default beam no longer fits inside the cloud
@@ -324,10 +387,24 @@ class TestCli:
         (tmp_path / "ppd.cfg").write_text("allan.points_per_decade = 100\n")
         assert cli.main(["allan", "series.csv", "--config", "ppd.cfg", "--out", "o"]) == 0
 
+    def test_allan_limit_line_off_the_float_range_exits_2_after_the_read(self, tmp_path, monkeypatch, capsys):
+        # allan's tau grid comes from its series, so its limit lines are checked
+        # once the input is read: a missing input is still an input error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f0.cfg").write_text("lo.f0_hz = 1e308\n")
+        assert cli.main(["allan", "missing.csv", "--config", "f0.cfg", "--out", "o"]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot read missing.csv")
+        (tmp_path / "series.csv").write_text("0,1e-12\n1,-2e-12\n2,3e-12\n3,1e-12\n4,0\n")
+        assert cli.main(["allan", "series.csv", "--config", "f0.cfg", "--out", "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a limit line is 0 or not finite: ") and "lo.f0_hz" in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_limit_line_warning_is_issued_once_the_lines_are_accepted(self, tmp_path):
-        # n_cp past n_atom / snr^2 = 2e-5 warns, but the lines stay finite and the run succeeds
+        # with no technical noise snr^2 = p N, so n_cp = 6 is past n_atom / snr^2 = 1/p = 5.56:
+        # it warns, but the lines stay finite and the run succeeds
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("stab.snr = 1e4\n")
+        cfg.write_text("det.sigma_tech = 0\nseq.n_cp = 6\n")
         with pytest.warns(BoundViolationWarning, match="information bound") as record:
             assert cli.main(["apl", "--trials", "2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(record) == 1
@@ -342,16 +419,24 @@ class TestCli:
             # past the float range, 1.5 x the step is inf: LAPACK would print
             # its argument errors on stdout and the fit's SVD fail
             ("rabi", ["seq.rabi_step_rad = 1e308"], 2),
-            # rabi does not read stab.snr, but the run config is invalid whatever command runs it
-            ("rabi", ["stab.snr = 1e300"], 2),
+            # rabi does not read diff.d_override, but the run config is invalid whatever command runs it
+            ("rabi", ["diff.d_override = -1"], 2),
             ("apl", ["diff.d_override = -1", "det.mode = beam_overlap"], 2),
             ("rabi", ["det.measurement_duration_s = 0"], 0),
             ("reproduce fig4", ["det.measurement_duration_s = 0"], 0),
-            # a limit line that leaves the float range: in its prefactor
-            # 1/(k f0 snr) or 1/(k q snr), or only once tau multiplies in
-            ("apl", ["lo.f0_hz = 1e300", "stab.snr = 1e100"], 2),
-            ("apl", ["stab.k = 1e-300", "lo.f0_hz = 1e-10"], 2),
-            ("apl", ["lo.f0_hz = 1e300", "stab.snr = 1e8", "stab.q = 1", "seq.t_fp_s = 10"], 2),
+            # a limit line that leaves the float range in its prefactor
+            # 1/(k f0 snr) (to 0) or 1/(k q snr) (to inf); 1e307 only at
+            # tau above 3.7 s, past the grid of 2 blocks
+            ("apl", ["lo.f0_hz = 1e308"], 2),
+            ("apl", ["lo.f0_hz = 1e-308"], 2),
+            ("apl", ["lo.f0_hz = 1e307"], 0),
+            # a prefactor's float product k * f0 * snr that is 0, not inf
+            ("apl", ["lo.f0_hz = 1e-308", "det.sigma_tech = 1e154"], 2),
+            # estimates or frequencies near the float range, whose squares overflow the sd
+            ("rabi", ["det.sigma_tech = 1e154"], 3),
+            ("apl", ["seq.t_fp_s = 1e-300"], 3),
+            # a subnormal t_fp, which overflows 1 / t_fp in the frequency estimates
+            ("reproduce fig5", ["seq.t_fp_s = 5e-324"], 2),
         ],
     )
     def test_extreme_value_exits_without_traceback(self, tmp_path, command, lines, code):
@@ -362,29 +447,24 @@ class TestCli:
         assert (r.returncode, "Traceback" in r.stderr, r.stdout) == (code, False, ""), r.stderr
         assert out.exists() == (code == 0)
 
-    @pytest.mark.parametrize(
-        "bundle",
-        [["apl"], ["apl", "beam"], ["rabi"], ["diffusion"], ["reproduce", "fig5"]],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("bundle", _BUNDLES, ids=" ".join)
     @pytest.mark.parametrize("key, value", _EDGE_VALUES)
     def test_every_key_at_its_edges_keeps_the_exit_contract(self, tmp_path, capsys, bundle, key, value):
-        raw = {"ens.n_ions": "50", "diff.n_walkers": "50", key: value}
-        if bundle[-1] == "beam":
-            bundle, raw["det.mode"] = ["apl"], "beam_overlap"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            # as in a CLI child run with -W error::RuntimeWarning; a saturated
-            # readout or a bound past its limit only warns there
-            warnings.simplefilter("ignore")
-            warnings.simplefilter("error", RuntimeWarning)
-            code = cli.main([*bundle, "--config", str(cfg), "--out", str(out), "--trials", "2"])
+        code = _run_bundle(tmp_path, bundle, {key: value})
         assert code in (0, 2, 3)
-        assert out.exists() == (code == 0)
+        assert (tmp_path / "o").exists() == (code == 0)
         if code == 2:  # a rejection names the key
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bundle", _BUNDLES, ids=" ".join)
+    @pytest.mark.parametrize("settings", _LINE_INPUT_CASES)
+    def test_limit_line_inputs_at_their_edges_keep_the_exit_contract(self, tmp_path, capsys, bundle, settings):
+        code = _run_bundle(tmp_path, bundle, settings)
+        assert code in (0, 2, 3)
+        assert (tmp_path / "o").exists() == (code == 0)
+        if code == 2:  # a rejection names a key the config sets
+            err = capsys.readouterr().err
+            assert any(key in err for key in settings), err
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -761,8 +841,8 @@ class TestCli:
             )
 
     def test_limit_lines_off_the_float_range_are_a_config_error(self):
-        # k f0 snr = 1e308 is finite, but times tau > 1.8 s it is not
-        params = replace(cli._stab_params(resolve({})), f0=1e307, snr=10.0)
+        # k f0 snr = 4.8e307 is finite, but times tau > 3.7 s it is not
+        params = cli._stab_params(resolve({"lo.f0_hz": "1e307"}))
         cli._limit_table(params, [0.1, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
