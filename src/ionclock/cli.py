@@ -15,7 +15,7 @@ malformed config file, unknown key, a value that ``resolve`` or a typed
 config it builds rejects, work past WORK_CEILING, a non-finite LO
 record), raised before any draw but the LO record, so before any
 ensemble or file; 3 runtime or data problem (fit failure, empty sample,
-malformed input series, non-finite Allan point or sd, unwritable
+malformed input series, non-finite Allan point, unwritable
 output directory). Every result is computed before the first file is
 opened, so a run that fails before writing writes nothing. Each file is then
 rendered and written 512 rows at a time into a fresh hidden directory
@@ -73,7 +73,7 @@ __all__ = ["main"]
 
 
 class DataError(RuntimeError):
-    """Malformed or unusable data: an input file, or a series whose Allan deviation or sd is not finite."""
+    """Malformed or unusable data: an input file, or a series whose Allan deviation is not finite."""
 
 
 _CSV_CHUNK_ROWS = 512  # rows formatted and written at a time: one chunk of text is alive
@@ -160,21 +160,18 @@ def _cycle_table(t):
 def _limit_table(params: StabilityParams, taus):
     taus = np.asarray(taus, dtype=float)
     header = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
-    # a product such as k * f0 * snr * tau past the float range makes a line 0 or inf;
+    # a huge f0, or a tau at either end of the float range, makes a line 0 or inf;
     # a warning (n_cp past its bound) is held back until the lines are accepted
     with np.errstate(over="ignore", divide="ignore"), warnings.catch_warnings(record=True) as held:
         warnings.simplefilter("always")
-        try:
-            lines = (
-                limit_technical(params, taus),
-                limit_apl(params, taus),
-                limit_apl_repetition(params, taus),
-                limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
-            )
-        except ZeroDivisionError:  # a prefactor's float product, such as k * q * snr, is 0
-            lines = None
-    if lines is None or not all(np.all((line > 0.0) & (line < math.inf)) for line in lines):
-        why = "lo.f0_hz or q = 2 lo.f0_hz seq.t_fp_s, times the snr and tau, leaves the float range"
+        lines = (
+            limit_technical(params, taus),
+            limit_apl(params, taus),
+            limit_apl_repetition(params, taus),
+            limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
+        )
+    if not all(np.all((line > 0.0) & (line < math.inf)) for line in lines):
+        why = "lo.f0_hz is too large, or an allan tau lies near an end of the float range"
         raise ConfigError(f"a limit line is 0 or not finite: {why}")
     for w in held:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
@@ -203,8 +200,6 @@ def cmd_rabi(cfg):
     det = _detection(cfg)
     if cfg["det.mode"] != "fixed_fraction":
         raise ConfigError(f"the probe bundle needs det.mode = fixed_fraction, got {cfg['det.mode']}")
-    if not math.isfinite(1.5 * step * n_steps):  # the far end of the probe-curve fit's step search
-        raise ConfigError(f"1.5 x seq.rabi_step_rad x seq.rabi_n_steps = 1.5 x {step!r} x {n_steps} is not finite")
     repeats = {mode: cfg["run.n_trials"] or cfg[f"seq.rabi_repeats_{mode}"] for mode in ("standard", "ppm")}
     for mode, reps in repeats.items():
         _check_work(reps * (n_steps + 1), f"run.n_trials (or seq.rabi_repeats_{mode}) x seq.rabi_n_steps + 1")
@@ -219,10 +214,7 @@ def cmd_rabi(cfg):
         batch = initialize_ensemble(cfg["ens.n_ions"], substream(seed, f"rabi-{mode}"), reps)
         est = run_rabi_ppm(batch, None if reinit else drift, step, n_steps, reinit, det)
         mean = est.mean(axis=0)
-        with np.errstate(over="ignore"):  # a det.sigma_tech near 1e154 overflows the squares
-            sd = est.std(axis=0, ddof=1) if reps > 1 else np.zeros(n_steps + 1)
-        if not np.all(np.isfinite(sd)):
-            raise DataError(f"the sd of the {mode} estimates is not finite: |estimate| is too large")
+        sd = est.std(axis=0, ddof=1) if reps > 1 else np.zeros(n_steps + 1)
         curves[mode] = mean
         tables.append(([mode] * ks.size, ks, ks * step, mean, sd, [reps] * ks.size))
 
@@ -260,17 +252,13 @@ def cmd_apl(cfg):
 
     ns = np.arange(1, n_cp + 1)
     # per column: std(axis=0) sums in another order and moves the last bits
-    with np.errstate(over="ignore"):  # a t_fp near the float minimum overflows the squares
-        sds = [df[:, n - 1].std(ddof=1) if n_blocks > 1 else 0.0 for n in ns]
-    if not np.all(np.isfinite(sds)):
-        raise DataError("the sd of delta_f_hz is not finite: |delta_f_hz| is too large")
+    sds = [df[:, n - 1].std(ddof=1) if n_blocks > 1 else 0.0 for n in ns]
     fit_doc = {"mean_projected_by_n": apl.projected_before.mean(axis=0)}
     if n_cp >= 3:
         fit_doc.update(asdict(fit_decoherence(apl.projected_before)))
 
-    with np.errstate(over="ignore"):  # a tiny f0 overflows y; _allan_table rejects it
-        allan_std = _allan_table(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
-        allan_apl = _allan_table(cfg, df[:, -1] / f0, rcfg.block_time)
+    allan_std = _allan_table(cfg, std.delta_f_hz[:, 0] / f0, rcfg.standard_cycle_time)
+    allan_apl = _allan_table(cfg, df[:, -1] / f0, rcfg.block_time)
     return {
         "apl_cycles.csv": _cycle_table(apl),
         "ramsey_cycles.csv": _cycle_table(std),

@@ -19,7 +19,6 @@ ConfigError of resolve() names the key or keys at fault.
 import hashlib
 import math
 import operator
-import sys
 from types import MappingProxyType
 
 import numpy as np
@@ -83,7 +82,6 @@ def _integer(low=-math.inf):
 
 
 _count = _integer(1)
-_positive = _bounded(_as_float, 0.0, strict=True)
 # No stage of a clock cycle lasts a day and no trapped cloud is a metre long;
 # past these the limit lines, the beam-hit probabilities and the walks overflow.
 _DAY = 86400.0
@@ -107,7 +105,7 @@ _REGISTRY = {
     "run.output_dir": (str, "runs", "directory for emitted CSV/JSON"),
     "ens.n_ions": (_count, 2000, "ions in the ensemble"),
     "ens.cloud_length_m": (_bounded(_as_float, 0.0, strict=True, high=1.0), DiffusionConfig.cloud_length, "axial cloud extent"),
-    "lo.f0_hz": (_as_float, StabilityParams.f0, "nominal transition frequency"),
+    "lo.f0_hz": (_bounded(_as_float, 1.0), StabilityParams.f0, "nominal transition frequency"),
     "lo.delta_f0_hz": (_as_float, 0.0, "static LO detuning"),
     "lo.h0": (_as_float, 0.0, "white frequency noise level"),
     "lo.h_minus1": (_as_float, 0.0, "flicker frequency noise level"),
@@ -115,15 +113,17 @@ _REGISTRY = {
     "lo.preset": (_as_choice("none", *PRESETS), "none", "named noise level set; overrides the h, coefficients"),
     "det.mode": (_as_choice("fixed_fraction", "beam_overlap"), "fixed_fraction", "how the sampled subset is chosen"),
     "det.p": (_as_float, DetectionConfig.p, "sampling fraction per measurement"),
-    "det.sigma_tech": (_as_float, DetectionConfig.sigma_tech, "technical noise sd added to the population estimate"),
+    # at most the whole population range, so the limit lines' snr^2 stays finite
+    "det.sigma_tech": (_bounded(_as_float, 0.0, high=1.0), DetectionConfig.sigma_tech, "technical noise sd added to the population estimate"),
     "det.measurement_duration_s": (_duration, DetectionConfig.measurement_duration, "readout window length"),
-    # below the least normal float, the frequency estimates 1/(4 n t_fp) overflow
-    "seq.t_fp_s": (_bounded(_as_float, sys.float_info.min, high=_DAY), RamseyConfig.t_fp, "free precession time per cycle"),
+    # from a nanosecond, so the frequency estimates 1/(2 pi n t_fp) and their squares stay finite
+    "seq.t_fp_s": (_bounded(_as_float, 1e-9, high=_DAY), RamseyConfig.t_fp, "free precession time per cycle"),
     "seq.pi2_duration_s": (_duration, RamseyConfig.pi2_duration, "pi/2 pulse length"),
     "seq.n_cp": (_count, RamseyConfig.n_cp, "cycles per tracking block"),
     "seq.n_cycles": (_count, 300, "cycles per protocol in apl when run.n_trials is 0; blocks = n_cycles // n_cp"),
     "seq.dead_time_s": (_duration, RamseyConfig.dead_time, "extra free evolution per cycle"),
-    "seq.rabi_step_rad": (_positive, math.pi / 6.0, "rotation per Rabi step"),
+    # at most one full turn: a larger step is the same rotation, on a coarser float grid
+    "seq.rabi_step_rad": (_bounded(_as_float, 0.0, strict=True, high=2.0 * math.pi), math.pi / 6.0, "rotation per Rabi step"),
     "seq.rabi_n_steps": (_integer(2), 12, "Rabi steps after the baseline point"),
     "seq.rabi_repeats_standard": (_count, 10, "re-initialized Rabi repeats"),
     "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
@@ -246,11 +246,7 @@ def _stab_params(cfg) -> StabilityParams:
     q is f0 * 2 * t_fp, the SNR that of the readout noise budget, t_c the
     tracking cycle time and n_atom the ensemble size.
     """
-    sigma = cfg["det.sigma_tech"]
-    try:
-        var = sigma**2 + 0.25 / max(cfg["det.p"] * cfg["ens.n_ions"], 1.0)
-    except OverflowError:
-        raise ValueError(f"sigma_tech = {sigma!r} is too large to derive the snr") from None
+    var = cfg["det.sigma_tech"] ** 2 + 0.25 / max(cfg["det.p"] * cfg["ens.n_ions"], 1.0)
     return StabilityParams(
         q=cfg["lo.f0_hz"] * 2.0 * cfg["seq.t_fp_s"],
         snr=0.5 / math.sqrt(var),

@@ -82,12 +82,11 @@ class StabilityParams:
     snr: float
     t_c: float
     n_atom: int
-    k: float = 1.0
     f0: float = 12.6e9
     n_cp: int = 1
 
     def __post_init__(self):
-        for name in ("q", "snr", "t_c", "k", "f0"):
+        for name in ("q", "snr", "t_c", "f0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_cp < 1:
@@ -194,7 +193,7 @@ def limit_technical(params: StabilityParams, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
-    return (1.0 / (params.k * params.q * params.snr)) * np.sqrt(params.t_c / tau)
+    return (1.0 / (params.q * params.snr)) * np.sqrt(params.t_c / tau)
 
 
 def limit_apl(params: StabilityParams, tau):
@@ -202,7 +201,7 @@ def limit_apl(params: StabilityParams, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
-    return 1.0 / (params.k * params.f0 * params.snr * tau)
+    return 1.0 / (params.f0 * params.snr * tau)
 
 
 def limit_apl_repetition(params: StabilityParams, tau):

@@ -57,19 +57,18 @@ _EDGE_VALUES = sorted(
 # The limit-line inputs are derived, so their edges are reached through the
 # keys they derive from: q = 2 f0 t_fp and the cycle time with the free
 # precession (and the other stages) at their least and at a day; the snr at
-# its least (the largest det.sigma_tech whose square is finite), at the
-# projection limit and at 1 (under one ion sampled); n_atom = ens.n_ions at 1.
-# Each is run at the default carrier and with lo.f0_hz at either end of the
-# float range.
+# its least (det.sigma_tech at its bound of 1), at the projection limit and at
+# 1 (under one ion sampled); n_atom = ens.n_ions at 1. Each is run at the
+# default carrier and with lo.f0_hz at either end of the float range.
 _DAY = "86400"
-_T_FP_LEAST = repr(sys.float_info.min)
+_T_FP_LEAST = "1e-9"
 _STAGES = ("seq.t_fp_s", "seq.dead_time_s", "seq.pi2_duration_s", "det.measurement_duration_s")
 _LINE_INPUT_EDGES = {
     "t_fp-least": {"seq.t_fp_s": _T_FP_LEAST},
     "t_fp-day": {"seq.t_fp_s": _DAY},
     "cycle-least": {"seq.t_fp_s": _T_FP_LEAST, **{k: "0" for k in _STAGES[1:]}},
     "cycle-longest": {k: _DAY for k in _STAGES},
-    "snr-least": {"det.sigma_tech": "1e154"},
+    "snr-least": {"det.sigma_tech": "1"},
     "snr-projection": {"det.sigma_tech": "0", "det.p": "1"},
     "snr-one": {"det.sigma_tech": "0", "det.p": "1e-300"},
     "n_atom-one": {"ens.n_ions": "1"},
@@ -82,6 +81,19 @@ _LINE_INPUT_CASES = [
 ]
 
 _BUNDLES = [["apl"], ["apl", "beam"], ["rabi"], ["diffusion"], ["reproduce", "fig5"]]
+
+# Every float key that feeds a frequency estimate, its sd, y = delta_f / f0
+# or the limit lines' snr at the end of its registry range that makes them
+# largest: the most technical noise, the shortest free precession with no
+# other stage, the least carrier and a Rabi step of one full turn; with a
+# large static detuning or the noisy LO preset
+_CORNER = {
+    **_LINE_INPUT_EDGES["snr-least"],
+    **_LINE_INPUT_EDGES["cycle-least"],
+    "lo.f0_hz": "1",
+    "seq.rabi_step_rad": repr(2.0 * math.pi),
+}
+_CORNER_LOS = [{"lo.delta_f0_hz": "1e8"}, {"lo.preset": "noisy"}]
 
 
 def _run_bundle(tmp_path, bundle, settings):
@@ -142,7 +154,7 @@ class TestResolve:
         assert params.t_c == pytest.approx(0.1 + 4 * 7.5e-4 + 1e-3)
         assert params.t_c == sequences.RamseyConfig().cycle_time
         assert params.n_atom == 2000
-        assert (params.k, params.f0, params.n_cp) == (1.0, 12.6e9, 3)
+        assert (params.f0, params.n_cp) == (12.6e9, 3)
 
     def test_derived_snr_from_noise_budget(self):
         params = cli._stab_params(resolve({}))
@@ -220,8 +232,12 @@ class TestResolve:
     def test_snr_derivation_that_overflows_is_a_config_error(self):
         with pytest.raises(ConfigError, match="det.sigma_tech"):
             resolve({"det.sigma_tech": "1e300"})
-        # a sigma_tech whose square is still finite derives a tiny snr, not an error
-        assert cli._stab_params(resolve({"det.sigma_tech": "1e150"})).snr == pytest.approx(5e-151)
+        # the registry bounds sigma_tech by the whole population range, whose
+        # upper end derives the least snr; just past it is rejected
+        var = 1.0 + 0.25 / (0.18 * 2000)
+        assert cli._stab_params(resolve({"det.sigma_tech": "1"})).snr == pytest.approx(0.5 / math.sqrt(var), rel=1e-12)
+        with pytest.raises(ConfigError, match=r"^det.sigma_tech: expected a value <= 1.0, got 1.0000000000000002$"):
+            resolve({"det.sigma_tech": repr(math.nextafter(1.0, 2.0))})
 
     def test_float_keys_take_no_bool_or_non_number(self):
         # as for the integer keys: True is no number in a config file, and
@@ -283,7 +299,7 @@ class TestCli:
             ("reproduce fig4", "det.mode", "beam_overlap"),
             ("rabi", "lo.f0_hz", "0"),
             ("reproduce fig4", "lo.f0_hz", "0"),
-            # the derived snr would square an overflowing sigma_tech
+            # technical noise past the whole population range
             ("apl", "det.sigma_tech", "1e300"),
             ("diffusion", "det.sigma_tech", "1e300"),
             ("rabi", "det.sigma_tech", "1e300"),
@@ -302,6 +318,8 @@ class TestCli:
             ("apl", "lo.f0_hz", "1e307"),
             # a subnormal carrier, whose y would also overflow the Allan deviation
             ("apl", "lo.f0_hz", "1e-320\nlo.delta_f0_hz = 0.3"),
+            # a tiny carrier, whose y = delta_f / f0 would overflow the Allan deviation
+            ("apl", "lo.f0_hz", "1e-300\nlo.delta_f0_hz = 0.3"),
             # a run config is valid or invalid whichever command runs it:
             # each of these bundles reads none of these values; allan
             # exits 2 before it would find that its input is missing
@@ -399,6 +417,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: a limit line is 0 or not finite: ") and "lo.f0_hz" in err, err
         assert not (tmp_path / "o").exists()
+        # so do taus near either end of the float range, at the default carrier
+        for tau0 in (1e-320, 1e300):
+            (tmp_path / "far.csv").write_text("".join(f"{i * tau0!r},1e-12\n" for i in range(4)))
+            assert cli.main(["allan", "far.csv", "--out", "o"]) == 2
+            assert capsys.readouterr().err.startswith("config error: a limit line is 0 or not finite: ")
+            assert not (tmp_path / "o").exists()
 
     def test_limit_line_warning_is_issued_once_the_lines_are_accepted(self, tmp_path):
         # with no technical noise snr^2 = p N, so n_cp = 6 is past n_atom / snr^2 = 1/p = 5.56:
@@ -413,11 +437,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, lines, code",
         [
-            # the probe-curve fit searches a bracket where floats are coarser than its tolerance
-            ("rabi", ["seq.rabi_step_rad = 1000"], 0),
-            ("rabi", ["seq.rabi_step_rad = 1e300"], 0),
-            # past the float range, 1.5 x the step is inf: LAPACK would print
-            # its argument errors on stdout and the fit's SVD fail
+            # a Rabi step past one full turn, rejected by the registry
+            ("rabi", ["seq.rabi_step_rad = 1000"], 2),
+            ("rabi", ["seq.rabi_step_rad = 1e300"], 2),
             ("rabi", ["seq.rabi_step_rad = 1e308"], 2),
             # rabi does not read diff.d_override, but the run config is invalid whatever command runs it
             ("rabi", ["diff.d_override = -1"], 2),
@@ -425,17 +447,17 @@ class TestCli:
             ("rabi", ["det.measurement_duration_s = 0"], 0),
             ("reproduce fig4", ["det.measurement_duration_s = 0"], 0),
             # a limit line that leaves the float range in its prefactor
-            # 1/(k f0 snr) (to 0) or 1/(k q snr) (to inf); 1e307 only at
-            # tau above 3.7 s, past the grid of 2 blocks
+            # 1/(f0 snr) (to 0), and a carrier below 1 Hz, which the registry
+            # rejects; 1e307 leaves it only at tau above 3.7 s, past the grid
+            # of 2 blocks
             ("apl", ["lo.f0_hz = 1e308"], 2),
             ("apl", ["lo.f0_hz = 1e-308"], 2),
             ("apl", ["lo.f0_hz = 1e307"], 0),
-            # a prefactor's float product k * f0 * snr that is 0, not inf
+            # technical noise past the population range or a free precession
+            # under a nanosecond, rejected by the registry
             ("apl", ["lo.f0_hz = 1e-308", "det.sigma_tech = 1e154"], 2),
-            # estimates or frequencies near the float range, whose squares overflow the sd
-            ("rabi", ["det.sigma_tech = 1e154"], 3),
-            ("apl", ["seq.t_fp_s = 1e-300"], 3),
-            # a subnormal t_fp, which overflows 1 / t_fp in the frequency estimates
+            ("rabi", ["det.sigma_tech = 1e154"], 2),
+            ("apl", ["seq.t_fp_s = 1e-300"], 2),
             ("reproduce fig5", ["seq.t_fp_s = 5e-324"], 2),
         ],
     )
@@ -455,6 +477,15 @@ class TestCli:
         assert (tmp_path / "o").exists() == (code == 0)
         if code == 2:  # a rejection names the key
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bundle", [*_BUNDLES, ["reproduce", "fig6"]], ids=" ".join)
+    @pytest.mark.parametrize("lo", _CORNER_LOS, ids=lambda lo: "-".join(lo))
+    def test_bundles_at_the_registry_corners_write_finite_outputs(self, tmp_path, bundle, lo):
+        # no sd, Allan point or limit line leaves the float range inside the registry's bounds
+        assert _run_bundle(tmp_path, bundle, {**_CORNER, **lo}) == 0
+        for path in (tmp_path / "o").glob("*.csv"):
+            rows = [line.split(",") for line in path.read_text().splitlines()[3:]]
+            assert rows and all(math.isfinite(float(f)) for row in rows for f in row if f not in ("standard", "ppm")), path
 
     @pytest.mark.parametrize("bundle", _BUNDLES, ids=" ".join)
     @pytest.mark.parametrize("settings", _LINE_INPUT_CASES)
@@ -555,22 +586,15 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_allan_point_that_overflows_exits_3(self, tmp_path, capsys):
-        # an allan input near the float range, and apl on a tiny carrier:
-        # y = delta_f / f0 near 3e299, whose squared differences overflow
-        # (a subnormal f0 puts the limit lines past the float range, which
-        # exits 2 before the simulation: test_bad_value_exits_2_before_simulating)
+        # an allan input near the float range, whose squared differences overflow
+        # (apl's y = delta_f / f0 cannot: lo.f0_hz is at least 1 Hz, so a tiny
+        # carrier exits 2 before the simulation: test_bad_value_exits_2_before_simulating)
         big = tmp_path / "big.csv"
         big.write_text("0,1e200\n1,-1e200\n2,1e200\n3,1e200\n")
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text("ens.n_ions = 200\nlo.f0_hz = 1e-300\nlo.delta_f0_hz = 0.3\n")
-        runs = [(["allan", str(big)], "1"), (["apl", "--config", str(cfg), "--trials", "4"], "0.1025")]
-        for argv, tau in runs:
-            out = tmp_path / "o"
-            assert cli.main([*argv, "--out", str(out)]) == 3
-            assert capsys.readouterr().err == (
-                f"error: the Allan deviation at tau={tau} s is not finite: |y| is too large\n"
-            )
-            assert not out.exists()
+        out = tmp_path / "o"
+        assert cli.main(["allan", str(big), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: the Allan deviation at tau=1 s is not finite: |y| is too large\n"
+        assert not out.exists()
 
     def test_allan_on_white_noise(self, tmp_path):
         rng = np.random.default_rng(11)

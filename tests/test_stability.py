@@ -27,7 +27,7 @@ def series(y, tau0=1.0):
     return FractionalFrequencySeries(np.asarray(y, dtype=float), tau0)
 
 
-PARAMS = StabilityParams(q=2.52e9, snr=10.0, t_c=0.1045, k=1.0, f0=12.6e9, n_cp=3, n_atom=2000)
+PARAMS = StabilityParams(q=2.52e9, snr=10.0, t_c=0.1045, f0=12.6e9, n_cp=3, n_atom=2000)
 
 
 class TestAllan:
@@ -141,7 +141,7 @@ class TestAllan:
 
 class TestLimits:
     def test_apl_line_frozen_value(self):
-        p = StabilityParams(q=2.52e9, snr=10.0, t_c=0.1, n_atom=2000, k=1.0, f0=12.6e9)
+        p = StabilityParams(q=2.52e9, snr=10.0, t_c=0.1, n_atom=2000, f0=12.6e9)
         assert limit_apl(p, 1.0) == pytest.approx(7.936507936507937e-12, rel=1e-15)
 
     def test_technical_line_scales_as_root_tau(self):
