@@ -12,11 +12,10 @@ byte.
 
 Exit codes: 0 success; 2 configuration problem (bad flag, unreadable or
 malformed config file, unknown key, a value that ``resolve`` or a typed
-config it builds rejects, work past WORK_CEILING, a non-finite LO
-record), raised before any draw but the LO record, so before any
-ensemble or file; 3 runtime or data problem (fit failure, empty sample,
-malformed input series, non-finite Allan point, unwritable
-output directory). Every result is computed before the first file is
+config it builds rejects, work past WORK_CEILING), raised before any
+draw, so before any ensemble or file; 3 runtime or data problem (fit
+failure, empty sample, malformed input series, non-finite Allan point,
+unwritable output directory). Every result is computed before the first file is
 opened, so a run that fails before writing writes nothing. Each file is then
 rendered and written 512 rows at a time into a fresh hidden directory
 inside the output directory, and only once all are written does each
@@ -43,9 +42,9 @@ import numpy as np
 
 from . import diffusion as diff_mod
 from .config import ConfigError, config_hash, parse_config_file, resolve
-from .config import _detection, _diffusion_config, _noise_spec, _ramsey_config, _stab_params
+from .config import _detection, _diffusion_config, _ramsey_config, _stab_params
 from .ensemble import EmptySampleError, initialize_ensemble
-from .oscillator import make_local_oscillator, phase_increments
+from .oscillator import NoiseSpec, make_local_oscillator, phase_increments
 from .rng import substream
 from .sequences import (
     FitFailureError,
@@ -124,14 +123,9 @@ def _lo_record(cfg, label, dt, shape):
     """The block-major phase record of the run's `label` LO over intervals of dt; at dt = 0, zeros and no draw."""
     if dt == 0:
         return np.zeros(shape)
-    rng = substream(cfg["run.seed"], label)
-    lo = make_local_oscillator(cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], _noise_spec(cfg), rng)
-    with np.errstate(over="ignore", invalid="ignore"):  # 2 pi delta_f0 can overflow before dt multiplies in
-        record = phase_increments(lo, dt, math.prod(shape)).reshape(shape)
-    if not np.all(np.isfinite(record)):
-        keys = "lo.f0_hz, lo.delta_f0_hz, lo.h0, lo.h_minus1, lo.h_minus2"
-        raise ConfigError(f"the LO phase record is not finite: {keys} take it past the float range")
-    return record
+    spec = NoiseSpec(cfg["lo.h0"], cfg["lo.h_minus1"], cfg["lo.h_minus2"])
+    lo = make_local_oscillator(cfg["lo.f0_hz"], cfg["lo.delta_f0_hz"], spec, substream(cfg["run.seed"], label))
+    return phase_increments(lo, dt, math.prod(shape)).reshape(shape)
 
 
 def _check_blocks(cfg, n_blocks, blocks_from):
@@ -160,8 +154,9 @@ def _cycle_table(t):
 def _limit_table(params: StabilityParams, taus):
     taus = np.asarray(taus, dtype=float)
     header = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
-    # a huge f0, or a tau at either end of the float range, makes a line 0 or inf;
-    # a warning (n_cp past its bound) is held back until the lines are accepted
+    # an allan tau at either end of the float range makes a line 0 or inf (the
+    # registry keeps apl's inside it); a warning (n_cp past its bound) is held
+    # back until the lines are accepted
     with np.errstate(over="ignore", divide="ignore"), warnings.catch_warnings(record=True) as held:
         warnings.simplefilter("always")
         lines = (
@@ -171,8 +166,7 @@ def _limit_table(params: StabilityParams, taus):
             limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
         )
     if not all(np.all((line > 0.0) & (line < math.inf)) for line in lines):
-        why = "lo.f0_hz is too large, or an allan tau lies near an end of the float range"
-        raise ConfigError(f"a limit line is 0 or not finite: {why}")
+        raise ConfigError("a limit line is 0 or not finite: an allan tau lies near an end of the float range")
     for w in held:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return header, (taus, *lines)
@@ -242,7 +236,7 @@ def cmd_apl(cfg):
     taus = np.logspace(
         math.log10(rcfg.standard_cycle_time), math.log10(max(n_blocks, 2) * rcfg.block_time), 25
     )
-    limits = _limit_table(_stab_params(cfg), taus)  # a bad limit line exits 2 before any draw
+    limits = _limit_table(_stab_params(cfg), taus)
 
     # one record for both protocols: one noise realization, so the comparison is apples to apples
     record, apl = _tracking_blocks(cfg, rcfg, n_blocks)

@@ -10,10 +10,11 @@ values plus the seed so identical hashes imply identical runs.
 
 resolve() checks each value's type and the bounds its registry entry
 declares (counts at least 1, integers within int64, lengths positive,
-...), then builds every typed config (DetectionConfig, RamseyConfig,
-...) once, so a value one of them rejects is a ConfigError too: a run
-config is valid or invalid as a whole, whichever command runs it. Every
-ConfigError of resolve() names the key or keys at fault.
+...), then builds once every typed config with a rule the registry does
+not hold (DetectionConfig, RamseyConfig, ...), so a value one of them
+rejects is a ConfigError too: a run config is valid or invalid as a
+whole, whichever command runs it. Every ConfigError of resolve() names
+the key or keys at fault.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ import numpy as np
 
 from .diffusion import DiffusionConfig
 from .ensemble import DetectionConfig
-from .oscillator import PRESETS, NoiseSpec
+from .oscillator import PRESETS
 from .sequences import RamseyConfig
 from .stability import StabilityParams
 
@@ -62,13 +63,13 @@ def _as_float_or_none(raw):
     return _as_float(raw)
 
 
-def _bounded(conv, low=-math.inf, strict=False, high=math.inf):
-    """Converter ``conv`` that also rejects values below ``low`` (or at it, if strict) or above ``high``."""
+def _bounded(conv, low=-math.inf, strict=False, high=math.inf, or_zero=False):
+    """Converter ``conv`` that also rejects values below ``low`` (or at it, if strict), unless 0 and ``or_zero``, or above ``high``."""
 
     def check(raw):
         val = conv(raw)
-        if not (val > low if strict else val >= low):
-            raise ConfigError(f"expected a value {'>' if strict else '>='} {low}, got {val!r}")
+        if not (val > low if strict else val >= low) and not (or_zero and val == 0.0):
+            raise ConfigError(f"expected {'0 or ' * or_zero}a value {'>' if strict else '>='} {low}, got {val!r}")
         if not val <= high:
             raise ConfigError(f"expected a value <= {high}, got {val!r}")
         return val
@@ -86,6 +87,7 @@ _count = _integer(1)
 # past these the limit lines, the beam-hit probabilities and the walks overflow.
 _DAY = 86400.0
 _duration = _bounded(_as_float, high=_DAY)
+_level = _bounded(_as_float, 0.0, high=1.0)
 
 
 def _as_choice(*options):
@@ -105,17 +107,20 @@ _REGISTRY = {
     "run.output_dir": (str, "runs", "directory for emitted CSV/JSON"),
     "ens.n_ions": (_count, 2000, "ions in the ensemble"),
     "ens.cloud_length_m": (_bounded(_as_float, 0.0, strict=True, high=1.0), DiffusionConfig.cloud_length, "axial cloud extent"),
-    "lo.f0_hz": (_bounded(_as_float, 1.0), StabilityParams.f0, "nominal transition frequency"),
-    "lo.delta_f0_hz": (_as_float, 0.0, "static LO detuning"),
-    "lo.h0": (_as_float, 0.0, "white frequency noise level"),
-    "lo.h_minus1": (_as_float, 0.0, "flicker frequency noise level"),
-    "lo.h_minus2": (_as_float, 0.0, "random-walk frequency noise level"),
+    # a carrier and a detuning up to 1e16 Hz, above every optical transition, and
+    # levels up to 1: no LO phase record or limit line of a bundle leaves the float range
+    "lo.f0_hz": (_bounded(_as_float, 1.0, high=1e16), StabilityParams.f0, "nominal transition frequency"),
+    "lo.delta_f0_hz": (_bounded(_as_float, -1e16, high=1e16), 0.0, "static LO detuning"),
+    "lo.h0": (_level, 0.0, "white frequency noise level"),
+    "lo.h_minus1": (_level, 0.0, "flicker frequency noise level"),
+    "lo.h_minus2": (_level, 0.0, "random-walk frequency noise level"),
     "lo.preset": (_as_choice("none", *PRESETS), "none", "named noise level set; overrides the h, coefficients"),
     "det.mode": (_as_choice("fixed_fraction", "beam_overlap"), "fixed_fraction", "how the sampled subset is chosen"),
     "det.p": (_as_float, DetectionConfig.p, "sampling fraction per measurement"),
     # at most the whole population range, so the limit lines' snr^2 stays finite
     "det.sigma_tech": (_bounded(_as_float, 0.0, high=1.0), DetectionConfig.sigma_tech, "technical noise sd added to the population estimate"),
-    "det.measurement_duration_s": (_duration, DetectionConfig.measurement_duration, "readout window length"),
+    # none, or from a nanosecond, so the white-noise sd sqrt(h0 / 2 dt) of rabi's LO record stays finite
+    "det.measurement_duration_s": (_bounded(_as_float, 1e-9, high=_DAY, or_zero=True), DetectionConfig.measurement_duration, "readout window length"),
     # from a nanosecond, so the frequency estimates 1/(2 pi n t_fp) and their squares stay finite
     "seq.t_fp_s": (_bounded(_as_float, 1e-9, high=_DAY), RamseyConfig.t_fp, "free precession time per cycle"),
     "seq.pi2_duration_s": (_duration, RamseyConfig.pi2_duration, "pi/2 pulse length"),
@@ -162,9 +167,8 @@ def resolve(values: dict) -> MappingProxyType:
             spec.h0, spec.h_minus1, spec.h_minus2
         )
 
-    # every typed config is built once here, whatever the command reads
+    # every typed config the registry does not cover is built once here, whatever the command reads
     _build(_diffusion_config, merged)
-    _build(_noise_spec, merged)
     _build(_ramsey_config, merged)
     _build(_stab_params, merged)
     return MappingProxyType(merged)
@@ -234,10 +238,6 @@ def _ramsey_config(cfg) -> RamseyConfig:
         dead_time=cfg["seq.dead_time_s"],
         diffusion=_diffusion_config(cfg) if beam else None,
     )
-
-
-def _noise_spec(cfg) -> NoiseSpec:
-    return NoiseSpec(h0=cfg["lo.h0"], h_minus1=cfg["lo.h_minus1"], h_minus2=cfg["lo.h_minus2"])
 
 
 def _stab_params(cfg) -> StabilityParams:

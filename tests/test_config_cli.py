@@ -59,7 +59,7 @@ _EDGE_VALUES = sorted(
 # precession (and the other stages) at their least and at a day; the snr at
 # its least (det.sigma_tech at its bound of 1), at the projection limit and at
 # 1 (under one ion sampled); n_atom = ens.n_ions at 1. Each is run at the
-# default carrier and with lo.f0_hz at either end of the float range.
+# default carrier and with lo.f0_hz at either end of its registry range.
 _DAY = "86400"
 _T_FP_LEAST = "1e-9"
 _STAGES = ("seq.t_fp_s", "seq.dead_time_s", "seq.pi2_duration_s", "det.measurement_duration_s")
@@ -76,7 +76,7 @@ _LINE_INPUT_EDGES = {
 }
 _LINE_INPUT_CASES = [
     pytest.param({**keys, **f0}, id=name + "".join(f"-f0={v}" for v in f0.values()))
-    for f0 in ({}, {"lo.f0_hz": "1e-308"}, {"lo.f0_hz": "1e308"})
+    for f0 in ({}, {"lo.f0_hz": "1"}, {"lo.f0_hz": "1e16"})
     for name, keys in _LINE_INPUT_EDGES.items()
 ]
 
@@ -93,7 +93,19 @@ _CORNER = {
     "lo.f0_hz": "1",
     "seq.rabi_step_rad": repr(2.0 * math.pi),
 }
-_CORNER_LOS = [{"lo.delta_f0_hz": "1e8"}, {"lo.preset": "noisy"}]
+# and at the far ends of the LO keys' ranges, where the LO phase record is
+# largest: the largest carrier, either largest detuning and every noise level
+# at 1 (no preset, so fig6 takes the levels too), once with every stage a day
+# and once with rabi's LO record over the least readout window
+_LO_MAX = {"lo.f0_hz": "1e16", "lo.preset": "none", "lo.h0": "1", "lo.h_minus1": "1", "lo.h_minus2": "1"}
+_CORNER_LOS = [
+    {"lo.delta_f0_hz": "1e8"},
+    {"lo.preset": "noisy"},
+    pytest.param({**_LO_MAX, "lo.delta_f0_hz": "1e16"}, id="lo-max"),
+    pytest.param({**_LO_MAX, "lo.delta_f0_hz": "-1e16"}, id="lo-max-negative-detuning"),
+    pytest.param({**_LO_MAX, "lo.delta_f0_hz": "1e16", **_LINE_INPUT_EDGES["cycle-longest"]}, id="lo-max-day-stages"),
+    pytest.param({**_LO_MAX, "lo.delta_f0_hz": "1e16", "det.measurement_duration_s": "1e-9"}, id="lo-max-least-readout"),
+]
 
 
 def _run_bundle(tmp_path, bundle, settings):
@@ -176,7 +188,7 @@ class TestResolve:
         assert cfg["lo.h_minus1"] == 8e-31
         assert cfg["lo.h_minus2"] == 1e-36
         for name, spec in PRESETS.items():
-            cfg = resolve({"lo.preset": name, "lo.h0": "5"})
+            cfg = resolve({"lo.preset": name, "lo.h0": "0.5"})
             assert (cfg["lo.h0"], cfg["lo.h_minus1"], cfg["lo.h_minus2"]) == (
                 spec.h0, spec.h_minus1, spec.h_minus2
             )
@@ -309,22 +321,37 @@ class TestCli:
             # no cycle stage lasts over a day, no cloud over a metre
             ("apl", "seq.dead_time_s", "1e300"),
             ("apl", "det.measurement_duration_s", "86401"),
+            # a readout window under a nanosecond but not 0, over which the
+            # white-noise sd sqrt(h0 / 2 dt) of rabi's LO record overflows
+            ("rabi", "det.measurement_duration_s", "5e-324\nlo.h0 = 1"),
+            ("reproduce fig4", "det.measurement_duration_s", "5e-324\nlo.h0 = 1"),
             ("diffusion", "ens.cloud_length_m", "1.5"),
-            # a limit line that leaves the float range, as in
-            # test_extreme_value_exits_without_traceback: 1e307 only once
-            # tau runs to the 100 default blocks
-            ("apl", "lo.f0_hz", "1e308"),
+            # a carrier below 1 Hz (past 1e16 Hz is the lo.f0_hz = 1e17 rows
+            # below), rejected by the registry before any limit line is computed
             ("apl", "lo.f0_hz", "1e-308"),
-            ("apl", "lo.f0_hz", "1e307"),
             # a subnormal carrier, whose y would also overflow the Allan deviation
             ("apl", "lo.f0_hz", "1e-320\nlo.delta_f0_hz = 0.3"),
             # a tiny carrier, whose y = delta_f / f0 would overflow the Allan deviation
             ("apl", "lo.f0_hz", "1e-300\nlo.delta_f0_hz = 0.3"),
+            # each LO key just past its registry range, which the LO record
+            # would take past the float range or saturate
+            *[
+                (command, key, value)
+                for command in ("apl", "reproduce fig5", "rabi")
+                for key, value in (
+                    ("lo.f0_hz", "1e17"),
+                    ("lo.delta_f0_hz", "-1e17"),
+                    ("lo.h0", "2"),
+                    ("lo.h_minus1", "1e308"),
+                    ("lo.h_minus2", "2"),
+                )
+            ],
             # a run config is valid or invalid whichever command runs it:
             # each of these bundles reads none of these values; allan
             # exits 2 before it would find that its input is missing
             ("diffusion", "lo.h0", "-1"),
             ("allan missing.csv", "det.p", "1.5"),
+            ("allan missing.csv", "lo.f0_hz", "1e308"),
             # the default beam no longer fits inside the cloud
             ("apl", "ens.cloud_length_m", "1e-4"),
             ("reproduce fig5", "diff.beam_lo_m", "-0.01"),
@@ -407,21 +434,14 @@ class TestCli:
 
     def test_allan_limit_line_off_the_float_range_exits_2_after_the_read(self, tmp_path, monkeypatch, capsys):
         # allan's tau grid comes from its series, so its limit lines are checked
-        # once the input is read: a missing input is still an input error
+        # once the input is read: taus near either end of the float range exit 2
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "f0.cfg").write_text("lo.f0_hz = 1e308\n")
-        assert cli.main(["allan", "missing.csv", "--config", "f0.cfg", "--out", "o"]) == 3
-        assert capsys.readouterr().err.startswith("error: cannot read missing.csv")
-        (tmp_path / "series.csv").write_text("0,1e-12\n1,-2e-12\n2,3e-12\n3,1e-12\n4,0\n")
-        assert cli.main(["allan", "series.csv", "--config", "f0.cfg", "--out", "o"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: a limit line is 0 or not finite: ") and "lo.f0_hz" in err, err
-        assert not (tmp_path / "o").exists()
-        # so do taus near either end of the float range, at the default carrier
         for tau0 in (1e-320, 1e300):
             (tmp_path / "far.csv").write_text("".join(f"{i * tau0!r},1e-12\n" for i in range(4)))
             assert cli.main(["allan", "far.csv", "--out", "o"]) == 2
-            assert capsys.readouterr().err.startswith("config error: a limit line is 0 or not finite: ")
+            assert capsys.readouterr().err == (
+                "config error: a limit line is 0 or not finite: an allan tau lies near an end of the float range\n"
+            )
             assert not (tmp_path / "o").exists()
 
     def test_limit_line_warning_is_issued_once_the_lines_are_accepted(self, tmp_path):
@@ -446,13 +466,11 @@ class TestCli:
             ("apl", ["diff.d_override = -1", "det.mode = beam_overlap"], 2),
             ("rabi", ["det.measurement_duration_s = 0"], 0),
             ("reproduce fig4", ["det.measurement_duration_s = 0"], 0),
-            # a limit line that leaves the float range in its prefactor
-            # 1/(f0 snr) (to 0), and a carrier below 1 Hz, which the registry
-            # rejects; 1e307 leaves it only at tau above 3.7 s, past the grid
-            # of 2 blocks
+            # a carrier past 1e16 Hz or below 1 Hz, which the registry rejects
+            # before a limit line could leave the float range
             ("apl", ["lo.f0_hz = 1e308"], 2),
             ("apl", ["lo.f0_hz = 1e-308"], 2),
-            ("apl", ["lo.f0_hz = 1e307"], 0),
+            ("apl", ["lo.f0_hz = 1e307"], 2),
             # technical noise past the population range or a free precession
             # under a nanosecond, rejected by the registry
             ("apl", ["lo.f0_hz = 1e-308", "det.sigma_tech = 1e154"], 2),
@@ -489,13 +507,11 @@ class TestCli:
 
     @pytest.mark.parametrize("bundle", _BUNDLES, ids=" ".join)
     @pytest.mark.parametrize("settings", _LINE_INPUT_CASES)
-    def test_limit_line_inputs_at_their_edges_keep_the_exit_contract(self, tmp_path, capsys, bundle, settings):
+    def test_limit_line_inputs_at_their_edges_keep_the_exit_contract(self, tmp_path, bundle, settings):
+        # every edge lies inside the registry, so no bundle rejects it
         code = _run_bundle(tmp_path, bundle, settings)
-        assert code in (0, 2, 3)
+        assert code in (0, 3)
         assert (tmp_path / "o").exists() == (code == 0)
-        if code == 2:  # a rejection names a key the config sets
-            err = capsys.readouterr().err
-            assert any(key in err for key in settings), err
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -865,13 +881,15 @@ class TestCli:
             )
 
     def test_limit_lines_off_the_float_range_are_a_config_error(self):
-        # k f0 snr = 4.8e307 is finite, but times tau > 3.7 s it is not
-        params = cli._stab_params(resolve({"lo.f0_hz": "1e307"}))
+        # at the default carrier the tau^(-1) line 1/(f0 snr tau) is inf at a
+        # subnormal tau and 0 at a tau near the top of the float range
+        params = cli._stab_params(resolve({}))
         cli._limit_table(params, [0.1, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConfigError, match="limit line"):
-                cli._limit_table(params, [0.1, 1.0, 10.0])
+            for far in (1e-320, 1e308):
+                with pytest.raises(ConfigError, match="limit line"):
+                    cli._limit_table(params, [0.1, 1.0, far])
 
     def test_reproduce_projection_bundle(self, tmp_path):
         out = tmp_path / "out"
