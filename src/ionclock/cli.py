@@ -11,11 +11,11 @@ command with the same config and seed reproduces every file byte for
 byte.
 
 Exit codes: 0 success; 2 configuration problem (bad flag, unreadable or
-malformed config file, unknown key, a value that ``resolve`` or a typed
-config it builds rejects, work past WORK_CEILING), raised before any
-draw, so before any ensemble or file; 3 runtime or data problem (fit
-failure, empty sample, malformed input series, non-finite Allan point,
-unwritable output directory). Every result is computed before the first file is
+malformed config file, unknown key, a value that ``resolve`` rejects,
+work past WORK_CEILING), raised before any input is read or anything
+drawn, so before any ensemble or file; 3 runtime or data problem (fit
+failure, empty sample, malformed input series, non-finite Allan point or
+limit line, unwritable output directory). Every result is computed before the first file is
 opened, so a run that fails before writing writes nothing. Each file is then
 rendered and written 512 rows at a time into a fresh hidden directory
 inside the output directory, and only once all are written does each
@@ -72,7 +72,7 @@ __all__ = ["main"]
 
 
 class DataError(RuntimeError):
-    """Malformed or unusable data: an input file, or a series whose Allan deviation is not finite."""
+    """Malformed or unusable data: an input file, or a series whose Allan deviation or limit lines are not finite."""
 
 
 _CSV_CHUNK_ROWS = 512  # rows formatted and written at a time: one chunk of text is alive
@@ -154,22 +154,18 @@ def _cycle_table(t):
 def _limit_table(params: StabilityParams, taus):
     taus = np.asarray(taus, dtype=float)
     header = ("tau_s", "limit_technical", "limit_apl", "limit_apl_repetition", "limit_qpn")
-    # an allan tau at either end of the float range makes a line 0 or inf (the
-    # registry keeps apl's inside it); a warning (n_cp past its bound) is held
-    # back until the lines are accepted
-    with np.errstate(over="ignore", divide="ignore"), warnings.catch_warnings(record=True) as held:
-        warnings.simplefilter("always")
-        lines = (
+    # an allan tau near either end of the float range makes a line 0 or inf (the
+    # registry keeps apl's inside it)
+    with np.errstate(over="ignore", divide="ignore"):
+        technical, apl, qpn = (
             limit_technical(params, taus),
             limit_apl(params, taus),
-            limit_apl_repetition(params, taus),
             limit_technical(replace(params, snr=qpn_snr(params.n_atom)), taus),
         )
-    if not all(np.all((line > 0.0) & (line < math.inf)) for line in lines):
-        raise ConfigError("a limit line is 0 or not finite: an allan tau lies near an end of the float range")
-    for w in held:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return header, (taus, *lines)
+    if not all(np.all((line > 0.0) & (line < math.inf)) for line in (technical, apl, qpn)):
+        raise DataError("a limit line is 0 or not finite: an allan tau lies near an end of the float range")
+    # technical / sqrt(n_cp), so inside the float range too; it may warn (n_cp past its bound)
+    return header, (taus, technical, apl, limit_apl_repetition(params, taus), qpn)
 
 
 def _allan_table(cfg, y, tau0):

@@ -9,12 +9,14 @@ Resolution happens once, in resolve(); the hash covers the resolved
 values plus the seed so identical hashes imply identical runs.
 
 resolve() checks each value's type and the bounds its registry entry
-declares (counts at least 1, integers within int64, lengths positive,
-...), then builds once every typed config with a rule the registry does
-not hold (DetectionConfig, RamseyConfig, ...), so a value one of them
-rejects is a ConfigError too: a run config is valid or invalid as a
-whole, whichever command runs it. Every ConfigError of resolve() names
-the key or keys at fault.
+declares (counts at least 1, integers within int64, a sampling fraction
+in (0, 1], ...), which hold every rule of a single key. It then builds
+the DiffusionConfig, whose two remaining rules each involve several
+keys: a derived diffusion constant of at most 1 m^2/s, and a beam of
+positive width inside the cloud. So a run config is valid or invalid as
+a whole, whichever command runs it, and every typed config a command
+builds from a resolved config accepts it. Every ConfigError of resolve()
+names the key or keys at fault.
 """
 
 import hashlib
@@ -55,12 +57,15 @@ def _as_int(raw):
     raise ConfigError(f"expected an integer, got {raw!r}")
 
 
-def _as_float_or_none(raw):
-    if isinstance(raw, str) and raw.strip().lower() in ("none", "null"):
-        return None
-    if raw is None:
-        return None
-    return _as_float(raw)
+def _or_none(conv):
+    """Converter ``conv`` that also takes ``None``, spelt none or null in a file."""
+
+    def check(raw):
+        if raw is None or isinstance(raw, str) and raw.strip().lower() in ("none", "null"):
+            return None
+        return conv(raw)
+
+    return check
 
 
 def _bounded(conv, low=-math.inf, strict=False, high=math.inf, or_zero=False):
@@ -86,8 +91,14 @@ _count = _integer(1)
 # No stage of a clock cycle lasts a day and no trapped cloud is a metre long;
 # past these the limit lines, the beam-hit probabilities and the walks overflow.
 _DAY = 86400.0
-_duration = _bounded(_as_float, high=_DAY)
-_level = _bounded(_as_float, 0.0, high=1.0)
+_duration = _bounded(_as_float, 0.0, high=_DAY)
+_unit = _bounded(_as_float, 0.0, high=1.0)
+
+
+def _as_path(raw):
+    if not (val := str(raw)):  # open('') fails only once every result is computed
+        raise ConfigError(f"expected a directory path, got {raw!r}")
+    return val
 
 
 def _as_choice(*options):
@@ -104,21 +115,21 @@ def _as_choice(*options):
 _REGISTRY = {
     "run.seed": (_as_int, 12345, "master seed for every derived stream"),
     "run.n_trials": (_integer(0), 0, "trial count override; 0 keeps the per-command default"),
-    "run.output_dir": (str, "runs", "directory for emitted CSV/JSON"),
+    "run.output_dir": (_as_path, "runs", "directory for emitted CSV/JSON"),
     "ens.n_ions": (_count, 2000, "ions in the ensemble"),
     "ens.cloud_length_m": (_bounded(_as_float, 0.0, strict=True, high=1.0), DiffusionConfig.cloud_length, "axial cloud extent"),
     # a carrier and a detuning up to 1e16 Hz, above every optical transition, and
     # levels up to 1: no LO phase record or limit line of a bundle leaves the float range
     "lo.f0_hz": (_bounded(_as_float, 1.0, high=1e16), StabilityParams.f0, "nominal transition frequency"),
     "lo.delta_f0_hz": (_bounded(_as_float, -1e16, high=1e16), 0.0, "static LO detuning"),
-    "lo.h0": (_level, 0.0, "white frequency noise level"),
-    "lo.h_minus1": (_level, 0.0, "flicker frequency noise level"),
-    "lo.h_minus2": (_level, 0.0, "random-walk frequency noise level"),
+    "lo.h0": (_unit, 0.0, "white frequency noise level"),
+    "lo.h_minus1": (_unit, 0.0, "flicker frequency noise level"),
+    "lo.h_minus2": (_unit, 0.0, "random-walk frequency noise level"),
     "lo.preset": (_as_choice("none", *PRESETS), "none", "named noise level set; overrides the h, coefficients"),
     "det.mode": (_as_choice("fixed_fraction", "beam_overlap"), "fixed_fraction", "how the sampled subset is chosen"),
-    "det.p": (_as_float, DetectionConfig.p, "sampling fraction per measurement"),
+    "det.p": (_bounded(_as_float, 0.0, strict=True, high=1.0), DetectionConfig.p, "sampling fraction per measurement"),
     # at most the whole population range, so the limit lines' snr^2 stays finite
-    "det.sigma_tech": (_bounded(_as_float, 0.0, high=1.0), DetectionConfig.sigma_tech, "technical noise sd added to the population estimate"),
+    "det.sigma_tech": (_unit, DetectionConfig.sigma_tech, "technical noise sd added to the population estimate"),
     # none, or from a nanosecond, so the white-noise sd sqrt(h0 / 2 dt) of rabi's LO record stays finite
     "det.measurement_duration_s": (_bounded(_as_float, 1e-9, high=_DAY, or_zero=True), DetectionConfig.measurement_duration, "readout window length"),
     # from a nanosecond, so the frequency estimates 1/(2 pi n t_fp) and their squares stay finite
@@ -132,14 +143,15 @@ _REGISTRY = {
     "seq.rabi_n_steps": (_integer(2), 12, "Rabi steps after the baseline point"),
     "seq.rabi_repeats_standard": (_count, 10, "re-initialized Rabi repeats"),
     "seq.rabi_repeats_ppm": (_count, 8, "partial-projection Rabi repeats"),
-    "diff.temperature_k": (_as_float, DiffusionConfig.temperature, "ion temperature"),
-    "diff.mobility": (_as_float, DiffusionConfig.mobility, "ion mobility for the Einstein relation"),
-    "diff.d_override": (_as_float_or_none, DiffusionConfig.d_override, "diffusion constant override; 'none' derives from T and mobility"),
+    "diff.temperature_k": (_bounded(_as_float, 0.0), DiffusionConfig.temperature, "ion temperature"),
+    "diff.mobility": (_bounded(_as_float, 0.0, strict=True), DiffusionConfig.mobility, "ion mobility for the Einstein relation"),
+    # at most 1 m^2/s, past which the walks overflow; a derived D is bounded by DiffusionConfig
+    "diff.d_override": (_or_none(_unit), DiffusionConfig.d_override, "diffusion constant override; 'none' derives from T and mobility"),
     "diff.dt_s": (_bounded(_as_float, 0.0, strict=True, high=_DAY), 1e-5, "time step of the diffusion MSD curve; transport takes no sub-steps"),
     "diff.n_walkers": (_count, 20000, "walkers for diffusion statistics"),
     "diff.beam_lo_m": (_as_float, DiffusionConfig.beam_interval[0], "detection beam lower edge"),
     "diff.beam_hi_m": (_as_float, DiffusionConfig.beam_interval[1], "detection beam upper edge"),
-    "diff.duration_max_s": (_bounded(_as_float, 0.0, high=_DAY), 2e-3, "longest struck-fraction window"),
+    "diff.duration_max_s": (_duration, 2e-3, "longest struck-fraction window"),
     "diff.n_durations": (_count, 11, "points on the struck-fraction duration grid"),
     "allan.mode": (_as_choice("overlapping", "non_overlapping"), "overlapping", "Allan estimator variant"),
     # Allan work grows as the grid's points times the series length; at 100 a
@@ -167,48 +179,13 @@ def resolve(values: dict) -> MappingProxyType:
             spec.h0, spec.h_minus1, spec.h_minus2
         )
 
-    # every typed config the registry does not cover is built once here, whatever the command reads
-    _build(_diffusion_config, merged)
-    _build(_ramsey_config, merged)
-    _build(_stab_params, merged)
+    try:
+        _diffusion_config(merged)
+    except ValueError as exc:  # each of its rules involves several keys: name those not at their default
+        changed = [k for k in _DIFFUSION_KEYS if merged[k] != DEFAULTS[k]]
+        raise ConfigError(f"{', '.join(changed)}: {exc}") from exc
     return MappingProxyType(merged)
 
-
-class _Reads(dict):
-    """A run config that records the keys read from it, in order."""
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.keys_read = {}
-
-    def __getitem__(self, key):
-        self.keys_read[key] = None
-        return super().__getitem__(key)
-
-
-def _fails(builder, cfg):
-    try:
-        builder(cfg)
-    except ValueError:
-        return True
-    return False
-
-
-def _build(builder, merged):
-    """builder(merged), with a ValueError turned into a ConfigError that names the keys at fault.
-
-    Of the keys the builder reads, those at fault differ from the default
-    config, and each one alone makes the default config fail too; if none
-    does alone, all that differ are named.
-    """
-    cfg = _Reads(merged)
-    try:
-        return builder(cfg)
-    except ValueError as exc:
-        ref = resolve({})  # the defaults, which every builder accepts
-        changed = [k for k in cfg.keys_read if merged[k] != ref[k]]
-        alone = [k for k in changed if _fails(builder, {**ref, k: merged[k]})]
-        raise ConfigError(f"{', '.join(alone or changed)}: {exc}") from exc
 
 def _detection(cfg) -> DetectionConfig:
     return DetectionConfig(
@@ -218,14 +195,14 @@ def _detection(cfg) -> DetectionConfig:
     )
 
 
+_DIFFUSION_KEYS = (
+    "diff.temperature_k", "diff.mobility", "diff.d_override", "ens.cloud_length_m", "diff.beam_lo_m", "diff.beam_hi_m"
+)
+
+
 def _diffusion_config(cfg) -> DiffusionConfig:
-    return DiffusionConfig(
-        temperature=cfg["diff.temperature_k"],
-        mobility=cfg["diff.mobility"],
-        d_override=cfg["diff.d_override"],
-        cloud_length=cfg["ens.cloud_length_m"],
-        beam_interval=(cfg["diff.beam_lo_m"], cfg["diff.beam_hi_m"]),
-    )
+    temp, mobility, d, length, lo, hi = (cfg[k] for k in _DIFFUSION_KEYS)
+    return DiffusionConfig(temperature=temp, mobility=mobility, d_override=d, cloud_length=length, beam_interval=(lo, hi))
 
 
 def _ramsey_config(cfg) -> RamseyConfig:
@@ -261,7 +238,8 @@ def parse_config_file(path) -> dict:
     """Read raw key=value pairs; no defaults applied here."""
     raw = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, or the first key would carry it
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:

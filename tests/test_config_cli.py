@@ -3,6 +3,7 @@
 import errno
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -131,6 +132,11 @@ class TestConfigFile:
         raw = parse_config_file(f)
         assert raw == {"run.seed": "7", "ens.n_ions": "100", "lo.preset": "maser"}
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("run.seed = 7\nens.n_ions = 100\n", encoding="utf-8-sig")
+        assert parse_config_file(cfg) == {"run.seed": "7", "ens.n_ions": "100"}
+
     def test_unknown_key_reports_line(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("run.seed = 1\nno.such.key = 2\n")
@@ -207,16 +213,55 @@ class TestResolve:
             resolve({"lo.preset": "quartz"})
         with pytest.raises(ConfigError):
             resolve({"nope": "1"})
-        # a value that a typed config rejects, whether or not a given command reads it
+        # a value outside its key's range, whether or not a given command reads it
         for key, value in (
             ("det.p", "1.5"),
+            ("det.p", "0"),
             ("seq.t_fp_s", "0"),
+            ("seq.dead_time_s", "-1"),
+            ("seq.pi2_duration_s", "-0.001"),
             ("lo.h0", "-1"),
             ("lo.f0_hz", "0"),
-            ("diff.beam_lo_m", "-0.01"),
+            ("diff.temperature_k", "-1"),
+            ("diff.mobility", "0"),
+            ("diff.d_override", "-1"),
+            ("diff.d_override", "2"),
         ):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match=f"^{key}: expected a value"):
                 resolve({key: value})
+        # a beam outside the cloud, a rule of several keys that the diffusion config holds
+        with pytest.raises(ConfigError, match="^diff.beam_lo_m: beam_interval must lie inside the cloud$"):
+            resolve({"diff.beam_lo_m": "-0.01"})
+
+    def test_diffusion_rejection_names_every_key_off_its_default(self):
+        # a diffusion constant that temperature and mobility derive, and a cloud
+        # narrower than the beam: each rule involves several keys
+        with pytest.raises(ConfigError, match=r"^diff.temperature_k, diff.d_override: the diffusion constant must be at most 1 m\^2/s"):
+            resolve({"diff.temperature_k": "1e308", "diff.d_override": "none"})
+        with pytest.raises(ConfigError, match="^diff.temperature_k, ens.cloud_length_m: beam_interval must lie inside the cloud$"):
+            resolve({"ens.cloud_length_m": "1e-4", "diff.temperature_k": "0.06"})
+
+    def test_typed_configs_accept_every_resolved_config(self):
+        # resolve builds only the diffusion config: the registry's single-key ranges
+        # hold every rule of RamseyConfig, DetectionConfig and StabilityParams,
+        # swept here over the product of the ranges' edges (3,456 configs)
+        edges = {
+            "det.p": ("5e-324", "1"),
+            "seq.t_fp_s": (_T_FP_LEAST, _DAY),
+            "seq.pi2_duration_s": ("0", "5e-324", _DAY),
+            "seq.dead_time_s": ("0", "5e-324", _DAY),
+            "det.measurement_duration_s": ("0", "1e-9", _DAY),  # 0 or from a nanosecond
+            "det.sigma_tech": ("0", "1"),
+            "ens.n_ions": ("1", str(2**63 - 1)),
+            "seq.n_cp": ("1", str(2**63 - 1)),
+            "lo.f0_hz": ("1", "1e16"),
+            "det.mode": ("fixed_fraction", "beam_overlap"),
+        }
+        configs = [resolve(dict(zip(edges, values))) for values in itertools.product(*edges.values())]
+        assert len(configs) == 3456
+        for cfg in configs:
+            cli._ramsey_config(cfg)
+            cli._stab_params(cfg)
 
     def test_integers_fit_in_int64(self):
         ppd = "allan.points_per_decade"
@@ -303,6 +348,15 @@ class TestCli:
             ("diffusion", "diff.n_durations", "-1"),
             ("diffusion", "diff.n_durations", "0"),
             ("apl", "allan.points_per_decade", "0"),
+            # single-key ranges that the registry holds, on a command that reads
+            # the key and on one that does not
+            ("apl", "det.p", "0"),
+            ("diffusion", "det.p", "1.5"),
+            ("apl", "seq.dead_time_s", "-1"),
+            ("reproduce fig5", "seq.pi2_duration_s", "-0.001"),
+            ("diffusion", "diff.temperature_k", "-1"),
+            ("rabi", "diff.mobility", "0"),
+            ("apl", "diff.d_override", "2\ndet.mode = beam_overlap"),
             ("apl", "seq.t_fp_s", "nan"),
             ("apl", "seq.dead_time_s", "nan"),
             ("apl", "seq.pi2_duration_s", "inf"),
@@ -329,9 +383,8 @@ class TestCli:
             # a carrier below 1 Hz (past 1e16 Hz is the lo.f0_hz = 1e17 rows
             # below), rejected by the registry before any limit line is computed
             ("apl", "lo.f0_hz", "1e-308"),
-            # a subnormal carrier, whose y would also overflow the Allan deviation
+            # a subnormal and a tiny carrier with a detuning: the same rejection
             ("apl", "lo.f0_hz", "1e-320\nlo.delta_f0_hz = 0.3"),
-            # a tiny carrier, whose y = delta_f / f0 would overflow the Allan deviation
             ("apl", "lo.f0_hz", "1e-300\nlo.delta_f0_hz = 0.3"),
             # each LO key just past its registry range, which the LO record
             # would take past the float range or saturate
@@ -432,17 +485,42 @@ class TestCli:
         (tmp_path / "ppd.cfg").write_text("allan.points_per_decade = 100\n")
         assert cli.main(["allan", "series.csv", "--config", "ppd.cfg", "--out", "o"]) == 0
 
-    def test_allan_limit_line_off_the_float_range_exits_2_after_the_read(self, tmp_path, monkeypatch, capsys):
+    def test_empty_output_dir_exits_2_before_simulating(self, tmp_path, monkeypatch, capsys):
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulation ran before the config was checked")
+
+        monkeypatch.setattr(cli, "initialize_ensemble", simulated)
+        monkeypatch.setattr(cli, "phase_increments", simulated)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.cfg").write_text("run.output_dir =\n")
+        for flags in (["--out", ""], ["--config", "out.cfg"]):
+            assert cli.main(["apl", "--trials", "2", *flags]) == 2
+            assert capsys.readouterr().err == "config error: run.output_dir: expected a directory path, got ''\n"
+        assert os.listdir(tmp_path) == ["out.cfg"]
+
+    def test_allan_limit_line_off_the_float_range_exits_3(self, tmp_path, monkeypatch, capsys):
         # allan's tau grid comes from its series, so its limit lines are checked
-        # once the input is read: taus near either end of the float range exit 2
+        # once the input is read: taus near either end of the float range are a data error
         monkeypatch.chdir(tmp_path)
         for tau0 in (1e-320, 1e300):
             (tmp_path / "far.csv").write_text("".join(f"{i * tau0!r},1e-12\n" for i in range(4)))
-            assert cli.main(["allan", "far.csv", "--out", "o"]) == 2
+            assert cli.main(["allan", "far.csv", "--out", "o"]) == 3
             assert capsys.readouterr().err == (
-                "config error: a limit line is 0 or not finite: an allan tau lies near an end of the float range\n"
+                "error: a limit line is 0 or not finite: an allan tau lies near an end of the float range\n"
             )
             assert not (tmp_path / "o").exists()
+
+    def test_rejected_limit_lines_issue_no_warning(self, tmp_path, monkeypatch, capsys):
+        # n_cp = 6 is past n_atom / snr^2 = 5.56 with no technical noise, but the
+        # lines of a series spaced 1e300 s are rejected before the one that warns
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "far.csv").write_text("".join(f"{i * 1e300!r},1e-12\n" for i in range(4)))
+        (tmp_path / "c.cfg").write_text("det.sigma_tech = 0\nseq.n_cp = 6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundViolationWarning)
+            assert cli.main(["allan", "far.csv", "--config", "c.cfg", "--out", "o"]) == 3
+        assert capsys.readouterr().err.startswith("error: a limit line is 0 or not finite")
+        assert not (tmp_path / "o").exists()
 
     def test_limit_line_warning_is_issued_once_the_lines_are_accepted(self, tmp_path):
         # with no technical noise snr^2 = p N, so n_cp = 6 is past n_atom / snr^2 = 1/p = 5.56:
@@ -880,7 +958,7 @@ class TestCli:
                 limit_technical(qpn, tau),
             )
 
-    def test_limit_lines_off_the_float_range_are_a_config_error(self):
+    def test_limit_lines_off_the_float_range_are_a_data_error(self):
         # at the default carrier the tau^(-1) line 1/(f0 snr tau) is inf at a
         # subnormal tau and 0 at a tau near the top of the float range
         params = cli._stab_params(resolve({}))
@@ -888,7 +966,7 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for far in (1e-320, 1e308):
-                with pytest.raises(ConfigError, match="limit line"):
+                with pytest.raises(cli.DataError, match="limit line"):
                     cli._limit_table(params, [0.1, 1.0, far])
 
     def test_reproduce_projection_bundle(self, tmp_path):
