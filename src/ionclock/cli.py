@@ -13,19 +13,20 @@ byte.
 Exit codes: 0 success; 2 configuration problem (bad flag, unreadable or
 malformed config file, unknown key, a value that ``resolve`` rejects,
 work past WORK_CEILING), raised before any input is read or anything
-drawn, so before any ensemble or file; 3 runtime or data problem (fit
-failure, empty sample, malformed input series, non-finite Allan point or
-limit line, unwritable output directory). Every result is computed before the first file is
-opened, so a run that fails before writing writes nothing. Each file is then
-rendered and written 512 rows at a time into a fresh hidden directory
-inside the output directory, and only once all are written does each
-replace its namesake, so a run that fails while writing leaves the
-earlier files as they were and removes the directories it created. One
-caveat: the replace step is one rename per file, not atomic as a whole,
-so a failure between two renames leaves old and new files side by side.
-A rename swaps out an output that is a symlink or a read-only file
-rather than writing through it. Files an earlier run left there and
-this run does not write are not removed.
+drawn; 3 runtime or data problem (fit failure, empty sample, malformed
+input series, non-finite Allan point or limit line, unwritable output
+directory; one under a regular file is found before anything is drawn).
+Every result is computed before the first file is opened, so a run that
+fails before writing writes nothing. Each file is then rendered and
+written 512 rows at a time into a fresh hidden directory inside the
+output directory, and only once all are written does each replace its
+namesake, so a run that fails while writing leaves the earlier files as
+they were and removes the directories it created. One caveat: the
+replace step is one rename per file, not atomic as a whole, so a failure
+between two renames leaves old and new files side by side. A rename
+swaps out an output that is a symlink or a read-only file rather than
+writing through it. Files an earlier run left there and this run does
+not write are not removed.
 """
 
 import argparse
@@ -72,7 +73,7 @@ __all__ = ["main"]
 
 
 class DataError(RuntimeError):
-    """Malformed or unusable data: an input file, or a series whose Allan deviation or limit lines are not finite."""
+    """Malformed or unusable data: an input file, a series whose Allan deviation or limit lines are not finite, or an output path under a file."""
 
 
 _CSV_CHUNK_ROWS = 512  # rows formatted and written at a time: one chunk of text is alive
@@ -593,6 +594,14 @@ def main(argv=None) -> int:
             if val is not None:
                 raw[key] = val
         cfg = resolve(raw)
+        out_dir = cfg["run.output_dir"]
+        created = []  # the directories this run makes, deepest first
+        path = os.path.abspath(out_dir)
+        while not os.path.lexists(path):
+            created.append(path)
+            path = os.path.dirname(path)
+        if not os.path.isdir(path):  # found before anything is drawn, not once every result is computed
+            raise DataError(f"cannot write outputs: {path} is not a directory")
         files = bundle(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -603,12 +612,6 @@ def main(argv=None) -> int:
 
     h = config_hash(cfg)
     files["run_meta.json"] = _meta(args.command, cfg, h, list(files) + ["run_meta.json"])
-    out_dir = cfg["run.output_dir"]
-    created = []  # the directories this run makes, deepest first
-    path = os.path.abspath(out_dir)
-    while not os.path.lexists(path):
-        created.append(path)
-        path = os.path.dirname(path)
     try:
         os.makedirs(out_dir, exist_ok=True)
         # every file is complete before the first one replaces its namesake

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 import ionclock
-from ionclock import cli, diffusion, sequences
-from ionclock.config import DEFAULTS, ConfigError, config_hash, parse_config_file, resolve
+from ionclock import cli, config, diffusion, sequences
+from ionclock.config import DEFAULTS, KEYS, ConfigError, config_hash, parse_config_file, resolve
 from ionclock.oscillator import PRESETS
 from ionclock.stability import (
     BoundViolationWarning,
@@ -54,6 +54,32 @@ _EDGE_VALUES = sorted(
     | {("seq.n_cp", "1e300"), ("seq.rabi_n_steps", "1e300")}
     | {(k, v) for k, d in DEFAULTS.items() if type(d) is int for v in (str(2**63), "1" + "0" * 400)}
 )
+
+
+def _bound_edges(key):
+    """(edge, past, bound) for each finite bound that `key`'s registry entry declares.
+
+    The value at the edge is accepted, and the next float or integer past it
+    rejected with a message that prints `bound`. A strict bound's edge is the
+    next value inside it, and a range that also takes 0 has an edge at 0.
+    """
+    conv = KEYS[key].convert
+    if not isinstance(conv, config._Bounded):
+        return []
+
+    def step(v, direction):  # the next integer, or the next float
+        return v + direction if conv.conv is config._as_int else float(np.nextafter(v, direction * math.inf))
+
+    edges = []
+    if math.isfinite(conv.low):
+        edge = step(conv.low, 1) if conv.strict else conv.low
+        edges.append((edge, step(edge, -1), conv.low))
+    if conv.or_zero:
+        edges.append((0.0, step(0.0, -1), conv.low))
+    if math.isfinite(conv.high):
+        edges.append((conv.high, step(conv.high, 1), conv.high))
+    return edges
+
 
 # The limit-line inputs are derived, so their edges are reached through the
 # keys they derive from: q = 2 f0 t_fp and the cycle time with the free
@@ -208,30 +234,22 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve({"ens.n_ions": "zero"})
         with pytest.raises(ConfigError):
-            resolve({"ens.n_ions": "0"})
-        with pytest.raises(ConfigError):
             resolve({"lo.preset": "quartz"})
         with pytest.raises(ConfigError):
             resolve({"nope": "1"})
-        # a value outside its key's range, whether or not a given command reads it
-        for key, value in (
-            ("det.p", "1.5"),
-            ("det.p", "0"),
-            ("seq.t_fp_s", "0"),
-            ("seq.dead_time_s", "-1"),
-            ("seq.pi2_duration_s", "-0.001"),
-            ("lo.h0", "-1"),
-            ("lo.f0_hz", "0"),
-            ("diff.temperature_k", "-1"),
-            ("diff.mobility", "0"),
-            ("diff.d_override", "-1"),
-            ("diff.d_override", "2"),
-        ):
-            with pytest.raises(ConfigError, match=f"^{key}: expected a value"):
-                resolve({key: value})
         # a beam outside the cloud, a rule of several keys that the diffusion config holds
         with pytest.raises(ConfigError, match="^diff.beam_lo_m: beam_interval must lie inside the cloud$"):
             resolve({"diff.beam_lo_m": "-0.01"})
+
+    @pytest.mark.parametrize("key", [k for k in KEYS if _bound_edges(k)])
+    def test_every_declared_bound_is_accepted_and_the_next_value_past_it_rejected(self, key):
+        # the registry is the one spec of a key's range; a rejection prints the
+        # bound exactly, an int64 ceiling too, whether or not a command reads the key
+        for edge, past, bound in _bound_edges(key):
+            assert KEYS[key].convert(repr(edge)) == edge
+            message = rf"^{re.escape(key)}: expected (0 or )?a value [<>]=? {re.escape(str(bound))}, got {re.escape(repr(past))}$"
+            with pytest.raises(ConfigError, match=message):
+                resolve({key: repr(past)})
 
     def test_diffusion_rejection_names_every_key_off_its_default(self):
         # a diffusion constant that temperature and mobility derive, and a cloud
@@ -244,38 +262,25 @@ class TestResolve:
     def test_typed_configs_accept_every_resolved_config(self):
         # resolve builds only the diffusion config: the registry's single-key ranges
         # hold every rule of RamseyConfig, DetectionConfig and StabilityParams,
-        # swept here over the product of the ranges' edges (3,456 configs)
-        edges = {
-            "det.p": ("5e-324", "1"),
-            "seq.t_fp_s": (_T_FP_LEAST, _DAY),
-            "seq.pi2_duration_s": ("0", "5e-324", _DAY),
-            "seq.dead_time_s": ("0", "5e-324", _DAY),
-            "det.measurement_duration_s": ("0", "1e-9", _DAY),  # 0 or from a nanosecond
-            "det.sigma_tech": ("0", "1"),
-            "ens.n_ions": ("1", str(2**63 - 1)),
-            "seq.n_cp": ("1", str(2**63 - 1)),
-            "lo.f0_hz": ("1", "1e16"),
-            "det.mode": ("fixed_fraction", "beam_overlap"),
-        }
+        # swept here over the product of the edges the registry declares for the
+        # keys they read, in either detection mode (1,536 configs)
+        keys = ("det.p", "seq.t_fp_s", "seq.pi2_duration_s", "seq.dead_time_s", "det.measurement_duration_s",
+                "det.sigma_tech", "ens.n_ions", "seq.n_cp", "lo.f0_hz")
+        edges = {k: [repr(edge) for edge, _, _ in _bound_edges(k)] for k in keys}
+        edges["det.mode"] = ["fixed_fraction", "beam_overlap"]
         configs = [resolve(dict(zip(edges, values))) for values in itertools.product(*edges.values())]
-        assert len(configs) == 3456
+        assert len(configs) == 1536
         for cfg in configs:
             cli._ramsey_config(cfg)
             cli._stab_params(cfg)
 
     def test_integers_fit_in_int64(self):
-        ppd = "allan.points_per_decade"
-        for key in (k for k, d in DEFAULTS.items() if type(d) is int and k not in ("run.seed", ppd)):
-            assert resolve({key: str(2**63 - 1)})[key] == 2**63 - 1
-            for value in (str(2**63), 10**400):
-                with pytest.raises(ConfigError, match=f"^{key}: expected a value <= 9223372036854775807, got "):
-                    resolve({key: value})
+        # a library caller's integer is checked as its text would be
+        for key in (k for k, d in DEFAULTS.items() if type(d) is int and k not in ("run.seed", "allan.points_per_decade")):
+            with pytest.raises(ConfigError, match=f"^{key}: expected a value <= 9223372036854775807, got "):
+                resolve({key: 10**400})
         # substream masks the seed to 64 bits
         assert resolve({"run.seed": 10**400})["run.seed"] == 10**400
-        # the tau grid has a lower ceiling of its own: Allan work grows with its density
-        assert resolve({ppd: "100"})[ppd] == 100
-        with pytest.raises(ConfigError, match=f"^{ppd}: expected a value <= 100, got 101$"):
-            resolve({ppd: "101"})
 
     def test_integer_keys_take_no_float_or_bool(self):
         # a library caller's value is read as a config file's text would be:
@@ -290,11 +295,9 @@ class TestResolve:
         with pytest.raises(ConfigError, match="det.sigma_tech"):
             resolve({"det.sigma_tech": "1e300"})
         # the registry bounds sigma_tech by the whole population range, whose
-        # upper end derives the least snr; just past it is rejected
+        # upper end derives the least snr
         var = 1.0 + 0.25 / (0.18 * 2000)
         assert cli._stab_params(resolve({"det.sigma_tech": "1"})).snr == pytest.approx(0.5 / math.sqrt(var), rel=1e-12)
-        with pytest.raises(ConfigError, match=r"^det.sigma_tech: expected a value <= 1.0, got 1.0000000000000002$"):
-            resolve({"det.sigma_tech": repr(math.nextafter(1.0, 2.0))})
 
     def test_float_keys_take_no_bool_or_non_number(self):
         # as for the integer keys: True is no number in a config file, and
@@ -332,79 +335,56 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            ("apl", "det.p", "1.5"),
-            ("rabi", "det.p", "1.5"),
-            ("apl", "seq.t_fp_s", "0"),
-            ("apl", "lo.f0_hz", "-1"),
+            # a rule of several keys that the diffusion config holds, or one
+            # that depends on the command
             ("diffusion", "diff.beam_lo_m", "-0.01"),
             ("reproduce fig5", "seq.n_cp", "2"),
-            ("rabi", "ens.cloud_length_m", "0"),
-            ("rabi", "seq.rabi_step_rad", "0"),
-            ("rabi", "seq.rabi_n_steps", "0"),
-            ("rabi", "seq.rabi_n_steps", "1"),
-            ("rabi", "seq.rabi_repeats_ppm", "0"),
-            ("diffusion", "diff.duration_max_s", "-0.001"),
-            ("apl", "run.n_trials", "-1"),
-            ("diffusion", "diff.n_durations", "-1"),
-            ("diffusion", "diff.n_durations", "0"),
-            ("apl", "allan.points_per_decade", "0"),
-            # single-key ranges that the registry holds, on a command that reads
-            # the key and on one that does not
-            ("apl", "det.p", "0"),
-            ("diffusion", "det.p", "1.5"),
-            ("apl", "seq.dead_time_s", "-1"),
-            ("reproduce fig5", "seq.pi2_duration_s", "-0.001"),
-            ("diffusion", "diff.temperature_k", "-1"),
-            ("rabi", "diff.mobility", "0"),
-            ("apl", "diff.d_override", "2\ndet.mode = beam_overlap"),
+            ("rabi", "det.mode", "beam_overlap"),
+            ("reproduce fig4", "det.mode", "beam_overlap"),
+            # a value that is no finite number
             ("apl", "seq.t_fp_s", "nan"),
             ("apl", "seq.dead_time_s", "nan"),
             ("apl", "seq.pi2_duration_s", "inf"),
             ("apl", "lo.delta_f0_hz", "nan"),
-            ("rabi", "det.mode", "beam_overlap"),
-            ("reproduce fig4", "det.mode", "beam_overlap"),
-            ("rabi", "lo.f0_hz", "0"),
-            ("reproduce fig4", "lo.f0_hz", "0"),
-            # technical noise past the whole population range
-            ("apl", "det.sigma_tech", "1e300"),
-            ("diffusion", "det.sigma_tech", "1e300"),
-            ("rabi", "det.sigma_tech", "1e300"),
-            ("diffusion", "diff.d_override", "-1"),
-            # the MSD step is checked by the registry, so every bundle rejects it
-            ("apl", "diff.dt_s", "0"),
-            # no cycle stage lasts over a day, no cloud over a metre
-            ("apl", "seq.dead_time_s", "1e300"),
-            ("apl", "det.measurement_duration_s", "86401"),
-            # a readout window under a nanosecond but not 0, over which the
-            # white-noise sd sqrt(h0 / 2 dt) of rabi's LO record overflows
-            ("rabi", "det.measurement_duration_s", "5e-324\nlo.h0 = 1"),
-            ("reproduce fig4", "det.measurement_duration_s", "5e-324\nlo.h0 = 1"),
-            ("diffusion", "ens.cloud_length_m", "1.5"),
-            # a carrier below 1 Hz (past 1e16 Hz is the lo.f0_hz = 1e17 rows
-            # below), rejected by the registry before any limit line is computed
-            ("apl", "lo.f0_hz", "1e-308"),
-            # a subnormal and a tiny carrier with a detuning: the same rejection
-            ("apl", "lo.f0_hz", "1e-320\nlo.delta_f0_hz = 0.3"),
-            ("apl", "lo.f0_hz", "1e-300\nlo.delta_f0_hz = 0.3"),
-            # each LO key just past its registry range, which the LO record
-            # would take past the float range or saturate
+            # one key past its registry range on a command that reads it: main
+            # resolves before the first draw of every bundle
             *[
                 (command, key, value)
-                for command in ("apl", "reproduce fig5", "rabi")
-                for key, value in (
-                    ("lo.f0_hz", "1e17"),
-                    ("lo.delta_f0_hz", "-1e17"),
-                    ("lo.h0", "2"),
-                    ("lo.h_minus1", "1e308"),
-                    ("lo.h_minus2", "2"),
+                for command, rows in (
+                    ("apl", "det.p 1.5|det.p 0|run.n_trials -1|seq.t_fp_s 0|lo.f0_hz -1|lo.f0_hz 1e-308|"
+                     "seq.dead_time_s -1|seq.dead_time_s 1e300|det.sigma_tech 1e300|det.measurement_duration_s 86401|"
+                     f"allan.points_per_decade 0|allan.points_per_decade 101|allan.points_per_decade {2**62}"),
+                    ("rabi", "det.p 1.5|seq.rabi_step_rad 0|seq.rabi_n_steps 0|seq.rabi_n_steps 1|"
+                     "seq.rabi_repeats_ppm 0|lo.f0_hz 0|det.sigma_tech 1e300"),
+                    ("reproduce fig4", "lo.f0_hz 0"),
+                    ("reproduce fig5", "seq.pi2_duration_s -0.001"),
+                    ("reproduce fig6", f"allan.points_per_decade {2**62}"),
+                    ("diffusion", "diff.duration_max_s -0.001|diff.n_durations -1|diff.n_durations 0|"
+                     "diff.temperature_k -1|diff.d_override -1|ens.cloud_length_m 1.5"),
+                    *[(c, "lo.f0_hz 1e17|lo.delta_f0_hz -1e17|lo.h0 2|lo.h_minus1 1e308|lo.h_minus2 2")
+                      for c in ("apl", "reproduce fig5", "rabi")],
                 )
+                for key, value in (row.split(" ") for row in rows.split("|"))
             ],
-            # a run config is valid or invalid whichever command runs it:
-            # each of these bundles reads none of these values; allan
-            # exits 2 before it would find that its input is missing
+            # with a second line: a tiny carrier with a detuning, the beam mode,
+            # and a readout window over which rabi's LO white-noise sd overflows
+            ("apl", "lo.f0_hz", "1e-320\nlo.delta_f0_hz = 0.3"),
+            ("apl", "lo.f0_hz", "1e-300\nlo.delta_f0_hz = 0.3"),
+            ("apl", "diff.d_override", "2\ndet.mode = beam_overlap"),
+            ("rabi", "det.measurement_duration_s", "5e-324\nlo.h0 = 1"),
+            ("reproduce fig4", "det.measurement_duration_s", "5e-324\nlo.h0 = 1"),
+            # a run config is valid or invalid whichever command runs it: each
+            # of these bundles reads none of these values, which the registry
+            # rejects; allan exits 2 before it would find that its input is missing
+            ("rabi", "ens.cloud_length_m", "0"),
+            ("diffusion", "det.p", "1.5"),
+            ("rabi", "diff.mobility", "0"),
+            ("diffusion", "det.sigma_tech", "1e300"),
+            ("apl", "diff.dt_s", "0"),
             ("diffusion", "lo.h0", "-1"),
             ("allan missing.csv", "det.p", "1.5"),
             ("allan missing.csv", "lo.f0_hz", "1e308"),
+            ("allan missing.csv", "allan.points_per_decade", "101"),
             # the default beam no longer fits inside the cloud
             ("apl", "ens.cloud_length_m", "1e-4"),
             ("reproduce fig5", "diff.beam_lo_m", "-0.01"),
@@ -418,12 +398,6 @@ class TestCli:
             ("reproduce fig4", "seq.rabi_repeats_standard", "100000000"),
             ("rabi", "seq.rabi_repeats_ppm", "100000000"),
             ("diffusion", "diff.n_walkers", "100000000"),
-            # a tau grid past 100 points per decade, rejected by resolve, so
-            # before allan reads its input (here missing)
-            ("apl", "allan.points_per_decade", "101"),
-            ("allan missing.csv", "allan.points_per_decade", "101"),
-            ("apl", "allan.points_per_decade", str(2**62)),
-            ("reproduce fig6", "allan.points_per_decade", str(2**62)),
             # a derived diffusion constant past 1 m^2/s, on a command that
             # walks and on one that does not
             ("diffusion", "diff.temperature_k", "1e308\ndiff.d_override = none"),
@@ -497,6 +471,24 @@ class TestCli:
             assert cli.main(["apl", "--trials", "2", *flags]) == 2
             assert capsys.readouterr().err == "config error: run.output_dir: expected a directory path, got ''\n"
         assert os.listdir(tmp_path) == ["out.cfg"]
+
+    def test_output_path_under_a_file_exits_3_before_simulating(self, tmp_path, monkeypatch, capsys):
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulation ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "initialize_ensemble", simulated)
+        monkeypatch.setattr(cli, "phase_increments", simulated)
+        monkeypatch.setattr(diffusion, "step_brownian", simulated)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        for command in (["apl", "--trials", "2"], ["diffusion"], ["allan", "missing.csv"]):
+            for out in ("afile", "afile/x"):
+                assert cli.main([*command, "--out", out]) == 3
+                assert capsys.readouterr().err == f"error: cannot write outputs: {os.path.abspath('afile')} is not a directory\n"
+        # an invalid run config still exits 2 first
+        assert cli.main(["apl", "--trials", "-1", "--out", "afile/x"]) == 2
+        assert capsys.readouterr().err.startswith("config error: run.n_trials: ")
+        assert os.listdir(tmp_path) == ["afile"] and (tmp_path / "afile").read_text() == "kept\n"
 
     def test_allan_limit_line_off_the_float_range_exits_3(self, tmp_path, monkeypatch, capsys):
         # allan's tau grid comes from its series, so its limit lines are checked
